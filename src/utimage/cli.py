@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import errors, selfcheck
@@ -24,16 +23,17 @@ from .oracle import DEFAULT_CAP, check_theorem
 from .solver import image_description, preimage
 from .triangular import StrictUT
 
-THREADS_ENV = "UTIMAGE_THREADS"
 
+class _Parser(argparse.ArgumentParser):
+    """Turns argparse usage errors into exit code 1.
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    try:
-        return int(os.environ.get(THREADS_ENV, "1"))
-    except ValueError:
-        return 1
+    argparse exits 2 on a bad command line, but 2 means "not in image"
+    here, so a usage error is raised as a ParseError for ``main`` instead.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise errors.ParseError(f"{self.prog}: {message}")
 
 
 def cmd_solve(args) -> int:
@@ -94,12 +94,7 @@ def cmd_verify(args) -> int:
         return 1
     poly = parse_poly(args.poly, spec)
     report = check_theorem(
-        poly,
-        args.n,
-        spec.p,
-        cap=args.cap,
-        workers=_threads(args),
-        reduce_bands=args.reduce,
+        poly, args.n, spec.p, cap=args.cap, reduce_bands=args.reduce
     )
     text = selfcheck.canonical_json(report.json_dict(args.poly, args.n, spec.p))
     if args.out:
@@ -113,10 +108,9 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     failures = []
     fields = [args.field] if args.field else list(selfcheck.TRIAL_FIELDS)
-    workers = _threads(args)
 
-    grid_rows = selfcheck.run_grid(workers=workers)
-    grid_rows += selfcheck.run_grid(grid=selfcheck.IDENTITY_GRID, workers=workers)
+    grid_rows = selfcheck.run_grid()
+    grid_rows += selfcheck.run_grid(grid=selfcheck.IDENTITY_GRID)
     for poly_text, n, q, report in grid_rows:
         status = "pass" if report.matches else "FAIL"
         print(
@@ -144,7 +138,7 @@ def cmd_selftest(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="utimage",
         description=(
             "Images and preimage witnesses of multilinear polynomials on "
@@ -174,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, required=True)
     verify.add_argument("--field", required=True, help="prime field, e.g. gf:2")
     verify.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max tuple evaluations")
-    verify.add_argument("--threads", type=int, default=None, help=f"worker count (default ${THREADS_ENV} or 1)")
     verify.add_argument("--reduce", action="store_true", help="scan only entries that can occur in a degree-m product")
     verify.add_argument("--out", help="path for the report JSON (default stdout)")
     verify.set_defaults(func=cmd_verify)
@@ -183,15 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--trials", type=int, default=100)
     selftest.add_argument("--seed", type=int, default=0)
     selftest.add_argument("--field", help="restrict trials to one field")
-    selftest.add_argument("--threads", type=int, default=None)
     selftest.set_defaults(func=cmd_selftest)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except errors.TargetNotInImage as exc:
         print(f"not in image: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ scanned image and the predicted classification is a genuine cross-check.
 Matrices are packed: the n(n-1)/2 strictly upper entries are laid out
 row-major over (row, col), most significant first, and a matrix is the
 base-q integer of its digit string.  Image sets are kept as sorted packed
-keys, which makes reports deterministic however the scan is partitioned.
+keys, which makes reports independent of the scan's enumeration order.
 
 Two performance levers, both exact:
 
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import errors
@@ -144,10 +143,9 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
     return grouped
 
 
-def _scan_range_gf2(lo, hi, q_count, m, grouped_bits):
+def _scan_gf2(count, m, grouped_bits):
     seen = set()
-    full = range(1 << q_count)
-    for xs in itertools.product(range(lo, hi), *([full] * (m - 1))):
+    for xs in itertools.product(range(1 << count), repeat=m):
         key = 0
         for w, terms in grouped_bits:
             acc = 0
@@ -162,9 +160,10 @@ def _scan_range_gf2(lo, hi, q_count, m, grouped_bits):
     return seen
 
 
-def _scan_range_generic(lo, hi, digit_rows, m, grouped, out_weights, q):
+def _scan_generic(count, m, grouped, out_weights, q):
     seen = set()
-    for dvec in itertools.product(digit_rows[lo:hi], *([digit_rows] * (m - 1))):
+    digit_rows = list(itertools.product(range(q), repeat=count))
+    for dvec in itertools.product(digit_rows, repeat=m):
         key = 0
         for out_pos, terms in grouped:
             acc = 0
@@ -189,7 +188,6 @@ def _image_keys(
     n: int,
     q: int,
     cap: int,
-    workers: int,
     reduce_bands: bool,
 ) -> tuple[tuple[int, ...], int]:
     """Scan the tuple space; returns (sorted keys, evaluation count)."""
@@ -212,10 +210,6 @@ def _image_keys(
     # scans produce directly comparable sets.
     out_weights = [q ** (len(all_coords) - 1 - i) for i in range(len(all_coords))]
     grouped = _compile_terms(f, n, coords)
-    if workers < 1:
-        raise errors.BadIndex(f"worker count {workers} below 1")
-    bounds = [per_matrix * w // workers for w in range(workers + 1)]
-    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
     if q == 2:
         # Bit-packed fast path: a matrix is one int, bit i of coords[i].
@@ -229,29 +223,10 @@ def _image_keys(
             )
             for out_pos, terms in grouped
         ]
-
-        def run(chunk):
-            return _scan_range_gf2(chunk[0], chunk[1], count, m, grouped_bits)
-
+        seen = _scan_gf2(count, m, grouped_bits)
     else:
-        digit_rows = [
-            digits
-            for digits in itertools.product(range(q), repeat=count)
-        ]
-
-        def run(chunk):
-            return _scan_range_generic(
-                chunk[0], chunk[1], digit_rows, m, grouped, out_weights, q
-            )
-
-    if len(chunks) == 1:
-        merged = run(chunks[0])
-    else:
-        merged = set()
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            for part in pool.map(run, chunks):
-                merged |= part
-    return tuple(sorted(merged)), evaluations
+        seen = _scan_generic(count, m, grouped, out_weights, q)
+    return tuple(sorted(seen)), evaluations
 
 
 def image_bruteforce(
@@ -259,11 +234,10 @@ def image_bruteforce(
     n: int,
     q: int,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
     reduce_bands: bool = False,
 ) -> list[PackedMatrix]:
     """The exact set of values f attains, sorted by packed key."""
-    keys, _ = _image_keys(f, n, q, cap, workers, reduce_bands)
+    keys, _ = _image_keys(f, n, q, cap, reduce_bands)
     return [PackedMatrix.from_key(n, q, key) for key in keys]
 
 
@@ -310,7 +284,6 @@ def check_theorem(
     n: int,
     q: int,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
     reduce_bands: bool = False,
 ) -> ImageReport:
     """Scan the image by brute force and compare with the classification.
@@ -320,7 +293,7 @@ def check_theorem(
     the level-(m-1) band).
     """
     started = time.perf_counter()
-    image, evaluations = _image_keys(f, n, q, cap, workers, reduce_bands)
+    image, evaluations = _image_keys(f, n, q, cap, reduce_bands)
     predicted, expected_size = _predicted_keys(image_description(f, n), n, q)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return ImageReport(

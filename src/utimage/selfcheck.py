@@ -66,15 +66,13 @@ def witness_document(
 
 
 def run_grid(
-    grid=THEOREM_GRID, cap: int = DEFAULT_CAP, workers: int = 1
+    grid=THEOREM_GRID, cap: int = DEFAULT_CAP
 ) -> list[tuple[str, int, int, ImageReport]]:
     """Run check_theorem over a grid; returns (poly, n, q, report) rows."""
     rows = []
     for poly_text, n, q, reduce_bands in grid:
         f = parse_poly(poly_text, FieldSpec.gf(q))
-        report = check_theorem(
-            f, n, q, cap=cap, workers=workers, reduce_bands=reduce_bands
-        )
+        report = check_theorem(f, n, q, cap=cap, reduce_bands=reduce_bands)
         rows.append((poly_text, n, q, report))
     return rows
 

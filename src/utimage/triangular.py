@@ -154,21 +154,37 @@ class StrictUT:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "StrictUT":
+        """Parse a matrix document; every schema violation is a ParseError."""
         try:
             n = doc["n"]
             spec = FieldSpec.from_text(doc["field"])
             raw = doc["entries"]
         except (KeyError, TypeError) as exc:
             raise errors.ParseError(f"bad matrix document: {exc}") from exc
-        if not isinstance(n, int):
+        if not _is_json_int(n):
             raise errors.ParseError(f"dimension must be an integer, got {n!r}")
+        if not isinstance(raw, list):
+            raise errors.ParseError(f"entries must be a list, got {raw!r}")
         pairs = []
         for item in raw:
+            if not isinstance(item, dict):
+                raise errors.ParseError(f"matrix entry must be an object, got {item!r}")
             try:
-                pairs.append((item["row"], item["col"], spec.parse(item["value"])))
+                row, col = item["row"], item["col"]
+                value = spec.parse(item["value"])
             except (KeyError, TypeError) as exc:
                 raise errors.ParseError(f"bad matrix entry {item!r}") from exc
+            if not (_is_json_int(row) and _is_json_int(col)):
+                raise errors.ParseError(
+                    f"entry coordinates must be integers, got {item!r}"
+                )
+            pairs.append((row, col, value))
         return cls.from_entries(n, spec, pairs)
+
+
+def _is_json_int(value) -> bool:
+    # JSON true/false load as bool, an int subclass; neither is an index.
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class DiagonalMatrix:

@@ -188,6 +188,39 @@ class TestSolve:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "field": "gf:2", "entries": [{"row": "1", "col": 2, "value": "1"}]},
+            {"n": 3, "field": "gf:2", "entries": [{"row": True, "col": 2, "value": "1"}]},
+            {"n": 3, "field": "gf:2", "entries": [{"row": 1.0, "col": 2, "value": "1"}]},
+            {"n": 3, "field": "gf:2", "entries": [{"row": 1, "col": False, "value": "1"}]},
+            {"n": 3, "field": "gf:2", "entries": 5},
+            {"n": 3, "field": "gf:2", "entries": [[1, 2, "1"]]},
+            {"n": True, "field": "gf:2", "entries": []},
+        ],
+    )
+    def test_schema_violation_exits_1(self, tmp_path, capsys, doc):
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(
+            [
+                "solve",
+                "--poly",
+                "x1*x2",
+                "--n",
+                "3",
+                "--field",
+                "gf:2",
+                "--target",
+                str(path),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_dimension_mismatch_exits_1(self, tmp_path, gf7_target):
         target_path, _ = gf7_target
         code = cli.main(
@@ -341,14 +374,6 @@ class TestVerify:
         doc = json.loads(capsys.readouterr().out)
         assert doc["matches"] is True and doc["evaluations"] == 65536
 
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        code = cli.main(
-            ["verify", "--poly", "x1*x2-x2*x1", "--n", "3", "--field", "gf:2"]
-        )
-        assert code == 0
-        assert json.loads(capsys.readouterr().out)["matches"] is True
-
 
 class TestSelftest:
     def test_grid_only(self, capsys):
@@ -378,3 +403,26 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL seed=42" in out
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--poly", "x1*x2", "--n", "3", "--field", "gf:2", "--threads", "2"],
+            ["solve", "--poly", "x1*x2", "--n", "abc", "--field", "gf:2", "--target", "t.json"],
+            [],
+        ],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        # 2 is reserved for "not in image", so argparse's exit 2 must not leak.
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines()[-1].startswith("error:")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--threads" not in capsys.readouterr().out
