@@ -7,7 +7,7 @@ from .freealg import MultilinearPoly, NormalizedPoly, Permutation, parse_poly, s
 from .oracle import ImageReport, PackedMatrix, check_theorem, enumerate_strict_ut, image_bruteforce
 from .solver import BandSystem, ImageClass, WitnessTuple, band_system, image_description, preimage, solve_band
 from .triangular import DiagonalMatrix, StrictUT, band_decompose
-from .witness import AssignmentTable, PivotValues, StabilizerChain, eval_pivot, witness_scalars
+from .witness import AssignmentTable, PivotValues, eval_pivot, witness_scalars
 
 __version__ = "0.1.0"
 
@@ -24,7 +24,6 @@ __all__ = [
     "Permutation",
     "PivotValues",
     "Scalar",
-    "StabilizerChain",
     "StrictUT",
     "WitnessTuple",
     "band_decompose",

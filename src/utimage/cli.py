@@ -106,6 +106,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    if args.trials < 0:
+        raise errors.ParseError(f"--trials must be at least 0, got {args.trials}")
     failures = []
     fields = [args.field] if args.field else list(selfcheck.TRIAL_FIELDS)
 

@@ -265,6 +265,24 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
+def _multilinear_fault(variables: list[int]) -> str:
+    """Name the variable that keeps a monomial from using each of x1..xd
+    exactly once, where d is its length."""
+    monomial = "*".join(f"x{v}" for v in variables)
+    seen = set()
+    for v in variables:
+        if v < 1:
+            return f"monomial {monomial} uses x{v}; variables start at x1"
+        if v in seen:
+            return f"monomial {monomial} repeats x{v}"
+        seen.add(v)
+    missing = min(set(range(1, len(variables) + 1)) - seen)
+    return (
+        f"monomial {monomial} lacks x{missing}; a degree-{len(variables)} "
+        f"monomial uses each of x1..x{len(variables)} exactly once"
+    )
+
+
 def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
     """Parse polynomial text over the given field.
 
@@ -346,10 +364,7 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
     coeffs: dict[Permutation, Scalar] = {}
     for coeff, variables in monomials:
         if sorted(variables) != list(range(1, len(variables) + 1)):
-            raise errors.NotMultilinear(
-                f"monomial variables {variables} are not x1..x{len(variables)} "
-                "exactly once each"
-            )
+            raise errors.NotMultilinear(_multilinear_fault(variables))
         if len(variables) != degree:
             raise errors.InconsistentDegree(
                 f"monomial of degree {len(variables)} in a degree-{degree} polynomial"

@@ -6,7 +6,7 @@ var] for the superdiagonal entries of the matrices bound to x_2..x_m; slot
 k means the value sits at entry (k, k+1) of the matrix for x_var.  The
 choice guarantees that each of the n - m pivot sums
 
-    pivot(k) = sum over permutations s with s(1) = 1 of
+    pivot(k) = sum over support terms s with s(1) = 1 of
                coeff(s) * t[k+1, s(2)] * t[k+2, s(3)] * ... * t[k+m-1, s(m)]
 
 is nonzero.  Those sums reappear as the diagonal pivots of the banded
@@ -23,10 +23,14 @@ is nonzero: all ones when coeff(swap 2,3) is zero, an alternating 0/1
 pattern otherwise.  Each later step j = 2..m-2 brings in variable j + 2:
 for each k, pivot contributions that involve only variables up to j + 2
 split as head * t[k+j+1, j+2] + remainder, where the remainder collects
-the permutations fixing 1 and everything above j + 2 but moving j + 2.
+the support terms fixing 1 and everything above j + 2 but moving j + 2.
 Because the head is nonzero, one of the probe values 1, 0 for the new cell
 keeps the extended head nonzero; cells never constrained by the staircase
 default to 0.
+
+Terms with a zero coefficient add nothing to any of these sums, so every
+sum runs over a filter of the polynomial's support: the work grows with
+|supp|, m and n, never with m!.
 """
 
 from __future__ import annotations
@@ -35,38 +39,8 @@ from dataclasses import dataclass
 
 from . import errors
 from .fields import Scalar
-from .freealg import MultilinearPoly, Permutation, symmetric_group
+from .freealg import MultilinearPoly, Permutation
 from .triangular import StrictUT
-
-
-class StabilizerChain:
-    """Subsets of permutations of {1..m} fixing 1 and a tail of positions.
-
-    ``fixing_above(c)`` lists permutations with s(1) = 1 and s(t) = t for
-    every t >= c, so ``fixing_above(m + 1)`` is everything fixing 1 and
-    ``fixing_above(4)`` is {identity, swap of 2 and 3}.
-    """
-
-    def __init__(self, m: int):
-        if m < 2:
-            raise errors.BadIndex(f"degree {m} below 2")
-        self.m = m
-        self._all = [s for s in symmetric_group(m) if s.fixes(1)]
-
-    def fixing_first(self) -> list[Permutation]:
-        return self._all
-
-    def fixing_above(self, cutoff: int) -> list[Permutation]:
-        return [
-            s
-            for s in self._all
-            if all(s.fixes(t) for t in range(cutoff, self.m + 1))
-        ]
-
-    def step_remainder(self, j: int) -> list[Permutation]:
-        """Permutations entering at step j: they fix 1 and everything above
-        j + 2, but move j + 2."""
-        return [s for s in self.fixing_above(j + 3) if not s.fixes(j + 2)]
 
 
 class AssignmentTable:
@@ -192,6 +166,18 @@ def _head_values(table: AssignmentTable, core: MultilinearPoly, n: int) -> list[
     return out
 
 
+def step_remainder(core: MultilinearPoly, j: int) -> list[tuple[Permutation, Scalar]]:
+    """Support terms entering at staircase step j: they fix 1 and every
+    position above j + 2, but move j + 2."""
+    return [
+        (sigma, coeff)
+        for sigma, coeff in core.coeffs.items()
+        if sigma.fixes(1)
+        and not sigma.fixes(j + 2)
+        and all(sigma.fixes(t) for t in range(j + 3, core.m + 1))
+    ]
+
+
 def step_extend(
     table: AssignmentTable,
     core: MultilinearPoly,
@@ -215,7 +201,7 @@ def step_extend(
     var = j + 2
     for slot in range(2, n):
         table.put(slot, var, spec.zero)
-    remainder_set = StabilizerChain(m).step_remainder(j)
+    remainder_terms = step_remainder(core, j)
     out = []
     for k in range(1, n - m + 1):
         head = partials[k - 1]
@@ -224,10 +210,7 @@ def step_extend(
                 f"zero head value at step {j}, equation {k}"
             )
         rem = spec.zero
-        for sigma in remainder_set:
-            coeff = core.coefficient(sigma)
-            if coeff.is_zero:
-                continue
+        for sigma, coeff in remainder_terms:
             prod = coeff
             for t in range(2, var + 1):
                 prod = prod * table.get(k + t - 1, sigma(t))
@@ -249,18 +232,16 @@ def step_extend(
 def eval_pivot(table: AssignmentTable, core: MultilinearPoly, k: int) -> Scalar:
     """Pivot sum of equation k computed directly from the table.
 
-    This is a flat sum over every permutation fixing position 1, with no
+    This is a flat sum over the support terms fixing position 1, with no
     staircase bookkeeping, so it doubles as an independent check on the
     incremental values recorded by the steps.
     """
-    m = core.m
     total = core.spec.zero
-    for sigma in StabilizerChain(m).fixing_first():
-        coeff = core.coefficient(sigma)
-        if coeff.is_zero:
+    for sigma, coeff in core.coeffs.items():
+        if not sigma.fixes(1):
             continue
         prod = coeff
-        for t in range(2, m + 1):
+        for t in range(2, core.m + 1):
             prod = prod * table.get(k + t - 1, sigma(t))
             if prod.is_zero:
                 break

@@ -412,6 +412,7 @@ class TestUsage:
             ["verify", "--poly", "x1*x2", "--n", "3", "--field", "gf:2", "--threads", "2"],
             ["solve", "--poly", "x1*x2", "--n", "abc", "--field", "gf:2", "--target", "t.json"],
             [],
+            ["selftest", "--trials", "-1", "--field", "gf:2"],
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):

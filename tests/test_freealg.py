@@ -63,12 +63,16 @@ class TestParse:
         assert f.coeffs == {Permutation([1, 2, 3]): rational.one}
 
     def test_repeated_variable(self, rational):
-        with pytest.raises(errors.NotMultilinear):
+        with pytest.raises(errors.NotMultilinear, match=r"repeats x1\b"):
             parse_poly("x1*x1*x2", rational)
 
     def test_missing_variable(self, rational):
-        with pytest.raises(errors.NotMultilinear):
+        with pytest.raises(errors.NotMultilinear, match=r"lacks x2\b"):
             parse_poly("x1*x3", rational)
+
+    def test_variable_below_x1(self, rational):
+        with pytest.raises(errors.NotMultilinear, match=r"uses x0\b"):
+            parse_poly("x0", rational)
 
     def test_inconsistent_degree(self, rational):
         with pytest.raises(errors.InconsistentDegree):

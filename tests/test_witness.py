@@ -8,10 +8,10 @@ from utimage.freealg import MultilinearPoly, Permutation, parse_poly, symmetric_
 from utimage.sampling import random_pivot_coeffs
 from utimage.witness import (
     AssignmentTable,
-    StabilizerChain,
     base_assignment,
     eval_pivot,
     step_extend,
+    step_remainder,
     witness_scalars,
 )
 
@@ -22,31 +22,22 @@ def poly_from(coeff_map, m, spec):
     )
 
 
-class TestStabilizerChain:
-    def test_smallest_layer(self):
-        chain = StabilizerChain(4)
-        assert {p.images for p in chain.fixing_above(4)} == {
-            (1, 2, 3, 4),
-            (1, 3, 2, 4),
-        }
-
-    def test_fixing_first_size(self):
-        for m in (2, 3, 4, 5):
-            assert len(StabilizerChain(m).fixing_first()) == len(
-                symmetric_group(m - 1)
-            )
-
+class TestStepRemainder:
     @pytest.mark.parametrize("m", [4, 5, 6])
-    def test_steps_partition_fixing_first(self, m):
-        # Everything fixing 1 is the smallest layer plus the permutations
-        # entering at each step, with no overlap.
-        chain = StabilizerChain(m)
-        seen = {p.images for p in chain.fixing_above(4)}
+    def test_steps_partition_the_support_fixing_first(self, rational, m):
+        # With all of S_m in the support, the head terms (identity and the
+        # swap of 2 and 3) plus the terms entering at each step cover the
+        # terms fixing 1 exactly once, and carry their own coefficients.
+        group = symmetric_group(m)
+        core = MultilinearPoly(
+            m, rational, {s: rational.scalar(i + 1) for i, s in enumerate(group)}
+        )
+        seen = [Permutation.identity(m), Permutation.transposition(m, 2, 3)]
         for j in range(2, m - 1):
-            entering = {p.images for p in chain.step_remainder(j)}
-            assert not entering & seen
-            seen |= entering
-        assert seen == {p.images for p in chain.fixing_first()}
+            for sigma, coeff in step_remainder(core, j):
+                assert coeff == core.coefficient(sigma)
+                seen.append(sigma)
+        assert sorted(seen) == [s for s in group if s.fixes(1)]
 
 
 class TestAssignmentTable:
@@ -152,22 +143,19 @@ def eval_head(table, core, k):
 def eval_staircase(table, core, k, depth):
     """The nested head value at a given depth, evaluated from scratch.
 
-    Depth 1 is the length-2 head sum; each further level multiplies by the
-    staircase cell and adds the remainder sum of permutations entering at
-    that step.
+    Depth 1 is the length-2 head sum; each further level j multiplies by the
+    staircase cell and adds the support terms fixing 1 whose largest moved
+    position is j + 2.
     """
-    chain = StabilizerChain(core.m)
     value = eval_head(table, core, k)
     for j in range(2, depth + 1):
         value = value * table.get(k + j + 1, j + 2)
-        for sigma in chain.step_remainder(j):
-            coeff = core.coefficient(sigma)
-            if coeff.is_zero:
-                continue
-            prod = coeff
-            for t in range(2, j + 3):
-                prod = prod * table.get(k + t - 1, sigma(t))
-            value = value + prod
+        for sigma, coeff in core.coeffs.items():
+            moved = [t for t in range(1, core.m + 1) if not sigma.fixes(t)]
+            if sigma.fixes(1) and moved and max(moved) == j + 2:
+                for t in range(2, j + 3):
+                    coeff = coeff * table.get(k + t - 1, sigma(t))
+                value = value + coeff
     return value
 
 
@@ -187,6 +175,31 @@ class TestWitnessScalars:
         table, pivots = witness_scalars(core, 6)
         assert [v.to_text() for v in pivots.values] == ["1", "1"]
         assert table.is_complete
+
+    def test_builds_no_symmetric_group(self, monkeypatch, gf5):
+        # Every sum ranges over the support, so four terms at m = 8 must not
+        # cost anything near the 8! permutations of S_8.
+        core = poly_from(
+            {
+                (1, 2, 3, 4, 5, 6, 7, 8): 1,
+                (1, 3, 2, 4, 5, 6, 7, 8): 2,
+                (1, 2, 3, 5, 4, 6, 7, 8): 3,
+                (1, 2, 3, 4, 5, 6, 8, 7): 4,
+            },
+            8,
+            gf5,
+        )
+        built = []
+        original_init = Permutation.__init__
+
+        def counting_init(self, images):
+            built.append(images)
+            original_init(self, images)
+
+        monkeypatch.setattr(Permutation, "__init__", counting_init)
+        _table, pivots = witness_scalars(core, 11)
+        assert len(pivots) == 3
+        assert len(built) < 100
 
     def test_requires_degree_below_dimension(self, rational):
         core = poly_from({(1, 2): 1}, 2, rational)
