@@ -40,7 +40,12 @@ def cmd_solve(args) -> int:
     spec = FieldSpec.from_text(args.field)
     poly = parse_poly(args.poly, spec)
     with open(args.target) as handle:
-        target = StrictUT.from_json_dict(json.load(handle))
+        try:
+            doc = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, bad UTF-8, an over-long integer, deep nesting
+            raise errors.ParseError(f"{args.target}: {exc}") from exc
+    target = StrictUT.from_json_dict(doc)
     if target.n != args.n:
         print(
             f"error: target is {target.n} x {target.n}, --n is {args.n}",
@@ -196,7 +201,7 @@ def main(argv=None) -> int:
     except errors.Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -63,6 +63,15 @@ def is_prime(p: int) -> bool:
     return True
 
 
+def parse_int(digits: str) -> int:
+    """int() of a decimal literal; one longer than Python converts to int
+    is a ParseError rather than a ValueError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise errors.ParseError(f"{len(digits)}-character literal is too long") from exc
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The ground field: either the rationals or GF(p) for a prime p."""
@@ -92,7 +101,7 @@ class FieldSpec:
         match = _GF_SPEC.match(text)
         if match is None:
             raise errors.MalformedSpec(f"unrecognized field {text!r}")
-        return cls.gf(int(match.group(1)))
+        return cls.gf(parse_int(match.group(1)))
 
     def to_text(self) -> str:
         return RATIONAL if self.kind == RATIONAL else f"gf:{self.p}"
@@ -131,10 +140,11 @@ class FieldSpec:
                 raise errors.ParseError(f"bad rational literal {text!r}")
             if "/" in text and text.split("/", 1)[1].lstrip("0") == "":
                 raise errors.ParseError(f"zero denominator in {text!r}")
-            return Scalar(self, Fraction(text))
+            num, _, den = text.partition("/")
+            return Scalar(self, Fraction(parse_int(num), parse_int(den or "1")))
         if _RESIDUE_TEXT.match(text) is None:
             raise errors.ParseError(f"bad GF({self.p}) literal {text!r}")
-        value = int(text)
+        value = parse_int(text)
         if value >= self.p:
             raise errors.ParseError(f"residue {value} outside [0, {self.p})")
         return Scalar(self, value)
@@ -244,7 +254,10 @@ class Scalar:
         return hash((self.spec, self.value))
 
     def to_text(self) -> str:
-        return str(self.value)
+        try:
+            return str(self.value)
+        except ValueError as exc:  # past Python's int-to-decimal digit limit
+            raise errors.CapExceeded(f"value too long to write: {exc}") from exc
 
     def __repr__(self):
         return f"Scalar({self.value}, {self.spec})"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import errors
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, parse_int
 from .triangular import StrictUT
 
 
@@ -256,7 +256,7 @@ def _tokenize(text: str) -> list:
                 break
             raise errors.ParseError(f"unexpected character at {text[pos:]!r}")
         if match.group(1) is not None:
-            tokens.append(("var", int(match.group(2))))
+            tokens.append(("var", parse_int(match.group(2))))
         elif match.group(3) is not None:
             tokens.append(("num", match.group(3)))
         else:

@@ -1,12 +1,12 @@
 """Independent brute-force verification over small prime fields.
 
-The scan enumerates every tuple of strictly upper triangular matrices over
-GF(q), evaluates the polynomial on each, and collects the set of attained
-values.  Nothing here shares code with the preimage solver: evaluation is
-compiled directly from the combinatorics of matrix products (an entry
-(p, q) of a degree-m monomial is a sum over strictly increasing chains
-p = r0 < r1 < ... < rm = q of entry products), so agreement between the
-scanned image and the predicted classification is a genuine cross-check.
+The scan finds the exact set of values a polynomial attains on tuples of
+strictly upper triangular matrices over GF(q).  Nothing here shares code
+with the preimage solver: evaluation is compiled directly from the
+combinatorics of matrix products (an entry (p, q) of a degree-m monomial
+is a sum over strictly increasing chains p = r0 < r1 < ... < rm = q of
+entry products), so agreement between the scanned image and the predicted
+classification is a genuine cross-check.
 
 Matrices are packed: the n(n-1)/2 strictly upper entries are laid out
 row-major over (row, col), most significant first, and a matrix is the
@@ -15,8 +15,13 @@ keys, which makes reports independent of the scan's enumeration order.
 
 Two performance levers, both exact:
 
-* for q = 2 a matrix is one machine word of bits and a compiled term is a
-  handful of bit probes,
+* the linear slice.  A multilinear f is linear in X_1 once X_2..X_m are
+  fixed, so the values over all X_1 are the span of f(E_i, X_2, ..., X_m)
+  over the unit matrices E_i.  The scan visits the q^((m-1)c) tail tuples
+  (c scanned entries per matrix), row-reduces each slice's c columns to a
+  canonical basis, and enumerates each distinct span once.  It accounts
+  for all q^(mc) argument tuples, and reports and caps that count, while
+  doing q^c times fewer steps.
 * ``reduce_bands=True`` skips entries more than n - m diagonals above the
   main one.  In a degree-m monomial each of the m factors contributes one
   entry at least one diagonal up, so an entry further than n - m up can
@@ -44,6 +49,23 @@ DEFAULT_CAP = 100_000_000
 def strict_coords(n: int) -> list[tuple[int, int]]:
     """The strictly upper coordinates in packing order (row-major)."""
     return [(p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+
+
+def _scanned_count(n: int, m: int, reduce_bands: bool) -> int:
+    """Entries scanned per matrix: the n(n-1)/2 strictly upper ones, or
+    with ``reduce_bands`` those at most n - m diagonals up."""
+    top = max(0, n - m if reduce_bands else n - 1)
+    return top * n - top * (top + 1) // 2
+
+
+def _check_cap(q: int, exponent: int, cap: int, what: str) -> None:
+    """Raise CapExceeded when q^exponent > cap, without forming the power."""
+    limit, power = -1, 1
+    while power <= cap:
+        limit += 1
+        power *= q
+    if exponent > limit:
+        raise errors.CapExceeded(f"{q}^{exponent} {what} exceed the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +125,8 @@ class PackedMatrix:
 def enumerate_strict_ut(n: int, q: int, cap: int = DEFAULT_CAP):
     """Yield all q^(n(n-1)/2) packed matrices once, in key order."""
     FieldSpec.gf(q)  # validates primality
-    count = n * (n - 1) // 2
-    total = q**count
-    if total > cap:
-        raise errors.CapExceeded(f"{total} matrices exceed the cap {cap}")
+    count = _scanned_count(n, 1, False)
+    _check_cap(q, count, cap, "matrices")
     for digits in itertools.product(range(q), repeat=count):
         yield PackedMatrix(n, q, digits)
 
@@ -143,43 +163,72 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
     return grouped
 
 
-def _scan_gf2(count, m, grouped_bits):
-    seen = set()
-    for xs in itertools.product(range(1 << count), repeat=m):
-        key = 0
-        for w, terms in grouped_bits:
-            acc = 0
-            for uses in terms:
-                bit = 1
-                for s in range(m):
-                    bit &= xs[s] >> uses[s]
-                acc ^= bit & 1
-            if acc:
-                key |= w
-        seen.add(key)
-    return seen
+def _row_reduce(vectors, q: int) -> tuple[tuple[int, ...], ...]:
+    """The reduced row echelon basis of the span of ``vectors`` over GF(q).
+
+    Every basis row has a leading 1 in a column where all other rows are
+    0, and the rows are ordered by that column, so two lists of vectors
+    spanning the same subspace give the same tuple.
+    """
+    basis: dict[int, list[int]] = {}
+    for vector in vectors:
+        for lead, row in basis.items():
+            a = vector[lead]
+            if a:
+                vector = [(x - a * y) % q for x, y in zip(vector, row)]
+        lead = next((k for k, x in enumerate(vector) if x), None)
+        if lead is None:
+            continue
+        inverse = pow(vector[lead], -1, q)
+        vector = [x * inverse % q for x in vector]
+        for other, row in basis.items():
+            a = row[lead]
+            if a:
+                basis[other] = [(x - a * y) % q for x, y in zip(row, vector)]
+        basis[lead] = vector
+    return tuple(tuple(basis[lead]) for lead in sorted(basis))
 
 
-def _scan_generic(count, m, grouped, out_weights, q):
+def _scan_slices(count, m, term_rows, weights, q):
+    """Attained keys as the union, over every tail tuple X_2..X_m, of the
+    span of f(E_i, X_2, ..., X_m) over the unit matrices E_i of X_1.
+
+    ``term_rows[r]`` lists the compiled (coeff, uses) terms of the output
+    entry whose key weight is ``weights[r]``.
+    """
+    rows = len(term_rows)
+    # by_entry[i]: (row, coeff, tail) per term reading entry i of X_1;
+    # tail indexes the term's X_2..X_m entries in a flat tail tuple.
+    by_entry = [[] for _ in range(count)]
+    for row, terms in enumerate(term_rows):
+        for coeff, uses in terms:
+            tail = tuple(s * count + u for s, u in enumerate(uses[1:]))
+            by_entry[uses[0]].append((row, coeff, tail))
+    columns_terms = [terms for terms in by_entry if terms]
+
+    spans = set()
+    for digits in itertools.product(range(q), repeat=(m - 1) * count):
+        columns = []
+        for terms in columns_terms:
+            column = [0] * rows
+            for row, coeff, tail in terms:
+                value = coeff
+                for k in tail:
+                    value *= digits[k]
+                column[row] += value
+            columns.append([x % q for x in column])
+        spans.add(_row_reduce(columns, q))
+
     seen = set()
-    digit_rows = list(itertools.product(range(q), repeat=count))
-    for dvec in itertools.product(digit_rows, repeat=m):
-        key = 0
-        for out_pos, terms in grouped:
-            acc = 0
-            for coeff, uses in terms:
-                prod = coeff
-                for s in range(m):
-                    v = dvec[s][uses[s]]
-                    if v == 0:
-                        prod = 0
-                        break
-                    prod *= v
-                acc += prod
-            acc %= q
-            if acc:
-                key += acc * out_weights[out_pos]
-        seen.add(key)
+    for basis in spans:
+        span = [[0] * rows]
+        for row in basis:
+            span = [
+                [(x + a * y) % q for x, y in zip(vector, row)]
+                for vector in span
+                for a in range(q)
+            ]
+        seen.update(sum(x * w for x, w in zip(v, weights)) for v in span)
     return seen
 
 
@@ -190,43 +239,28 @@ def _image_keys(
     cap: int,
     reduce_bands: bool,
 ) -> tuple[tuple[int, ...], int]:
-    """Scan the tuple space; returns (sorted keys, evaluation count)."""
+    """Scan the tuple space; returns (sorted keys, evaluation count).
+
+    The count is the q^(m*c) argument tuples whose values the scan
+    accounts for; the work is q^((m-1)*c) slices.
+    """
     if f.spec != FieldSpec.gf(q):
         raise errors.FieldMismatch(f"polynomial is over {f.spec}, not gf:{q}")
     m = f.m
+    count = _scanned_count(n, m, reduce_bands)
+    _check_cap(q, m * count, cap, "tuple evaluations")
     all_coords = strict_coords(n)
     if reduce_bands:
         coords = [(p, c) for p, c in all_coords if c - p <= n - m]
     else:
         coords = all_coords
-    count = len(coords)
-    per_matrix = q**count
-    evaluations = per_matrix**m
-    if evaluations > cap:
-        raise errors.CapExceeded(
-            f"{evaluations} tuple evaluations exceed the cap {cap}"
-        )
+    grouped = _compile_terms(f, n, coords)
     # Output keys always span the full coordinate list so reduced and full
     # scans produce directly comparable sets.
-    out_weights = [q ** (len(all_coords) - 1 - i) for i in range(len(all_coords))]
-    grouped = _compile_terms(f, n, coords)
-
-    if q == 2:
-        # Bit-packed fast path: a matrix is one int, bit i of coords[i].
-        grouped_bits = [
-            (
-                out_weights[out_pos],
-                [
-                    tuple(count - 1 - u for u in uses)
-                    for _coeff, uses in terms
-                ],
-            )
-            for out_pos, terms in grouped
-        ]
-        seen = _scan_gf2(count, m, grouped_bits)
-    else:
-        seen = _scan_generic(count, m, grouped, out_weights, q)
-    return tuple(sorted(seen)), evaluations
+    weights = [q ** (len(all_coords) - 1 - out_pos) for out_pos, _ in grouped]
+    term_rows = [terms for _out_pos, terms in grouped]
+    seen = _scan_slices(count, m, term_rows, weights, q)
+    return tuple(sorted(seen)), q ** (m * count)
 
 
 def image_bruteforce(

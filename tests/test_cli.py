@@ -221,6 +221,50 @@ class TestSolve:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"n": 3, "field": "gf:2", "entries": [{"row": 1, "col": 3, "value": "%s"}]}'
+            % ("1" * 5000),
+            '{"n": %s, "field": "gf:2", "entries": []}' % ("1" * 5000),
+            "[" * 100_000 + "]" * 100_000,
+            "\udcff{",
+            "{",
+        ],
+        ids=["long-value", "long-json-int", "deep-nesting", "bad-utf8", "truncated"],
+    )
+    def test_unreadable_document_exits_1(self, tmp_path, capsys, text):
+        path = tmp_path / "target.json"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        argv = ["solve", "--poly", "x1*x2", "--n", "3", "--field", "gf:2"]
+        code = cli.main(argv + ["--target", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_witness_too_long_to_write_exits_1(self, tmp_path, capsys):
+        # A valid witness whose entries pass Python's int-to-decimal limit.
+        big, small = "7" * 3000, "3" * 3000
+        doc = {
+            "n": 4,
+            "field": "rational",
+            "entries": [
+                {"row": 1, "col": 3, "value": big},
+                {"row": 1, "col": 4, "value": f"{big}/{small}"},
+                {"row": 2, "col": 4, "value": f"1/{small}"},
+            ],
+        }
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(doc))
+        poly = f"--poly={big}*x1*x2 + 1/{small}*x2*x1"
+        code = cli.main(
+            ["solve", poly, "--n", "4", "--field", "rational", "--target", str(path)]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith("error: value too long to write")
+        assert captured.err.count("\n") == 1
+
     def test_dimension_mismatch_exits_1(self, tmp_path, gf7_target):
         target_path, _ = gf7_target
         code = cli.main(
@@ -351,6 +395,29 @@ class TestVerify:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "poly,n,field,exponent",
+        [
+            ("x1*x2", "121", "gf:2", "2^14520"),
+            ("x1*x2", "300", "gf:2", "2^89700"),
+            ("x1*x2", "1000000", "gf:2", "2^999999000000"),
+            ("x1*x2*x3*x4", "60", "gf:7", "7^7080"),
+        ],
+    )
+    @pytest.mark.parametrize("reduce", [[], ["--reduce"]])
+    def test_large_n_hits_the_cap_in_one_line(self, capsys, poly, n, field, exponent, reduce):
+        # The tuple count q^(m*c) has thousands of digits here; it must
+        # be refused by its exponent, before any per-entry work.
+        code = cli.main(["verify", "--poly", poly, "--n", n, "--field", field, *reduce])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert lines[0].endswith("tuple evaluations exceed the cap 100000000")
+        if not reduce:
+            assert lines[0] == f"error: {exponent} tuple evaluations exceed the cap 100000000"
+
     def test_rational_field_rejected(self):
         code = cli.main(
             ["verify", "--poly", "x1*x2", "--n", "3", "--field", "rational"]
@@ -421,6 +488,22 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 1
         assert err.splitlines()[-1].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["image", "--poly", "x" + "1" * 5000, "--n", "3"],
+            ["image", "--poly", "1" * 5000 + "*x1", "--n", "3", "--field", "gf:2"],
+            ["image", "--poly", "1/" + "1" * 5000 + "*x1", "--n", "3"],
+            ["image", "--poly", "x1", "--n", "3", "--field", "gf:" + "1" * 5000],
+        ],
+        ids=["variable", "residue", "rational", "modulus"],
+    )
+    def test_over_long_literal_exits_1(self, capsys, argv):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: 5000-character literal is too long\n"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

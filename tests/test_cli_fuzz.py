@@ -1,0 +1,175 @@
+"""Property test of the CLI boundary: whatever the polynomial text, target
+document or dimension, ``main`` returns a documented exit code, ends
+stderr with one message line and never lets a traceback out."""
+
+import contextlib
+import io
+import itertools
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from utimage import cli
+
+FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "rational", "gf:4", "gf:0", "gf:", "q"]
+FIELD = st.one_of(st.sampled_from(FIELDS[:5]), st.sampled_from(FIELDS))
+
+# Well-formed polynomials of degree 1..4 with small signed coefficients,
+# so that generated inputs also reach the solver and the oracle.
+MONOMIALS = [
+    "*".join(f"x{v}" for v in perm)
+    for m in range(1, 5)
+    for perm in itertools.permutations(range(1, m + 1))
+]
+
+
+@st.composite
+def well_formed_poly(draw):
+    m = draw(st.integers(1, 4))
+    monomials = [mono for mono in MONOMIALS if mono.count("x") == m]
+    terms = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4))
+    pieces = []
+    for mono in terms:
+        coeff = draw(st.sampled_from(["", "", "", "2*", "3*", "1/2*", "0*"]))
+        sign = draw(st.sampled_from(["+", "-"]))
+        pieces.append(f"{sign} {coeff}{mono}")
+    return " ".join(pieces)
+
+
+POLY = st.one_of(
+    well_formed_poly(),
+    st.text(alphabet="x0123456789*+-/ ", max_size=40),
+    st.text(max_size=30),
+)
+
+JSON_VALUE = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=10),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+SCALAR_JSON = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["1/2", "-2/3", "3/0", "", "x", "99999999999"]),
+    JSON_VALUE,
+)
+
+
+@st.composite
+def target_document(draw, n, field):
+    """Matrix documents of dimension ``n`` over ``field`` with small
+    entries, the same with fuzzed fields and entries, or any JSON value."""
+    size = max(n, 1)
+    valid = st.fixed_dictionaries(
+        {
+            "n": st.just(n),
+            "field": st.just(field),
+            "entries": st.lists(
+                st.builds(
+                    lambda row, gap, value: {
+                        "row": row, "col": row + gap, "value": str(value)
+                    },
+                    st.integers(1, size),
+                    st.integers(1, size),
+                    st.integers(0, 1),
+                ),
+                max_size=6,
+                unique_by=lambda entry: (entry["row"], entry["col"]),
+            ),
+        }
+    )
+    entry = st.fixed_dictionaries(
+        {
+            "row": st.one_of(st.integers(-1, 13), JSON_VALUE),
+            "col": st.one_of(st.integers(-1, 13), JSON_VALUE),
+            "value": SCALAR_JSON,
+        }
+    )
+    shaped = st.fixed_dictionaries(
+        {
+            "n": st.one_of(st.just(n), JSON_VALUE),
+            "field": st.one_of(FIELD, JSON_VALUE),
+            "entries": st.one_of(st.lists(entry, max_size=5), JSON_VALUE),
+        }
+    )
+    return draw(st.one_of(valid, shaped, JSON_VALUE))
+
+
+LARGE_N = st.one_of(
+    st.integers(-1, 6), st.sampled_from([121, 300, 10**6]), st.integers(-(10**6), 10**6)
+)
+
+FUZZ = settings(
+    max_examples=120,
+    deadline=5000,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented(code, err):
+    assert code in {0, 1, 2, 4}, err
+    assert "Traceback" not in err
+    if code in (1, 2):
+        lines = err.splitlines()
+        messages = [
+            line
+            for line in lines
+            if line.startswith("error:") or line.startswith("not in image:")
+        ]
+        assert lines and messages == [lines[-1]], err
+
+
+@FUZZ
+@given(poly=POLY, n=LARGE_N, field=FIELD, as_json=st.booleans())
+def test_image_any_input(poly, n, field, as_json):
+    argv = ["image", f"--poly={poly}", f"--n={n}", f"--field={field}"]
+    code, _out, err = run(argv + (["--json"] if as_json else []))
+    assert_documented(code, err)
+
+
+@FUZZ
+@given(poly=POLY, n=LARGE_N, field=FIELD, reduce=st.booleans())
+def test_verify_any_input(poly, n, field, reduce):
+    argv = ["verify", f"--poly={poly}", f"--n={n}", f"--field={field}", "--cap=5000"]
+    code, out, err = run(argv + (["--reduce"] if reduce else []))
+    assert_documented(code, err)
+    if code in (0, 4):
+        assert json.loads(out)["matches"] is (code == 0)
+
+
+@FUZZ
+@given(
+    data=st.data(),
+    poly=st.one_of(well_formed_poly(), POLY),
+    n=st.integers(-2, 12),
+    field=FIELD,
+)
+def test_solve_any_input(tmp_path_factory, data, poly, n, field):
+    doc = data.draw(target_document(n, field))
+    target = tmp_path_factory.mktemp("fuzz") / "target.json"
+    target.write_text(json.dumps(doc))
+    argv = [
+        "solve",
+        f"--poly={poly}",
+        f"--n={n}",
+        f"--field={field}",
+        f"--target={target}",
+    ]
+    code, out, err = run(argv)
+    assert_documented(code, err)
+    if code == 0:
+        assert json.loads(out)["verified"] is True

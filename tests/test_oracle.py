@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from utimage import errors
+from utimage import errors, oracle
 from utimage.fields import FieldSpec
-from utimage.freealg import parse_poly
+from utimage.freealg import MultilinearPoly, Permutation, parse_poly
 from utimage.oracle import (
     PackedMatrix,
+    _compile_terms,
     check_theorem,
     enumerate_strict_ut,
     image_bruteforce,
     strict_coords,
 )
 from utimage.sampling import random_strict_ut
+from utimage.selfcheck import IDENTITY_GRID, THEOREM_GRID
 from utimage.triangular import StrictUT
 
 
@@ -25,6 +27,60 @@ def naive_image_keys(f, n, q):
     for combo in itertools.product(mats, repeat=f.m):
         keys.add(PackedMatrix.from_strict_ut(f.evaluate(list(combo)), q).key)
     return sorted(keys)
+
+
+def exhaustive_image_keys(f, n, q, reduce_bands=False):
+    """Image by evaluating the compiled terms on every argument tuple: the
+    q^(m*c) digit scan that the linear-slice kernel replaces."""
+    all_coords = strict_coords(n)
+    coords = [
+        (p, c) for p, c in all_coords if not reduce_bands or c - p <= n - f.m
+    ]
+    grouped = [
+        (
+            q ** (len(all_coords) - 1 - out_pos),
+            [
+                (coeff, [s * len(coords) + u for s, u in enumerate(uses)])
+                for coeff, uses in terms
+            ],
+        )
+        for out_pos, terms in _compile_terms(f, n, coords)
+    ]
+    keys = set()
+    for digits in itertools.product(range(q), repeat=f.m * len(coords)):
+        key = 0
+        for weight, terms in grouped:
+            acc = 0
+            for coeff, flat in terms:
+                for k in flat:
+                    coeff *= digits[k]
+                acc += coeff
+            key += acc % q * weight
+        keys.add(key)
+    return keys
+
+
+def random_support_cases(max_tuples=70_000):
+    """Seeded random polynomials over GF(2)/GF(3), m 1..3, n 2..4, full
+    and reduced, wherever the exhaustive scan stays small."""
+    cases = []
+    for q, m, n, reduce_bands in itertools.product(
+        (2, 3), (1, 2, 3), (2, 3, 4), (False, True)
+    ):
+        top = n - m if reduce_bands else n - 1
+        count = sum(n - d for d in range(1, top + 1))
+        if q ** (m * count) > max_tuples:
+            continue
+        rng = random.Random(f"support:{q}:{m}:{n}:{reduce_bands}")
+        perms = list(itertools.permutations(range(1, m + 1)))
+        support = rng.sample(perms, rng.randint(1, len(perms)))
+        spec = FieldSpec.gf(q)
+        coeffs = {
+            Permutation(list(perm)): spec.scalar(rng.randrange(1, q))
+            for perm in support
+        }
+        cases.append((MultilinearPoly(m, spec, coeffs), n, q, reduce_bands))
+    return cases
 
 
 class TestEnumeration:
@@ -41,6 +97,10 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(errors.CapExceeded):
             list(enumerate_strict_ut(6, 5, cap=1000))
+
+    def test_cap_before_any_work(self):
+        with pytest.raises(errors.CapExceeded, match=r"^2\^499999500000 matrices"):
+            next(enumerate_strict_ut(10**6, 2))
 
     def test_requires_prime(self):
         with pytest.raises(errors.NotPrime):
@@ -131,10 +191,110 @@ class TestImageBruteforce:
         with pytest.raises(errors.CapExceeded):
             image_bruteforce(f, 6, 5, cap=1000)
 
+    @pytest.mark.parametrize("reduce_bands", [False, True])
+    def test_cap_message_names_the_exponent(self, reduce_bands):
+        # n = 10^6 has about 5 * 10^11 entries per matrix; the check must
+        # neither build them nor format q^(m*c) in decimal.  The reduced
+        # scan drops only the corner entry (1, n).
+        f = parse_poly("x1*x2", FieldSpec.gf(2))
+        count = 499999500000 - reduce_bands
+        with pytest.raises(errors.CapExceeded) as exc:
+            image_bruteforce(f, 10**6, 2, reduce_bands=reduce_bands)
+        assert str(exc.value) == (
+            f"2^{2 * count} tuple evaluations exceed the cap 100000000"
+        )
+
+    @pytest.mark.parametrize("cap,fits", [(2**12 - 1, False), (2**12, True)])
+    def test_cap_boundary(self, cap, fits):
+        f = parse_poly("x1*x2", FieldSpec.gf(2))
+        if fits:
+            assert len(image_bruteforce(f, 4, 2, cap=cap)) == 8
+        else:
+            with pytest.raises(errors.CapExceeded):
+                image_bruteforce(f, 4, 2, cap=cap)
+
     def test_field_must_match_q(self, gf2):
         f = parse_poly("x1*x2", gf2)
         with pytest.raises(errors.FieldMismatch):
             image_bruteforce(f, 3, 3)
+
+
+class TestLinearSlice:
+    """The slice kernel against the exhaustive digit scan it replaced."""
+
+    @pytest.mark.parametrize(
+        "poly_text,n,q,reduce_bands", THEOREM_GRID + IDENTITY_GRID
+    )
+    def test_grid_rows_equal_exhaustive_scan(self, poly_text, n, q, reduce_bands):
+        f = parse_poly(poly_text, FieldSpec.gf(q))
+        scanned = image_bruteforce(f, n, q, reduce_bands=reduce_bands)
+        assert {pm.key for pm in scanned} == exhaustive_image_keys(
+            f, n, q, reduce_bands
+        )
+
+    @pytest.mark.parametrize(
+        "f,n,q,reduce_bands",
+        random_support_cases(),
+        ids=lambda v: v.to_text().replace(" ", "") if hasattr(v, "to_text") else None,
+    )
+    def test_random_supports_equal_exhaustive_scan(self, f, n, q, reduce_bands):
+        scanned = image_bruteforce(f, n, q, reduce_bands=reduce_bands)
+        assert {pm.key for pm in scanned} == exhaustive_image_keys(
+            f, n, q, reduce_bands
+        )
+
+    def test_random_cases_cover_degree_one_and_both_scans(self):
+        cases = random_support_cases()
+        assert {f.m for f, _n, _q, _r in cases} == {1, 2, 3}
+        assert {(q, r) for _f, _n, q, r in cases} == {
+            (2, False), (2, True), (3, False), (3, True)
+        }
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_cancelled_polynomial_has_image_zero(self, q):
+        f = parse_poly(f"x1*x2 + {q - 1}*x1*x2", FieldSpec.gf(q))
+        assert f.is_zero
+        assert [pm.key for pm in image_bruteforce(f, 3, q)] == [0]
+        assert exhaustive_image_keys(f, 3, q) == {0}
+
+    def test_exhaustive_reference_matches_plain_evaluation(self, gf3):
+        f = parse_poly("x1*x2+2*x2*x1", gf3)
+        assert sorted(exhaustive_image_keys(f, 3, 3)) == naive_image_keys(f, 3, 3)
+
+    def test_scan_visits_each_tail_tuple_once(self, gf2, monkeypatch):
+        # x1*x2 at n = 5 over GF(2): 2^20 argument tuples, but only the
+        # 2^10 choices of X_2 are visited, one row reduction each.
+        calls = []
+        row_reduce = oracle._row_reduce
+
+        def counted(vectors, q):
+            calls.append(None)
+            return row_reduce(vectors, q)
+
+        monkeypatch.setattr(oracle, "_row_reduce", counted)
+        report = check_theorem(parse_poly("x1*x2", gf2), 5, 2)
+        assert len(calls) == 2**10
+        assert report.evaluations == 1048576 == 2**20
+        assert report.matches and report.image_size == 2**6
+
+
+class TestRowReduce:
+    def test_spanning_lists_give_one_basis(self):
+        # Three lists spanning the same plane in GF(3)^3.
+        lists = [
+            [[1, 2, 0], [0, 1, 1]],
+            [[0, 2, 2], [1, 0, 1], [2, 1, 0]],
+            [[1, 0, 1], [0, 0, 0], [1, 1, 2]],
+        ]
+        bases = {oracle._row_reduce(vectors, 3) for vectors in lists}
+        assert bases == {((1, 0, 1), (0, 1, 1))}
+
+    def test_zero_vectors_span_nothing(self):
+        assert oracle._row_reduce([[0, 0], [0, 0]], 5) == ()
+        assert oracle._row_reduce([], 5) == ()
+
+    def test_full_rank(self):
+        assert oracle._row_reduce([[0, 3], [2, 1]], 5) == ((1, 0), (0, 1))
 
 
 class TestCheckTheorem:
