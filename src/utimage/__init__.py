@@ -6,7 +6,7 @@ from .fields import FieldSpec, Scalar
 from .freealg import MultilinearPoly, NormalizedPoly, Permutation, parse_poly, symmetric_group
 from .oracle import ImageReport, PackedMatrix, check_theorem, enumerate_strict_ut, image_bruteforce
 from .solver import BandSystem, ImageClass, WitnessTuple, band_system, image_description, preimage, solve_band
-from .triangular import DiagonalMatrix, StrictUT, band_decompose
+from .triangular import StrictUT, band_decompose
 from .witness import AssignmentTable, PivotValues, eval_pivot, witness_scalars
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssignmentTable",
     "BandSystem",
-    "DiagonalMatrix",
     "FieldSpec",
     "ImageClass",
     "ImageReport",

@@ -13,6 +13,7 @@ mismatch or self-test failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -34,6 +35,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise errors.ParseError(f"{self.prog}: {message}")
+
+
+def _int_value(text: str) -> int:
+    """argparse type for the int options.
+
+    argparse would echo a rejected value whole, so an unreadable one is
+    reported by its length; argparse prefixes the option's name.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer value ({len(text)} characters)"
+        ) from None
 
 
 def cmd_solve(args) -> int:
@@ -144,7 +159,10 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call in the process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="utimage",
         description=(
@@ -156,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="construct a witness for a target matrix")
     solve.add_argument("--poly", required=True, help="polynomial text, e.g. 'x1*x2-x2*x1'")
-    solve.add_argument("--n", type=int, required=True, help="matrix dimension")
+    solve.add_argument("--n", type=_int_value, required=True, help="matrix dimension")
     solve.add_argument("--field", required=True, help="'rational' or 'gf:<p>'")
     solve.add_argument("--target", required=True, help="path to the target matrix JSON")
     solve.add_argument("--out", help="path for the witness JSON (default stdout)")
@@ -165,23 +183,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     image = sub.add_parser("image", help="classify the image")
     image.add_argument("--poly", required=True)
-    image.add_argument("--n", type=int, required=True)
+    image.add_argument("--n", type=_int_value, required=True)
     image.add_argument("--field", default="rational")
     image.add_argument("--json", action="store_true")
     image.set_defaults(func=cmd_image)
 
     verify = sub.add_parser("verify", help="brute-force check over a prime field")
     verify.add_argument("--poly", required=True)
-    verify.add_argument("--n", type=int, required=True)
+    verify.add_argument("--n", type=_int_value, required=True)
     verify.add_argument("--field", required=True, help="prime field, e.g. gf:2")
-    verify.add_argument("--cap", type=int, default=DEFAULT_CAP, help="max tuple evaluations")
+    verify.add_argument("--cap", type=_int_value, default=DEFAULT_CAP, help="max tuple evaluations")
     verify.add_argument("--reduce", action="store_true", help="scan only entries that can occur in a degree-m product")
     verify.add_argument("--out", help="path for the report JSON (default stdout)")
     verify.set_defaults(func=cmd_verify)
 
     selftest = sub.add_parser("selftest", help="fixed grid plus seeded round trips")
-    selftest.add_argument("--trials", type=int, default=100)
-    selftest.add_argument("--seed", type=int, default=0)
+    selftest.add_argument("--trials", type=_int_value, default=100)
+    selftest.add_argument("--seed", type=_int_value, default=0)
     selftest.add_argument("--field", help="restrict trials to one field")
     selftest.set_defaults(func=cmd_selftest)
 

@@ -4,8 +4,7 @@ Every scalar carries its field description and arithmetic never mixes
 fields: combining scalars of different fields raises FieldMismatch instead
 of coercing.  Rationals ride on fractions.Fraction (arbitrary precision, so
 back-substitution cannot overflow); prime-field residues are stored as the
-least nonnegative representative and inverted with the extended Euclidean
-algorithm.
+least nonnegative representative and inverted with pow(value, -1, p).
 
 Text encodings, used verbatim in JSON files and CLI output:
 
@@ -32,19 +31,6 @@ PRIME_CAP = 1 << 31
 _RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _RESIDUE_TEXT = re.compile(r"\d+\Z")
 _GF_SPEC = re.compile(r"gf:(\d+)\Z")
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_u, u = u, old_u - quot * u
-        old_v, v = v, old_v - quot * v
-    return old_r, old_u, old_v
 
 
 def is_prime(p: int) -> bool:
@@ -233,9 +219,7 @@ class Scalar:
             raise errors.DivisionByZero(f"cannot invert zero in {self.spec}")
         if self.spec.is_rational:
             return Scalar(self.spec, 1 / self.value)
-        g, u, _ = xgcd(self.value, self.spec.p)
-        assert g == 1
-        return Scalar(self.spec, u % self.spec.p)
+        return Scalar(self.spec, pow(self.value, -1, self.spec.p))
 
     @property
     def is_zero(self) -> bool:

@@ -5,10 +5,28 @@ triangular n x n matrices is {0} when m >= n and the whole level-(m-1)
 band otherwise.  The constructive direction works one diagonal at a time:
 fix the arguments for x_2..x_m to the superdiagonal matrices produced by
 the witness module, leave x_1 unknown and supported on the single diagonal
-that multiplies up to the target diagonal, and read off a banded linear
-system whose diagonal pivots are that module's nonzero pivot sums.  Each
-system is solved by back-substitution with the free tail set to zero, and
-the per-diagonal solutions add up to the first argument of the witness.
+that multiplies up to the target diagonal, and solve a banded linear
+system whose diagonal pivots are that module's nonzero pivot sums.
+
+Because every fixed argument is superdiagonal, that system has a closed
+form.  Write T(slot, v) for the (slot, slot + 1) entry of the argument for
+x_v.  For target diagonal i (entries (k, k+i-1)), column s is the unknown
+entry of x_1 at (s, s+i-m), and row k is nonzero only at the columns
+s = k+j-1, j = 1..m, where
+
+    coeff(k, k+j-1) = sum over support terms sigma with sigma(j) = 1 of
+        c_sigma * prod_{t<j} T(k+t-1, sigma(t)) * prod_{t>j} T(k+i-m+t-2, sigma(t)):
+
+in a monomial with x_1 at position j, the j - 1 factors before it step
+from row k to row s, x_1 jumps i - m diagonals, and the m - j factors
+after it step on to column k+i-1.  The witness table is zero at slots 1
+and n.  Assembling one diagonal therefore costs O(rows * |supp| * m)
+multiplications of raw field values (ints mod p, or Fractions), with no
+polynomial evaluation; j = 1 gives the pivot sums.  Each system is solved
+by back-substitution with the free tail set to zero, and the per-diagonal
+solutions add up to the first argument of the witness.  The witness is
+then re-evaluated against the target with sparse matrix products, a check
+that shares nothing with the closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .fields import Scalar
+from .fields import FieldSpec, Scalar
 from .freealg import MultilinearPoly
 from .triangular import StrictUT, band_decompose
 from .witness import PivotValues, witness_scalars
@@ -29,28 +47,41 @@ class BandSystem:
     Row k (1-based, k = 1..rows) is the equation for target entry
     (k, k + diagonal_index - 1); column s is the unknown entry of x_1 at
     (s, s + diagonal_index - degree).  The matrix is banded: row k is
-    supported on columns k..k + degree - 1, and its diagonal coefficient
-    is a nonzero pivot sum.
+    supported on columns k..k + degree - 1, so ``matrix[k - 1]`` holds just
+    those ``degree`` coefficients, the diagonal one (a nonzero pivot sum)
+    first.  Coefficients and ``rhs`` are raw values of ``spec``: ints
+    mod p or Fractions.
     """
 
     diagonal_index: int
     degree: int
     rows: int
     cols: int
-    matrix: list[list[Scalar]]
-    rhs: list[Scalar] | None = None
+    spec: FieldSpec
+    matrix: list[tuple]
+    rhs: list | None = None
 
     def coeff(self, k: int, s: int) -> Scalar:
-        """1-based access to the system matrix."""
-        return self.matrix[k - 1][s - 1]
+        """1-based access to the system matrix; zero off the band."""
+        if not (1 <= k <= self.rows and 1 <= s <= self.cols):
+            raise errors.BadIndex(
+                f"entry ({k}, {s}) outside {self.rows} x {self.cols}"
+            )
+        if 0 <= s - k < self.degree:
+            return Scalar(self.spec, self.matrix[k - 1][s - k])
+        return self.spec.zero
 
     def debug_dict(self) -> dict:
+        """The dense rows x cols matrix and the right-hand side, as text."""
         doc = {
             "diagonal": self.diagonal_index,
-            "matrix": [[v.to_text() for v in row] for row in self.matrix],
+            "matrix": [
+                [self.coeff(k, s).to_text() for s in range(1, self.cols + 1)]
+                for k in range(1, self.rows + 1)
+            ],
         }
         if self.rhs is not None:
-            doc["rhs"] = [v.to_text() for v in self.rhs]
+            doc["rhs"] = [Scalar(self.spec, v).to_text() for v in self.rhs]
         return doc
 
 
@@ -103,6 +134,39 @@ def image_description(f: MultilinearPoly, n: int) -> ImageClass:
     return ImageClass.band(f.m, n)
 
 
+def _superdiagonal_cells(
+    fixed_args: list[StrictUT], n: int, spec: FieldSpec, m: int
+) -> list[list]:
+    """Raw superdiagonal entries of the fixed arguments.
+
+    ``cells[v][slot]`` is the (slot, slot + 1) entry of the argument for
+    x_v (v = 2..m), and zero at slot 0, which no matrix has.  An entry
+    anywhere else would move coefficients off the band, so it is an
+    InternalInvariantViolation.
+    """
+    if len(fixed_args) != m - 1:
+        raise errors.DimensionMismatch(
+            f"expected {m - 1} fixed arguments, got {len(fixed_args)}"
+        )
+    zero = spec.zero.value
+    cells: list[list] = [[], []]
+    for var, arg in enumerate(fixed_args, start=2):
+        if arg.n != n:
+            raise errors.DimensionMismatch(f"{arg.n} vs {n}")
+        if arg.spec != spec:
+            raise errors.FieldMismatch(f"{arg.spec} argument in {spec} poly")
+        row = [zero] * n
+        for (p, q), v in arg.entries.items():
+            if q != p + 1:
+                raise errors.InternalInvariantViolation(
+                    f"fixed argument for x{var} has entry ({p}, {q}) off the "
+                    f"superdiagonal, which puts coefficients outside the band"
+                )
+            row[p] = v.value
+        cells.append(row)
+    return cells
+
+
 def band_system(
     core: MultilinearPoly,
     n: int,
@@ -112,42 +176,51 @@ def band_system(
 ) -> BandSystem:
     """Assemble the system for target diagonal ``i`` (entries (k, k+i-1)).
 
-    Column s is read off by evaluating the polynomial at the unit matrix
-    with a one at (s, s + i - m) in the first slot and the fixed arguments
-    in the rest; linearity in the first slot makes the columns add up to
-    the full evaluation.  The assembled matrix is checked against the band
-    shape and its diagonal against the independently computed pivots, so a
-    bookkeeping slip fails loudly here instead of corrupting a witness.
+    The coefficients come from the closed form in the module docstring.
+    Each support term sigma adds, to the column j = sigma^-1(1) of every
+    row, its coefficient times m - 1 superdiagonal cells read off the fixed
+    arguments, so one diagonal costs O(rows * |supp| * m) multiplications
+    of raw field values and no matrix products.  The fixed arguments must
+    be superdiagonal, and every row's diagonal coefficient is checked
+    against the independently computed pivot, so a bookkeeping slip fails
+    loudly here instead of corrupting a witness.
     """
     m = core.m
     if not m + 1 <= i <= n:
         raise errors.BadIndex(f"diagonal index {i} outside {m + 1}..{n}")
-    rows = n - i + 1
-    cols = n - i + m
     spec = core.spec
-    zero = spec.zero
-    matrix = [[zero] * cols for _ in range(rows)]
-    for s in range(1, cols + 1):
-        basis = StrictUT.unit(n, spec, s, s + i - m)
-        value = core.evaluate([basis] + fixed_args)
-        for (p, q), v in value.entries.items():
-            if q - p != i - 1 or p > rows:
-                raise errors.InternalInvariantViolation(
-                    f"column {s} evaluation has an entry off diagonal {i}"
-                )
-            matrix[p - 1][s - 1] = v
-    for k in range(1, rows + 1):
-        for s in range(1, cols + 1):
-            if not k <= s <= k + m - 1 and not matrix[k - 1][s - 1].is_zero:
-                raise errors.InternalInvariantViolation(
-                    f"nonzero coefficient outside the band at row {k}, col {s}"
-                )
-        if matrix[k - 1][k - 1] != pivots.at(k + i - m - 1):
+    rows = n - i + 1
+    cells = _superdiagonal_cells(fixed_args, n, spec, m)
+    zero = spec.zero.value
+    columns = [[zero] * rows for _ in range(m)]
+    for sigma, coeff in core.coeffs.items():
+        j = sigma.images.index(1) + 1
+        # Per factor: its variable's cells and its slot in row 1, which is
+        # t before x_1 and t + i - m - 1 after x_1's jump of i - m diagonals.
+        factors = [
+            (cells[var], t if t < j else t + i - m - 1)
+            for t, var in enumerate(sigma.images, start=1)
+            if t != j
+        ]
+        column = columns[j - 1]
+        for k in range(rows):
+            prod = coeff.value
+            for cell, first in factors:
+                prod *= cell[first + k]
+                if not prod:
+                    break
+            else:
+                column[k] += prod
+    if spec.p is not None:
+        columns = [[v % spec.p for v in column] for column in columns]
+    matrix = list(zip(*columns))
+    for k, row in enumerate(matrix, start=1):
+        if row[0] != pivots.at(k + i - m - 1).value:
             raise errors.CoefficientMismatch(
                 f"diagonal coefficient of row {k} disagrees with pivot "
                 f"{k + i - m - 1}"
             )
-    return BandSystem(i, m, rows, cols, matrix)
+    return BandSystem(i, m, rows, n - i + m, spec, matrix)
 
 
 def solve_band(system: BandSystem) -> list[Scalar]:
@@ -155,7 +228,8 @@ def solve_band(system: BandSystem) -> list[Scalar]:
 
     The tail unknowns beyond the last equation are free; they are set to
     zero, then rows are solved from the last upward, dividing by the
-    nonzero diagonal pivot.
+    nonzero diagonal pivot.  The arithmetic runs on raw field values and
+    the solution comes back as one Scalar per column.
     """
     if system.rhs is None:
         raise errors.BadLength("system has no right-hand side")
@@ -163,14 +237,18 @@ def solve_band(system: BandSystem) -> list[Scalar]:
         raise errors.BadLength(
             f"right-hand side has {len(system.rhs)} values, expected {system.rows}"
         )
-    spec = system.matrix[0][0].spec
-    ys = [spec.zero] * system.cols
-    for k in range(system.rows, 0, -1):
-        acc = system.rhs[k - 1]
-        for s in range(k + 1, min(k + system.degree - 1, system.cols) + 1):
-            acc = acc - system.coeff(k, s) * ys[s - 1]
-        ys[k - 1] = acc / system.coeff(k, k)
-    return ys
+    spec = system.spec
+    p = spec.p
+    ys = [spec.zero.value] * system.cols
+    for k in range(system.rows - 1, -1, -1):
+        row = system.matrix[k]
+        acc = system.rhs[k]
+        for j in range(1, system.degree):
+            acc -= row[j] * ys[k + j]
+        if not row[0]:
+            raise errors.DivisionByZero(f"zero pivot in row {k + 1}")
+        ys[k] = acc / row[0] if p is None else acc * pow(row[0], -1, p) % p
+    return [Scalar(spec, y) for y in ys]
 
 
 def _zero_tuple(f: MultilinearPoly, n: int) -> WitnessTuple:
@@ -226,27 +304,25 @@ def preimage(
     else:
         table, pivots = witness_scalars(norm.core, n)
         fixed_args = [table.diagonal_matrix(var) for var in range(2, m + 1)]
-        first_slot = StrictUT.zero(n, f.spec)
+        first_entries = []
         systems = []
-        for part in band_decompose(scaled_target, m):
-            system = band_system(norm.core, n, part.index, fixed_args, pivots)
-            system.rhs = list(part.values)
+        for index, values in band_decompose(scaled_target, m):
+            system = band_system(norm.core, n, index, fixed_args, pivots)
+            system.rhs = [v.value for v in values]
             ys = solve_band(system)
-            first_slot = first_slot + StrictUT.from_entries(
-                n,
-                f.spec,
-                [
-                    (s, s + part.index - m, y)
-                    for s, y in enumerate(ys, start=1)
-                    if not y.is_zero
-                ],
+            first_entries.extend(
+                (s, s + index - m, y)
+                for s, y in enumerate(ys, start=1)
+                if not y.is_zero
             )
             systems.append(system)
         if trace is not None:
             trace["table"] = table
             trace["pivots"] = pivots
             trace["systems"] = systems
-        witness = norm.transfer([first_slot] + fixed_args)
+        witness = norm.transfer(
+            [StrictUT.from_entries(n, f.spec, first_entries)] + fixed_args
+        )
     if f.evaluate(witness) != target:
         raise errors.PostconditionViolation(
             "constructed witness does not evaluate to the target"

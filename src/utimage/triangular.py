@@ -12,7 +12,7 @@ why images of degree-m multilinear maps live in the band at level m - 1.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import errors
 from .fields import FieldSpec, Scalar
@@ -187,75 +187,21 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class DiagonalMatrix:
-    """A matrix supported on a single diagonal above the main one.
-
-    ``index`` counts diagonals with the main diagonal as 1, so the entries
-    of a DiagonalMatrix with index i sit at (k, k + i - 1) for
-    k = 1..n - i + 1 and ``values[k - 1]`` is the entry at (k, k + i - 1).
-    Zero values are allowed; the type records the diagonal, not sparsity.
-    """
-
-    __slots__ = ("n", "spec", "index", "values")
-
-    def __init__(self, n: int, spec: FieldSpec, index: int, values: Sequence[Scalar]):
-        if not 2 <= index <= n:
-            raise errors.BadIndex(f"diagonal index {index} outside 2..{n}")
-        values = tuple(values)
-        if len(values) != n - index + 1:
-            raise errors.BadLength(
-                f"diagonal {index} of an {n} x {n} matrix needs "
-                f"{n - index + 1} values, got {len(values)}"
-            )
-        for v in values:
-            if v.spec != spec:
-                raise errors.FieldMismatch(f"{v.spec} value in {spec} diagonal")
-        self.n = n
-        self.spec = spec
-        self.index = index
-        self.values = values
-
-    def to_matrix(self) -> StrictUT:
-        return StrictUT.from_entries(
-            self.n,
-            self.spec,
-            [
-                (k, k + self.index - 1, v)
-                for k, v in enumerate(self.values, start=1)
-                if not v.is_zero
-            ],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagonalMatrix):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.spec == other.spec
-            and self.index == other.index
-            and self.values == other.values
-        )
-
-    def __repr__(self):
-        vals = ", ".join(v.to_text() for v in self.values)
-        return f"DiagonalMatrix(n={self.n}, index={self.index}, [{vals}])"
-
-
-def band_decompose(matrix: StrictUT, m: int) -> list[DiagonalMatrix]:
+def band_decompose(matrix: StrictUT, m: int) -> list[tuple[int, tuple[Scalar, ...]]]:
     """Split a matrix in the level-(m-1) band into its single diagonals.
 
-    Returns one DiagonalMatrix per index i = m + 1 .. n; their sum equals
-    the input.  Raises NotInBand if some entry sits at q - p <= m - 1.
+    Returns one (index, values) pair per index i = m + 1 .. n, where
+    ``values[k - 1]`` is the entry at (k, k + i - 1) for k = 1..n - i + 1,
+    zeros included; the diagonals together hold every entry of the input.
+    Raises NotInBand if some entry sits at q - p <= m - 1.
     """
     if not matrix.band_member(m - 1):
         row, col = min((r, c) for r, c in matrix.entries if c - r <= m - 1)
         raise errors.NotInBand(
             f"entry ({row}, {col}) violates the level-{m - 1} band"
         )
-    parts = []
-    for index in range(m + 1, matrix.n + 1):
-        values = [
-            matrix.get(k, k + index - 1) for k in range(1, matrix.n - index + 2)
-        ]
-        parts.append(DiagonalMatrix(matrix.n, matrix.spec, index, values))
-    return parts
+    n = matrix.n
+    return [
+        (i, tuple(matrix.get(k, k + i - 1) for k in range(1, n - i + 2)))
+        for i in range(m + 1, n + 1)
+    ]

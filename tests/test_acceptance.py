@@ -183,28 +183,15 @@ def test_criterion_6_known_values():
         StrictUT.zero(3, gf2),
         StrictUT.unit(3, gf2, 1, 3),
     ]
-    # back-substitution on the fixed 2 x 3 system
+    # back-substitution on the fixed 2 x 3 system; rows hold raw values at
+    # columns k..k+1
     rational = FieldSpec.rational()
+    one, minus_one = rational.one.value, (-rational.one).value
     sys_q = BandSystem(
-        3,
-        2,
-        2,
-        3,
-        [
-            [rational.one, -rational.one, rational.zero],
-            [rational.zero, rational.one, -rational.one],
-        ],
-        [rational.one, rational.one],
+        3, 2, 2, 3, rational, [(one, minus_one), (one, minus_one)], [one, one]
     )
     ok = ok and [v.to_text() for v in solve_band(sys_q)] == ["2", "1", "0"]
-    sys_2 = BandSystem(
-        3,
-        2,
-        2,
-        3,
-        [[gf2.one, gf2.one, gf2.zero], [gf2.zero, gf2.one, gf2.one]],
-        [gf2.one, gf2.one],
-    )
+    sys_2 = BandSystem(3, 2, 2, 3, gf2, [(1, 1), (1, 1)], [1, 1])
     ok = ok and [v.to_text() for v in solve_band(sys_2)] == ["0", "1", "0"]
     report(6, ok, "unit-chain values, commutator image, and fixed solves agree")
 

@@ -505,6 +505,40 @@ class TestUsage:
         assert code == 1
         assert err == "error: 5000-character literal is too long\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["image", "--poly", "x1", "--n", "1" * 5000],
+            ["verify", "--poly", "x1*x2", "--n", "3", "--field", "gf:2", "--cap", "1" * 5000],
+            ["selftest", "--trials", "1" * 5000, "--field", "gf:2"],
+        ],
+        ids=["n", "cap", "trials"],
+    )
+    def test_over_long_option_value_exits_1(self, capsys, argv):
+        # argparse would echo the rejected value whole.
+        code = cli.main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert [line for line in lines if line.startswith("error:")] == lines[-1:]
+        assert len(lines[-1]) < 200
+        assert "5000 characters" in lines[-1]
+
+    def test_repeated_main_calls_share_nothing(self, gf7_target, capsys):
+        # The parser is built once per process; no flag may carry over.
+        target_path, _ = gf7_target
+        solve = ["solve", "--poly", "x1*x2-x2*x1", "--n", "5", "--field", "gf:7",
+                 "--target", target_path]
+        assert cli.main(solve + ["--debug"]) == 0
+        first = capsys.readouterr()
+        assert cli.main(["image", "--poly", "x1*x2", "--n", "5", "--json"]) == 0
+        capsys.readouterr()
+        assert cli.main(solve) == 0
+        second = capsys.readouterr()
+        assert json.loads(first.err)["systems"]
+        assert second.err == ""
+        assert second.out == first.out
+        assert cli.build_parser() is cli.build_parser()
+
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--help"])

@@ -6,7 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from utimage import errors
-from utimage.fields import FieldSpec, is_prime, xgcd
+from utimage.fields import PRIME_CAP, FieldSpec, is_prime
+
+# 2^31 - 1 is prime: the largest modulus below PRIME_CAP = 2^31.
+LARGEST_PRIME = PRIME_CAP - 1
 
 fractions_st = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=997
@@ -41,12 +44,17 @@ def test_is_prime_small():
         assert is_prime(k) == (k in primes)
 
 
-@given(st.integers(0, 500), st.integers(0, 500))
-def test_xgcd_bezout(a, b):
-    g, u, v = xgcd(a, b)
-    assert u * a + v * b == g
-    if a or b:
-        assert g > 0 and a % g == 0 and b % g == 0
+def test_inverse_small_fields():
+    for p in (2, 3, 7):
+        spec = FieldSpec.gf(p)
+        for v in range(1, p):
+            assert spec.scalar(v) * spec.scalar(v).inv() == spec.one
+
+
+@given(st.integers(1, LARGEST_PRIME - 1))
+def test_inverse_largest_modulus(v):
+    spec = FieldSpec.gf(LARGEST_PRIME)
+    assert spec.scalar(v) * spec.scalar(v).inv() == spec.one
 
 
 def test_rational_examples(rational):

@@ -4,7 +4,7 @@ import pytest
 
 from utimage import errors
 from utimage.fields import FieldSpec
-from utimage.freealg import parse_poly
+from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.sampling import random_band_target, random_poly
 from utimage.solver import (
     BandSystem,
@@ -24,15 +24,44 @@ def all_ones_superdiag(n, spec):
 
 
 def system_from_rows(rows, rhs, spec, degree=2, index=3):
-    matrix = [[spec.scalar(v) for v in row] for row in rows]
+    """A BandSystem from dense int rows; row k keeps columns k..k+degree-1."""
+    matrix = [
+        tuple(spec.scalar(v).value for v in row[k : k + degree])
+        for k, row in enumerate(rows)
+    ]
     return BandSystem(
         index,
         degree,
         len(rows),
         len(rows[0]),
+        spec,
         matrix,
-        [spec.scalar(v) for v in rhs],
+        [spec.scalar(v).value for v in rhs],
     )
+
+
+def reference_band_matrix(core, n, i, fixed_args):
+    """Dense rows x cols matrix of diagonal i's band system, one polynomial
+    evaluation per column: the unit matrix at (s, s + i - m) in the first
+    slot and the fixed arguments in the rest.  Linearity in the first slot
+    makes the columns add up to the full evaluation.  This is the assembly
+    that the closed form in ``band_system`` replaced."""
+    m = core.m
+    rows, cols = n - i + 1, n - i + m
+    matrix = [[core.spec.zero] * cols for _ in range(rows)]
+    for s in range(1, cols + 1):
+        basis = StrictUT.unit(n, core.spec, s, s + i - m)
+        for (p, q), v in core.evaluate([basis] + fixed_args).entries.items():
+            assert q - p == i - 1 and p <= rows
+            matrix[p - 1][s - 1] = v
+    return matrix
+
+
+def dense(system):
+    return [
+        [system.coeff(k, s) for s in range(1, system.cols + 1)]
+        for k in range(1, system.rows + 1)
+    ]
 
 
 class TestImageDescription:
@@ -62,7 +91,7 @@ class TestBandSystem:
         core = parse_poly("x1*x2", rational)
         pivots = PivotValues((rational.one, rational.one))
         system = band_system(core, 4, 3, [all_ones_superdiag(4, rational)], pivots)
-        assert [[v.to_text() for v in row] for row in system.matrix] == [
+        assert system.debug_dict()["matrix"] == [
             ["1", "0", "0"],
             ["0", "1", "0"],
         ]
@@ -71,7 +100,7 @@ class TestBandSystem:
         core = parse_poly("x1*x2-x2*x1", rational)
         pivots = PivotValues((rational.one, rational.one))
         system = band_system(core, 4, 3, [all_ones_superdiag(4, rational)], pivots)
-        assert [[v.to_text() for v in row] for row in system.matrix] == [
+        assert system.debug_dict()["matrix"] == [
             ["1", "-1", "0"],
             ["0", "1", "-1"],
         ]
@@ -109,6 +138,55 @@ class TestBandSystem:
                         table, core, k + i - m - 1
                     )
 
+    def test_fixed_argument_off_superdiagonal_rejected(self, rational):
+        core = parse_poly("x1*x2", rational)
+        pivots = PivotValues((rational.one, rational.one))
+        fixed = all_ones_superdiag(4, rational) + mat(4, rational, [(1, 3, 1)])
+        with pytest.raises(errors.InternalInvariantViolation):
+            band_system(core, 4, 3, [fixed], pivots)
+
+    @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "gf:7", "rational"])
+    def test_closed_form_equals_evaluation_reference(self, field_text):
+        spec = FieldSpec.from_text(field_text)
+        rng = random.Random("closed:" + field_text)
+        for m in range(2, 8):
+            for _ in range(3):
+                n = rng.randint(m + 1, m + 5)
+                core = random_poly(rng, spec, m).normalize().core
+                table, pivots = witness_scalars(core, n)
+                fixed = [table.diagonal_matrix(var) for var in range(2, m + 1)]
+                for i in range(m + 1, n + 1):
+                    system = band_system(core, n, i, fixed, pivots)
+                    assert dense(system) == reference_band_matrix(core, n, i, fixed)
+
+    def test_assembly_evaluates_nothing(self, monkeypatch, gf5):
+        # One preimage at m=7, n=13 evaluates the polynomial once, for the
+        # postcondition, and multiplies no matrices while assembling.
+        rng = random.Random("pinned")
+        f = random_poly(rng, gf5, 7)
+        target = random_band_target(rng, gf5, 13, 7)
+        calls = {"evaluate": 0, "mul": 0}
+        evaluate, mul = MultilinearPoly.evaluate, StrictUT.__mul__
+
+        def counted_evaluate(self, args):
+            calls["evaluate"] += 1
+            return evaluate(self, args)
+
+        def counted_mul(self, other):
+            calls["mul"] += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(MultilinearPoly, "evaluate", counted_evaluate)
+        preimage(f, 13, target)
+        assert calls["evaluate"] == 1
+        core = f.normalize().core
+        table, pivots = witness_scalars(core, 13)
+        fixed = [table.diagonal_matrix(var) for var in range(2, 8)]
+        monkeypatch.setattr(StrictUT, "__mul__", counted_mul)
+        for i in range(8, 14):
+            band_system(core, 13, i, fixed, pivots)
+        assert calls == {"evaluate": 1, "mul": 0}
+
 
 class TestSolveBand:
     def test_known_rational_solution(self, rational):
@@ -133,20 +211,20 @@ class TestSolveBand:
             rows = rng.randint(1, 4)
             degree = rng.randint(2, 4)
             cols = rows + degree - 1
-            matrix = [[spec.zero] * cols for _ in range(rows)]
+            matrix = [[0] * cols for _ in range(rows)]
             for k in range(rows):
-                for s in range(k, min(k + degree, cols)):
-                    matrix[k][s] = spec.scalar(rng.randint(0, 4))
-                while matrix[k][k].is_zero:
-                    matrix[k][k] = spec.scalar(rng.randint(1, 4))
-            rhs = [spec.scalar(rng.randint(-3, 3)) for _ in range(rows)]
-            system = BandSystem(degree + 1, degree, rows, cols, matrix, rhs)
+                for s in range(k, k + degree):
+                    matrix[k][s] = rng.randint(0, 4)
+                while spec.scalar(matrix[k][k]).is_zero:
+                    matrix[k][k] = rng.randint(1, 4)
+            rhs = [rng.randint(-3, 3) for _ in range(rows)]
+            system = system_from_rows(matrix, rhs, spec, degree, degree + 1)
             ys = solve_band(system)
             for k in range(rows):
                 total = spec.zero
                 for s in range(cols):
-                    total = total + matrix[k][s] * ys[s]
-                assert total == rhs[k]
+                    total = total + spec.scalar(matrix[k][s]) * ys[s]
+                assert total == spec.scalar(rhs[k])
 
 
 class TestPreimage:

@@ -5,7 +5,7 @@ import pytest
 from utimage import errors
 from utimage.fields import FieldSpec
 from utimage.sampling import random_scalar, random_strict_ut
-from utimage.triangular import DiagonalMatrix, StrictUT, band_decompose
+from utimage.triangular import StrictUT, band_decompose
 
 from conftest import mat
 
@@ -117,39 +117,56 @@ class TestBandMember:
             StrictUT.zero(3, rational).band_member(3)
 
 
-class TestDiagonalMatrix:
-    def test_superdiagonal(self, rational):
-        d = DiagonalMatrix(4, rational, 2, [rational.one] * 3)
-        assert d.to_matrix() == mat(4, rational, [(1, 2, 1), (2, 3, 1), (3, 4, 1)])
-
-    def test_corner(self, rational):
-        c = rational.scalar(7)
-        d = DiagonalMatrix(4, rational, 4, [c])
-        assert d.to_matrix() == mat(4, rational, [(1, 4, 7)])
-
-    def test_bad_index(self, rational):
-        with pytest.raises(errors.BadIndex):
-            DiagonalMatrix(4, rational, 5, [rational.one])
-        with pytest.raises(errors.BadIndex):
-            DiagonalMatrix(4, rational, 1, [rational.one] * 4)
-
-    def test_bad_length(self, rational):
-        with pytest.raises(errors.BadLength):
-            DiagonalMatrix(4, rational, 2, [rational.one] * 2)
+def diagonal_matrix(n, spec, index, values):
+    """The matrix holding ``values`` on diagonal ``index``."""
+    return StrictUT.from_entries(
+        n,
+        spec,
+        [(k, k + index - 1, v) for k, v in enumerate(values, start=1) if not v.is_zero],
+    )
 
 
 class TestBandDecompose:
     def test_example(self, rational):
         b = mat(4, rational, [(1, 3, 1), (2, 4, 1), (1, 4, 1)])
         parts = band_decompose(b, 2)
-        assert [p.index for p in parts] == [3, 4]
-        assert parts[0].to_matrix() == mat(4, rational, [(1, 3, 1), (2, 4, 1)])
-        assert parts[1].to_matrix() == mat(4, rational, [(1, 4, 1)])
+        assert [index for index, _ in parts] == [3, 4]
+        assert diagonal_matrix(4, rational, *parts[0]) == mat(
+            4, rational, [(1, 3, 1), (2, 4, 1)]
+        )
+        assert diagonal_matrix(4, rational, *parts[1]) == mat(4, rational, [(1, 4, 1)])
+
+    def test_superdiagonal(self, rational):
+        b = mat(4, rational, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 3, 5)])
+        index, values = band_decompose(b, 1)[0]
+        assert index == 2
+        assert values == (rational.one,) * 3
+
+    def test_corner(self, rational):
+        b = mat(4, rational, [(1, 4, 7), (1, 3, 2)])
+        assert band_decompose(b, 2)[-1] == (4, (rational.scalar(7),))
+
+    def test_index_range(self, rational):
+        # One part per diagonal m + 1..n; a degree m outside 1..n is refused.
+        for n in range(2, 7):
+            for m in range(1, n + 1):
+                parts = band_decompose(StrictUT.zero(n, rational), m)
+                assert [index for index, _ in parts] == list(range(m + 1, n + 1))
+            for m in (0, n + 1):
+                with pytest.raises(errors.BadIndex):
+                    band_decompose(StrictUT.zero(n, rational), m)
+
+    def test_diagonal_lengths(self, rational):
+        # Diagonal i of an n x n matrix holds n - i + 1 values.
+        for n in range(2, 7):
+            for m in range(1, n + 1):
+                for index, values in band_decompose(StrictUT.zero(n, rational), m):
+                    assert len(values) == n - index + 1
 
     def test_zero_matrix(self, rational):
         parts = band_decompose(StrictUT.zero(4, rational), 2)
         assert len(parts) == 2
-        assert all(p.to_matrix().is_zero for p in parts)
+        assert all(v.is_zero for _, values in parts for v in values)
 
     def test_rejects_band_violation(self, rational):
         with pytest.raises(errors.NotInBand):
@@ -169,8 +186,8 @@ class TestBandDecompose:
             ]
             b = StrictUT.from_entries(n, spec, pairs)
             total = StrictUT.zero(n, spec)
-            for part in band_decompose(b, m):
-                total = total + part.to_matrix()
+            for index, values in band_decompose(b, m):
+                total = total + diagonal_matrix(n, spec, index, values)
             assert total == b
 
 
