@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--poly", required=True)
     verify.add_argument("--n", type=_int_value, required=True)
     verify.add_argument("--field", required=True, help="prime field, e.g. gf:2")
-    verify.add_argument("--cap", type=_int_value, default=DEFAULT_CAP, help="max tuple evaluations")
+    verify.add_argument("--cap", type=_int_value, default=DEFAULT_CAP, help="max tail tuples X_2..X_m to scan, counted as q^(max(m-1,1)*c) for c scanned entries per matrix")
     verify.add_argument("--reduce", action="store_true", help="scan only entries that can occur in a degree-m product")
     verify.add_argument("--out", help="path for the report JSON (default stdout)")
     verify.set_defaults(func=cmd_verify)

@@ -394,6 +394,9 @@ class TestVerify:
             ]
         )
         assert code == 1
+        assert capsys.readouterr().err == (
+            "error: 5^15 tail tuples exceed the cap 1000\n"
+        )
 
     @pytest.mark.parametrize(
         "poly,n,field,exponent",
@@ -406,17 +409,31 @@ class TestVerify:
     )
     @pytest.mark.parametrize("reduce", [[], ["--reduce"]])
     def test_large_n_hits_the_cap_in_one_line(self, capsys, poly, n, field, exponent, reduce):
-        # The tuple count q^(m*c) has thousands of digits here; it must
-        # be refused by its exponent, before any per-entry work.
+        # ``exponent`` names the q^(m*c) argument tuples; the cap counts
+        # the q^((m-1)*c) tails, which still have thousands of digits here.
+        # They must be refused by their exponent, before any per-entry work.
         code = cli.main(["verify", "--poly", poly, "--n", n, "--field", field, *reduce])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert lines[0].endswith("tuple evaluations exceed the cap 100000000")
+        assert lines[0].endswith("tail tuples exceed the cap 1000000")
         if not reduce:
-            assert lines[0] == f"error: {exponent} tuple evaluations exceed the cap 100000000"
+            q, tuples = exponent.split("^")
+            m = poly.count("x")
+            tails = f"{q}^{int(tuples) // m * (m - 1)}"
+            assert lines[0] == f"error: {tails} tail tuples exceed the cap 1000000"
+
+    def test_cap_counts_tails_not_tuples(self, capsys):
+        # 2^30 argument tuples, but only the 2^15 tails X_2 are scanned,
+        # and the scan stops well before the last of them.
+        code = cli.main(["verify", "--poly", "x1*x2", "--n", "6", "--field", "gf:2"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["matches"] is True
+        assert doc["evaluations"] == 2**30
+        assert doc["image_size"] == doc["expected_size"] == 2**10
 
     def test_rational_field_rejected(self):
         code = cli.main(

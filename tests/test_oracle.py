@@ -1,9 +1,12 @@
+import ast
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from utimage import errors, oracle
+from utimage import cli, errors, oracle
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, Permutation, parse_poly
 from utimage.oracle import (
@@ -194,21 +197,27 @@ class TestImageBruteforce:
     @pytest.mark.parametrize("reduce_bands", [False, True])
     def test_cap_message_names_the_exponent(self, reduce_bands):
         # n = 10^6 has about 5 * 10^11 entries per matrix; the check must
-        # neither build them nor format q^(m*c) in decimal.  The reduced
-        # scan drops only the corner entry (1, n).
+        # neither build them nor format q^((m-1)*c) in decimal.  The
+        # reduced scan drops only the corner entry (1, n).
         f = parse_poly("x1*x2", FieldSpec.gf(2))
         count = 499999500000 - reduce_bands
         with pytest.raises(errors.CapExceeded) as exc:
             image_bruteforce(f, 10**6, 2, reduce_bands=reduce_bands)
-        assert str(exc.value) == (
-            f"2^{2 * count} tuple evaluations exceed the cap 100000000"
-        )
+        assert str(exc.value) == f"2^{count} tail tuples exceed the cap 1000000"
+
+    def test_degree_one_cap_counts_the_span(self, gf2):
+        # x1 has a single tail, but its span is all q^c matrices, so the
+        # cap counts q^c rather than q^0: n = 10^6 is refused, not scanned.
+        with pytest.raises(errors.CapExceeded) as exc:
+            check_theorem(parse_poly("x1", gf2), 10**6, 2)
+        assert str(exc.value) == "2^499999500000 tail tuples exceed the cap 1000000"
 
     @pytest.mark.parametrize("cap,fits", [(2**12 - 1, False), (2**12, True)])
     def test_cap_boundary(self, cap, fits):
-        f = parse_poly("x1*x2", FieldSpec.gf(2))
+        # x1*x2*x3 at n = 4: c = 6 entries, so 2^12 tails X_2, X_3.
+        f = parse_poly("x1*x2*x3", FieldSpec.gf(2))
         if fits:
-            assert len(image_bruteforce(f, 4, 2, cap=cap)) == 8
+            assert len(image_bruteforce(f, 4, 2, cap=cap)) == 2
         else:
             with pytest.raises(errors.CapExceeded):
                 image_bruteforce(f, 4, 2, cap=cap)
@@ -261,9 +270,25 @@ class TestLinearSlice:
         f = parse_poly("x1*x2+2*x2*x1", gf3)
         assert sorted(exhaustive_image_keys(f, 3, 3)) == naive_image_keys(f, 3, 3)
 
-    def test_scan_visits_each_tail_tuple_once(self, gf2, monkeypatch):
-        # x1*x2 at n = 5 over GF(2): 2^20 argument tuples, but only the
-        # 2^10 choices of X_2 are visited, one row reduction each.
+    def test_scan_stops_at_the_first_full_rank_tail(self, gf2, monkeypatch):
+        # x1*x2 at n = 5 over GF(2): the six entries two or more diagonals
+        # up are the band.  The span of E_i * X_2 over the ten unit
+        # matrices E_i is computed here by plain evaluation, and the scan
+        # must stop at the first X_2, in key order, whose span is all 2^6
+        # band matrices.
+        f = parse_poly("x1*x2", gf2)
+        units = [StrictUT.unit(5, gf2, p, c) for p, c in strict_coords(5)]
+        for position, tail in enumerate(enumerate_strict_ut(5, 2), start=1):
+            x2 = tail.to_strict_ut()
+            span = {0}
+            for unit in units:
+                key = PackedMatrix.from_strict_ut(f.evaluate([unit, x2]), 2).key
+                span |= {s ^ key for s in span}
+            if len(span) == 2**6:
+                break
+        else:
+            pytest.fail("no tail spans the band")
+
         calls = []
         row_reduce = oracle._row_reduce
 
@@ -272,10 +297,32 @@ class TestLinearSlice:
             return row_reduce(vectors, q)
 
         monkeypatch.setattr(oracle, "_row_reduce", counted)
-        report = check_theorem(parse_poly("x1*x2", gf2), 5, 2)
-        assert len(calls) == 2**10
+        report = check_theorem(f, 5, 2)
+        assert 1 < position < 2**10
+        assert len(calls) == position
         assert report.evaluations == 1048576 == 2**20
         assert report.matches and report.image_size == 2**6
+
+    def test_no_full_rank_slice_scans_every_tail(self, gf2, monkeypatch, capsys):
+        # A row reduction that loses a basis row never reaches full rank,
+        # so every one of the 2^10 tails is visited and the smaller image
+        # is reported as a mismatch.
+        calls = []
+        row_reduce = oracle._row_reduce
+
+        def dropping(vectors, q):
+            calls.append(None)
+            return row_reduce(vectors, q)[:-1]
+
+        monkeypatch.setattr(oracle, "_row_reduce", dropping)
+        report = check_theorem(parse_poly("x1*x2", gf2), 5, 2)
+        assert len(calls) == 2**10
+        assert not report.matches
+        assert report.image_size < report.expected_size == 2**6
+        assert report.evaluations == 2**20
+        argv = ["verify", "--poly", "x1*x2", "--n", "5", "--field", "gf:2"]
+        assert cli.main(argv) == 4
+        assert json.loads(capsys.readouterr().out)["matches"] is False
 
 
 class TestRowReduce:
@@ -329,6 +376,82 @@ class TestCheckTheorem:
             "evaluations",
             "elapsed_ms",
         }
+
+
+def band_keys(f, n, q):
+    """The predicted image, built from the dichotomy by plain matrix
+    enumeration: {0} if f is zero or m >= n, otherwise every matrix that
+    vanishes on the diagonals 1..m-1."""
+    if f.is_zero or f.m >= n:
+        return {0}
+    return {
+        pm.key
+        for pm in enumerate_strict_ut(n, q)
+        if not any(
+            d for (p, c), d in zip(strict_coords(n), pm.digits) if c - p < f.m
+        )
+    }
+
+
+class TestReportAgainstExhaustiveScan:
+    """check_theorem reads the report off the scan's rows without listing
+    keys; every field must equal the one the exhaustive scan gives."""
+
+    CASES = [
+        (parse_poly(text, FieldSpec.gf(q)), n, q, reduce_bands)
+        for text, n, q, reduce_bands in THEOREM_GRID
+        + IDENTITY_GRID
+        + [("x1*x2 + x1*x2", 3, 2, False), ("x1*x2 + 2*x1*x2", 4, 3, True)]
+    ] + random_support_cases()
+
+    @pytest.mark.parametrize(
+        "f,n,q,reduce_bands",
+        CASES,
+        ids=lambda v: v.to_text().replace(" ", "") if hasattr(v, "to_text") else None,
+    )
+    def test_report_fields(self, f, n, q, reduce_bands):
+        scanned = exhaustive_image_keys(f, n, q, reduce_bands)
+        band = band_keys(f, n, q)
+        count = oracle._scanned_count(n, f.m, reduce_bands)
+        report = check_theorem(f, n, q, reduce_bands=reduce_bands)
+        assert (
+            report.image_size,
+            report.expected_size,
+            report.matches,
+            report.evaluations,
+        ) == (len(scanned), len(band), scanned == band, q ** (f.m * count))
+
+
+    @pytest.mark.parametrize("poly_text,n", [("x1*x2", 4), ("x1*x2*x3", 3)])
+    def test_a_wrong_prediction_is_a_mismatch(self, gf2, monkeypatch, poly_text, n):
+        # The early stop decides ``matches`` from positions alone; a band
+        # one position too wide or too narrow must still be caught.
+        predicted = oracle._predicted_keys
+
+        def skewed(f, n, q):
+            free, _size = predicted(f, n, q)
+            free = free[1:] if free else (0,)
+            return free, q ** len(free)
+
+        monkeypatch.setattr(oracle, "_predicted_keys", skewed)
+        report = check_theorem(parse_poly(poly_text, gf2), n, 2)
+        assert not report.matches
+        assert report.image_size != report.expected_size
+
+
+def test_oracle_imports_nothing_from_the_solver():
+    # The prediction verify checks must not come from the code it checks.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert imported
+    assert not [name for name in imported if "solver" in name.split(".")]
 
 
 class TestAgainstSolver:
