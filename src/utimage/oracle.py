@@ -26,9 +26,14 @@ Three performance levers, all exact:
 * the early stop.  Only the entries an m-link chain can reach get a row,
   so every value lies in the space of those rows.  The first slice whose
   rank is the number of rows therefore spans the whole image, and the
-  scan stops there, in its fixed tail order.  The image is then known by
-  its positions alone; no key is enumerated unless a caller asks for
-  them.  If no slice reaches full rank, every tail is scanned.
+  scan stops there.  Tails run dense-first, in descending digit order:
+  a value at (p, q) needs a nonzero entry on every link of some m-link
+  chain, so the sparse tails of ascending order cannot reach full rank,
+  while the first tail, every scanned entry q - 1, does unless f's terms
+  cancel on equal arguments.  The image is then known by its positions
+  alone; no key is enumerated unless a caller asks for them.  If no
+  slice reaches full rank, every tail is scanned, and the union of spans
+  does not depend on the order.
 * ``reduce_bands=True`` skips entries more than n - m diagonals above the
   main one.  In a degree-m monomial each of the m factors contributes one
   entry at least one diagonal up, so an entry further than n - m up can
@@ -206,7 +211,11 @@ def _scan_slices(count, m, term_rows, weights, q):
     ``term_rows[r]`` lists the compiled (coeff, uses) terms of the output
     entry whose key weight is ``weights[r]``.  Every value lies in the
     space of these rows, so the first slice of full rank spans the whole
-    image: the scan stops there and returns None.
+    image: the scan stops there and returns None.  The tails run in
+    descending digit order, densest first, so the first tail sets every
+    scanned entry of X_2..X_m to q - 1 and usually stops the scan; when
+    f's terms cancel on equal arguments (x1*x2*x3 - x1*x3*x2 with
+    X_2 = X_3), the next few tails break the tie.
     """
     rows = len(term_rows)
     # by_entry[i]: (row, coeff, tail) per term reading entry i of X_1;
@@ -219,7 +228,7 @@ def _scan_slices(count, m, term_rows, weights, q):
     columns_terms = [terms for terms in by_entry if terms]
 
     spans = set()
-    for digits in itertools.product(range(q), repeat=(m - 1) * count):
+    for digits in itertools.product(range(q - 1, -1, -1), repeat=(m - 1) * count):
         columns = []
         for terms in columns_terms:
             column = [0] * rows

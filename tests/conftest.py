@@ -1,5 +1,6 @@
 import pytest
 
+from utimage import oracle
 from utimage.fields import FieldSpec
 
 
@@ -21,6 +22,20 @@ def gf3():
 @pytest.fixture
 def gf5():
     return FieldSpec.gf(5)
+
+
+@pytest.fixture
+def row_reduce_calls(monkeypatch):
+    """Count the oracle's slice reductions, one per tail the scan visits."""
+    calls = []
+    row_reduce = oracle._row_reduce
+
+    def counted(vectors, q):
+        calls.append(None)
+        return row_reduce(vectors, q)
+
+    monkeypatch.setattr(oracle, "_row_reduce", counted)
+    return calls
 
 
 def mat(n, spec, triples):

@@ -399,31 +399,28 @@ class TestVerify:
         )
 
     @pytest.mark.parametrize(
-        "poly,n,field,exponent",
+        "poly,n,field,full,reduced",
         [
-            ("x1*x2", "121", "gf:2", "2^14520"),
-            ("x1*x2", "300", "gf:2", "2^89700"),
-            ("x1*x2", "1000000", "gf:2", "2^999999000000"),
-            ("x1*x2*x3*x4", "60", "gf:7", "7^7080"),
+            ("x1*x2", "121", "gf:2", "2^7260", "2^7259"),
+            ("x1*x2", "300", "gf:2", "2^44850", "2^44849"),
+            ("x1*x2", "1000000", "gf:2", "2^499999500000", "2^499999499999"),
+            ("x1*x2*x3*x4", "60", "gf:7", "7^5310", "7^5292"),
         ],
     )
-    @pytest.mark.parametrize("reduce", [[], ["--reduce"]])
-    def test_large_n_hits_the_cap_in_one_line(self, capsys, poly, n, field, exponent, reduce):
-        # ``exponent`` names the q^(m*c) argument tuples; the cap counts
-        # the q^((m-1)*c) tails, which still have thousands of digits here.
-        # They must be refused by their exponent, before any per-entry work.
-        code = cli.main(["verify", "--poly", poly, "--n", n, "--field", field, *reduce])
+    @pytest.mark.parametrize("scan", ["full", "reduce"])
+    def test_large_n_hits_the_cap_in_one_line(
+        self, capsys, poly, n, field, full, reduced, scan
+    ):
+        # ``full`` and ``reduced`` are the q^((m-1)*c) tails of each scan,
+        # exponents with thousands of digits or more.  They must be refused
+        # by their exponent, before any per-entry work.
+        flags = ["--reduce"] if scan == "reduce" else []
+        code = cli.main(["verify", "--poly", poly, "--n", n, "--field", field, *flags])
         captured = capsys.readouterr()
+        tails = reduced if flags else full
         assert code == 1
         assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert lines[0].endswith("tail tuples exceed the cap 1000000")
-        if not reduce:
-            q, tuples = exponent.split("^")
-            m = poly.count("x")
-            tails = f"{q}^{int(tuples) // m * (m - 1)}"
-            assert lines[0] == f"error: {tails} tail tuples exceed the cap 1000000"
+        assert captured.err == f"error: {tails} tail tuples exceed the cap 1000000\n"
 
     def test_cap_counts_tails_not_tuples(self, capsys):
         # 2^30 argument tuples, but only the 2^15 tails X_2 are scanned,
@@ -434,6 +431,20 @@ class TestVerify:
         assert doc["matches"] is True
         assert doc["evaluations"] == 2**30
         assert doc["image_size"] == doc["expected_size"] == 2**10
+
+    def test_cap_admits_a_scan_that_stops_at_its_first_tail(
+        self, capsys, row_reduce_calls
+    ):
+        # 2^20 tails X_2, X_3 fill the cap exactly, but the first one, every
+        # entry 1, spans the band, so one slice is reduced.
+        argv = ["verify", "--poly", "x1*x2*x3", "--n", "5", "--field", "gf:2"]
+        code = cli.main([*argv, "--cap", "1048576"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["matches"] is True
+        assert doc["evaluations"] == 2**30
+        assert doc["image_size"] == doc["expected_size"] == 8
+        assert len(row_reduce_calls) == 1
 
     def test_rational_field_rejected(self):
         code = cli.main(

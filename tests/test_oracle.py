@@ -270,38 +270,46 @@ class TestLinearSlice:
         f = parse_poly("x1*x2+2*x2*x1", gf3)
         assert sorted(exhaustive_image_keys(f, 3, 3)) == naive_image_keys(f, 3, 3)
 
-    def test_scan_stops_at_the_first_full_rank_tail(self, gf2, monkeypatch):
-        # x1*x2 at n = 5 over GF(2): the six entries two or more diagonals
-        # up are the band.  The span of E_i * X_2 over the ten unit
-        # matrices E_i is computed here by plain evaluation, and the scan
-        # must stop at the first X_2, in key order, whose span is all 2^6
-        # band matrices.
-        f = parse_poly("x1*x2", gf2)
-        units = [StrictUT.unit(5, gf2, p, c) for p, c in strict_coords(5)]
-        for position, tail in enumerate(enumerate_strict_ut(5, 2), start=1):
-            x2 = tail.to_strict_ut()
+    def test_scan_stops_at_the_first_full_rank_tail(self, gf2, row_reduce_calls):
+        # x1*x2*x3 - x1*x3*x2 at n = 4 over GF(2): the band is the entry
+        # (1, 4), X_1(1,2) * (X_2(2,3) X_3(3,4) - X_3(2,3) X_2(3,4)), so every
+        # tail with X_2 = X_3 spans {0}, the first, all-ones tail included.
+        # The span of f(E_i, X_2, X_3) over the six unit matrices E_i is
+        # computed here by plain evaluation, with the tails in descending
+        # key order, and the scan must stop at the first tail whose span is
+        # both band matrices.
+        f = parse_poly("x1*x2*x3 - x1*x3*x2", gf2)
+        units = [StrictUT.unit(4, gf2, p, c) for p, c in strict_coords(4)]
+        descending = [pm.to_strict_ut() for pm in enumerate_strict_ut(4, 2)][::-1]
+        tails = itertools.product(descending, repeat=2)
+        for position, (x2, x3) in enumerate(tails, start=1):
             span = {0}
             for unit in units:
-                key = PackedMatrix.from_strict_ut(f.evaluate([unit, x2]), 2).key
+                key = PackedMatrix.from_strict_ut(f.evaluate([unit, x2, x3]), 2).key
                 span |= {s ^ key for s in span}
-            if len(span) == 2**6:
+            if len(span) == 2:
                 break
         else:
             pytest.fail("no tail spans the band")
 
-        calls = []
-        row_reduce = oracle._row_reduce
+        report = check_theorem(f, 4, 2)
+        assert 1 < position < 2**12
+        assert len(row_reduce_calls) == position
+        assert report.evaluations == 2**18
+        assert report.matches and report.image_size == 2
 
-        def counted(vectors, q):
-            calls.append(None)
-            return row_reduce(vectors, q)
-
-        monkeypatch.setattr(oracle, "_row_reduce", counted)
-        report = check_theorem(f, 5, 2)
-        assert 1 < position < 2**10
-        assert len(calls) == position
-        assert report.evaluations == 1048576 == 2**20
-        assert report.matches and report.image_size == 2**6
+    @pytest.mark.parametrize(
+        "poly_text,n,q,reduce_bands", THEOREM_GRID + IDENTITY_GRID
+    )
+    def test_grid_rows_stop_at_the_first_tail(
+        self, row_reduce_calls, poly_text, n, q, reduce_bands
+    ):
+        # The densest tail spans each grid row's whole image, so the scan
+        # reduces one slice; a sparse-first order would reduce up to 1,058
+        # (x1*x2*x3*x4 at n = 5, reduced).
+        f = parse_poly(poly_text, FieldSpec.gf(q))
+        assert check_theorem(f, n, q, reduce_bands=reduce_bands).matches
+        assert len(row_reduce_calls) == 1
 
     def test_no_full_rank_slice_scans_every_tail(self, gf2, monkeypatch, capsys):
         # A row reduction that loses a basis row never reaches full rank,
