@@ -61,18 +61,6 @@ def cmd_solve(args) -> int:
             # JSONDecodeError, bad UTF-8, an over-long integer, deep nesting
             raise errors.ParseError(f"{args.target}: {exc}") from exc
     target = StrictUT.from_json_dict(doc)
-    if target.n != args.n:
-        print(
-            f"error: target is {target.n} x {target.n}, --n is {args.n}",
-            file=sys.stderr,
-        )
-        return 1
-    if target.spec != spec:
-        print(
-            f"error: target field {target.spec} does not match --field {spec}",
-            file=sys.stderr,
-        )
-        return 1
     trace: dict | None = {} if args.debug else None
     witness = preimage(poly, args.n, target, trace=trace)
     text = selfcheck.canonical_json(

@@ -67,10 +67,6 @@ class Permutation:
         images[a - 1], images[b - 1] = b, a
         return cls(images)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, len(self.images) + 1))
-
     def __eq__(self, other):
         if not isinstance(other, Permutation):
             return NotImplemented
@@ -145,19 +141,6 @@ class MultilinearPoly:
     def support(self) -> list[Permutation]:
         return sorted(self.coeffs)
 
-    def positional_part(self, j: int) -> "MultilinearPoly":
-        """The sum of monomials whose j-th factor is x1.
-
-        The parts over j = 1..m partition the monomials of the polynomial.
-        """
-        if not 1 <= j <= self.m:
-            raise errors.BadIndex(f"position {j} outside 1..{self.m}")
-        return MultilinearPoly(
-            self.m,
-            self.spec,
-            {s: c for s, c in self.coeffs.items() if s(j) == 1},
-        )
-
     def evaluate(self, args: Sequence[StrictUT]) -> StrictUT:
         """Evaluate at a tuple of m strictly upper triangular matrices."""
         if len(args) != self.m:
@@ -198,18 +181,6 @@ class MultilinearPoly:
             for sigma, coeff in self.coeffs.items()
         }
         return NormalizedPoly(MultilinearPoly(self.m, self.spec, core), relabel, scale)
-
-    def is_identity_on(self, n: int) -> bool:
-        """Whether the polynomial vanishes identically on strictly upper
-        triangular n x n matrices.
-
-        True exactly for the zero polynomial or when m >= n (any product
-        of n strictly upper triangular factors is zero); for m < n the
-        substitution x_j -> unit(j, j+1) produces a nonzero value.
-        """
-        if n < 2:
-            raise errors.BadIndex(f"dimension {n} below 2")
-        return self.is_zero or self.m >= n
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearPoly):

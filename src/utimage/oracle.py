@@ -9,9 +9,9 @@ entry products), and the predicted image is stated here too, so
 agreement between the scanned image and the prediction is a genuine
 cross-check.
 
-Matrices are packed: the n(n-1)/2 strictly upper entries are laid out
-row-major over (row, col), most significant first, and a matrix is the
-base-q integer of its digit string.  Image sets are kept as sorted packed
+Values are named by packed keys: the key of a matrix is the base-q
+integer whose digits are its n(n-1)/2 strictly upper entries, row-major
+over (row, col), most significant first.  Image sets are sorted tuples of
 keys, which makes reports independent of the scan's enumeration order.
 
 Three performance levers, all exact:
@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from . import errors
 from .fields import FieldSpec
 from .freealg import MultilinearPoly
-from .triangular import StrictUT
 
 # The cap bounds the tails a scan may visit.  A full scan visits 5,400 to
 # 84,000 tails per second, median 16,600, over nine shapes at n = 5..7
@@ -73,77 +72,15 @@ def _scanned_count(n: int, m: int, reduce_bands: bool) -> int:
     return top * n - top * (top + 1) // 2
 
 
-def _check_cap(q: int, exponent: int, cap: int, what: str) -> None:
-    """Raise CapExceeded when q^exponent > cap, without forming the power."""
+def _check_cap(q: int, exponent: int, cap: int) -> None:
+    """Raise CapExceeded when q^exponent tail tuples exceed the cap, without
+    forming the power."""
     limit, power = -1, 1
     while power <= cap:
         limit += 1
         power *= q
     if exponent > limit:
-        raise errors.CapExceeded(f"{q}^{exponent} {what} exceed the cap {cap}")
-
-
-@dataclass(frozen=True)
-class PackedMatrix:
-    """A strictly upper triangular matrix over GF(q) as packed digits."""
-
-    n: int
-    q: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.digits) != self.n * (self.n - 1) // 2:
-            raise errors.BadLength(
-                f"expected {self.n * (self.n - 1) // 2} digits, got "
-                f"{len(self.digits)}"
-            )
-        if any(not 0 <= d < self.q for d in self.digits):
-            raise errors.OutOfRange(f"digit outside 0..{self.q - 1}")
-
-    @property
-    def key(self) -> int:
-        value = 0
-        for d in self.digits:
-            value = value * self.q + d
-        return value
-
-    @classmethod
-    def from_key(cls, n: int, q: int, key: int) -> "PackedMatrix":
-        count = n * (n - 1) // 2
-        digits = [0] * count
-        for idx in range(count - 1, -1, -1):
-            key, digits[idx] = divmod(key, q)
-        return cls(n, q, tuple(digits))
-
-    @classmethod
-    def from_strict_ut(cls, matrix: StrictUT, q: int) -> "PackedMatrix":
-        if matrix.spec != FieldSpec.gf(q):
-            raise errors.FieldMismatch(f"matrix is over {matrix.spec}, not gf:{q}")
-        digits = tuple(
-            matrix.get(p, c).value for p, c in strict_coords(matrix.n)
-        )
-        return cls(matrix.n, q, digits)
-
-    def to_strict_ut(self) -> StrictUT:
-        spec = FieldSpec.gf(self.q)
-        return StrictUT.from_entries(
-            self.n,
-            spec,
-            [
-                (p, c, spec.scalar(d))
-                for (p, c), d in zip(strict_coords(self.n), self.digits)
-                if d
-            ],
-        )
-
-
-def enumerate_strict_ut(n: int, q: int, cap: int = DEFAULT_CAP):
-    """Yield all q^(n(n-1)/2) packed matrices once, in key order."""
-    FieldSpec.gf(q)  # validates primality
-    count = _scanned_count(n, 1, False)
-    _check_cap(q, count, cap, "matrices")
-    for digits in itertools.product(range(q), repeat=count):
-        yield PackedMatrix(n, q, digits)
+        raise errors.CapExceeded(f"{q}^{exponent} tail tuples exceed the cap {cap}")
 
 
 def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
@@ -300,7 +237,7 @@ def _image_keys(
         raise errors.FieldMismatch(f"polynomial is over {f.spec}, not gf:{q}")
     m = f.m
     count = _scanned_count(n, m, reduce_bands)
-    _check_cap(q, max(m - 1, 1) * count, cap, "tail tuples")
+    _check_cap(q, max(m - 1, 1) * count, cap)
     all_coords = strict_coords(n)
     if reduce_bands:
         coords = [(p, c) for p, c in all_coords if c - p <= n - m]
@@ -323,13 +260,12 @@ def image_bruteforce(
     q: int,
     cap: int = DEFAULT_CAP,
     reduce_bands: bool = False,
-) -> list[PackedMatrix]:
-    """The exact set of values f attains, sorted by packed key."""
+) -> tuple[int, ...]:
+    """The exact set of values f attains, as sorted packed keys."""
     image, _ = _image_keys(f, n, q, cap, reduce_bands)
-    keys = image.keys
-    if keys is None:
-        keys = _supported_keys(image.positions, n, q)
-    return [PackedMatrix.from_key(n, q, key) for key in keys]
+    if image.keys is None:
+        return _supported_keys(image.positions, n, q)
+    return image.keys
 
 
 @dataclass(frozen=True)

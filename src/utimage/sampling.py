@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from .fields import FieldSpec, Scalar
-from .freealg import MultilinearPoly, Permutation, symmetric_group
+from .freealg import MultilinearPoly, symmetric_group
 from .triangular import StrictUT
 
 
@@ -38,25 +38,6 @@ def random_poly(rng: random.Random, spec: FieldSpec, m: int) -> MultilinearPoly:
             return MultilinearPoly(m, spec, coeffs)
 
 
-def random_pivot_coeffs(
-    rng: random.Random, spec: FieldSpec, m: int, force_swap23: bool = False
-) -> MultilinearPoly:
-    """Coefficients supported on permutations fixing 1, with identity
-    coefficient one; optionally force a nonzero coefficient at the swap of
-    positions 2 and 3."""
-    coeffs = {Permutation.identity(m): spec.one}
-    for sigma in symmetric_group(m):
-        if not sigma.fixes(1) or sigma.is_identity:
-            continue
-        if rng.random() < 0.5:
-            coeffs[sigma] = random_scalar(rng, spec, nonzero=True)
-    if force_swap23 and m >= 3:
-        coeffs[Permutation.transposition(m, 2, 3)] = random_scalar(
-            rng, spec, nonzero=True
-        )
-    return MultilinearPoly(m, spec, coeffs)
-
-
 def random_band_target(
     rng: random.Random, spec: FieldSpec, n: int, m: int
 ) -> StrictUT:
@@ -68,6 +49,3 @@ def random_band_target(
                 pairs.append((p, q, random_scalar(rng, spec)))
     return StrictUT.from_entries(n, spec, pairs)
 
-
-def random_strict_ut(rng: random.Random, spec: FieldSpec, n: int) -> StrictUT:
-    return random_band_target(rng, spec, n, 1)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from . import errors
 from .fields import FieldSpec
 from .freealg import parse_poly
-from .oracle import DEFAULT_CAP, ImageReport, check_theorem
+from .oracle import ImageReport, check_theorem
 from .sampling import random_band_target, random_poly
-from .solver import WitnessTuple, preimage
+from .solver import preimage
 from .triangular import StrictUT
 
 # Fixed verification grid: (polynomial, n, q, reduce_bands).  The last
@@ -53,7 +53,7 @@ def canonical_json(doc: dict) -> str:
 
 
 def witness_document(
-    poly_text: str, n: int, spec: FieldSpec, target: StrictUT, witness: WitnessTuple
+    poly_text: str, n: int, spec: FieldSpec, target: StrictUT, witness: tuple[StrictUT, ...]
 ) -> dict:
     return {
         "polynomial": poly_text,
@@ -65,14 +65,12 @@ def witness_document(
     }
 
 
-def run_grid(
-    grid=THEOREM_GRID, cap: int = DEFAULT_CAP
-) -> list[tuple[str, int, int, ImageReport]]:
+def run_grid(grid=THEOREM_GRID) -> list[tuple[str, int, int, ImageReport]]:
     """Run check_theorem over a grid; returns (poly, n, q, report) rows."""
     rows = []
     for poly_text, n, q, reduce_bands in grid:
         f = parse_poly(poly_text, FieldSpec.gf(q))
-        report = check_theorem(f, n, q, cap=cap, reduce_bands=reduce_bands)
+        report = check_theorem(f, n, q, reduce_bands=reduce_bands)
         rows.append((poly_text, n, q, report))
     return rows
 

@@ -86,19 +86,6 @@ class BandSystem:
 
 
 @dataclass(frozen=True)
-class WitnessTuple:
-    """An argument tuple whose evaluation equals the requested target."""
-
-    matrices: tuple[StrictUT, ...]
-
-    def __len__(self):
-        return len(self.matrices)
-
-    def __iter__(self):
-        return iter(self.matrices)
-
-
-@dataclass(frozen=True)
 class ImageClass:
     """Image of a polynomial on the strictly upper triangular algebra:
     either {0} or the full band at level m - 1."""
@@ -251,11 +238,6 @@ def solve_band(system: BandSystem) -> list[Scalar]:
     return [Scalar(spec, y) for y in ys]
 
 
-def _zero_tuple(f: MultilinearPoly, n: int) -> WitnessTuple:
-    zero = StrictUT.zero(n, f.spec)
-    return WitnessTuple(tuple(zero for _ in range(f.m)))
-
-
 def _check_band_target(target: StrictUT, m: int) -> None:
     if target.band_member(min(m - 1, target.n - 1)):
         return
@@ -269,14 +251,16 @@ def _check_band_target(target: StrictUT, m: int) -> None:
 
 def preimage(
     f: MultilinearPoly, n: int, target: StrictUT, trace: dict | None = None
-) -> WitnessTuple:
+) -> tuple[StrictUT, ...]:
     """Construct matrices X_1..X_m with f(X_1, ..., X_m) = target.
 
-    Raises TargetNotInImage when the target is unreachable (nonzero while
-    m >= n, or with entries inside the zero band).  The returned tuple is
-    always re-evaluated against the target before being returned; pass a
-    dict as ``trace`` to capture the intermediate table, pivots, and band
-    systems.
+    Returns the witness as the tuple (X_1, ..., X_m).  Raises
+    ZeroPolynomial for a zero f, DimensionMismatch or FieldMismatch when
+    the target is not n x n over f's field, and TargetNotInImage when the
+    target is unreachable (nonzero while m >= n, or with entries inside
+    the zero band).  The tuple is always re-evaluated against the target
+    before being returned; pass a dict as ``trace`` to capture the
+    intermediate table, pivots, and band systems.
     """
     if f.is_zero:
         raise errors.ZeroPolynomial("no preimages for the zero polynomial")
@@ -293,10 +277,10 @@ def preimage(
             raise errors.TargetNotInImage(
                 f"degree {m} >= dimension {n}: every value is zero"
             )
-        return _zero_tuple(f, n)
+        return (StrictUT.zero(n, f.spec),) * m
     _check_band_target(target, m)
     if target.is_zero:
-        return _zero_tuple(f, n)
+        return (StrictUT.zero(n, f.spec),) * m
     scaled_target = target.scaled(norm.scale.inv())
     if m == 1:
         # Degree one is direct: f = scale * x1.
@@ -327,4 +311,4 @@ def preimage(
         raise errors.PostconditionViolation(
             "constructed witness does not evaluate to the target"
         )
-    return WitnessTuple(tuple(witness))
+    return witness

@@ -94,9 +94,6 @@ class StrictUT:
                 acc[key] = total
         return StrictUT(self.n, self.spec, acc)
 
-    def __sub__(self, other: "StrictUT") -> "StrictUT":
-        return self + other.scaled(-self.spec.one)
-
     def __mul__(self, other: "StrictUT") -> "StrictUT":
         self._check_compat(other)
         by_row: dict[int, list[tuple[int, Scalar]]] = {}

@@ -108,9 +108,6 @@ class PivotValues:
         """1-based access: the pivot of equation k."""
         return self.values[k - 1]
 
-    def __len__(self):
-        return len(self.values)
-
 
 def _require_normalized(core: MultilinearPoly) -> None:
     if core.coefficient(Permutation.identity(core.m)) != core.spec.one:

@@ -1,7 +1,12 @@
+import itertools
+
 import pytest
 
 from utimage import oracle
 from utimage.fields import FieldSpec
+from utimage.freealg import MultilinearPoly, Permutation, symmetric_group
+from utimage.sampling import random_band_target, random_scalar
+from utimage.triangular import StrictUT
 
 
 @pytest.fixture
@@ -40,8 +45,48 @@ def row_reduce_calls(monkeypatch):
 
 def mat(n, spec, triples):
     """StrictUT from (row, col, int_value) triples."""
-    from utimage.triangular import StrictUT
-
     return StrictUT.from_entries(
         n, spec, [(r, c, spec.scalar(v)) for r, c, v in triples]
     )
+
+
+def all_matrices(n, q):
+    """Every strictly upper triangular n x n matrix over GF(q), in packed
+    key order: a product over the digits, most significant first."""
+    spec = FieldSpec.gf(q)
+    coords = oracle.strict_coords(n)
+    return [
+        mat(n, spec, [(p, c, d) for (p, c), d in zip(coords, digits) if d])
+        for digits in itertools.product(range(q), repeat=len(coords))
+    ]
+
+
+def packed_key(matrix, q):
+    """The packed key of a matrix over GF(q): the base-q integer of its
+    strictly upper entries, row-major, most significant first."""
+    key = 0
+    for p, c in oracle.strict_coords(matrix.n):
+        key = key * q + matrix.get(p, c).value
+    return key
+
+
+def random_strict_ut(rng, spec, n):
+    return random_band_target(rng, spec, n, 1)
+
+
+def random_pivot_coeffs(rng, spec, m, force_swap23=False):
+    """Coefficients supported on permutations fixing 1, with identity
+    coefficient one; optionally force a nonzero coefficient at the swap of
+    positions 2 and 3."""
+    identity = Permutation.identity(m)
+    coeffs = {identity: spec.one}
+    for sigma in symmetric_group(m):
+        if not sigma.fixes(1) or sigma == identity:
+            continue
+        if rng.random() < 0.5:
+            coeffs[sigma] = random_scalar(rng, spec, nonzero=True)
+    if force_swap23 and m >= 3:
+        coeffs[Permutation.transposition(m, 2, 3)] = random_scalar(
+            rng, spec, nonzero=True
+        )
+    return MultilinearPoly(m, spec, coeffs)

@@ -13,7 +13,6 @@ import pytest
 from utimage.fields import FieldSpec
 from utimage.freealg import parse_poly
 from utimage.oracle import image_bruteforce
-from utimage.sampling import random_pivot_coeffs
 from utimage.selfcheck import (
     IDENTITY_GRID,
     THEOREM_GRID,
@@ -25,6 +24,8 @@ from utimage.selfcheck import (
 from utimage.solver import BandSystem, image_description, solve_band
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, witness_scalars
+
+from conftest import packed_key, random_pivot_coeffs
 
 SEED = 1789
 TRIALS_PER_FIELD = 100
@@ -83,7 +84,7 @@ def test_criterion_2_identity_cases():
         f = parse_poly(poly_text, FieldSpec.gf(q))
         image = image_bruteforce(f, n, q)
         ok = ok and rep.matches and rep.image_size == 1
-        ok = ok and len(image) == 1 and image[0].key == 0
+        ok = ok and image == (0,)
         ok = ok and image_description(f, n).is_zero
     ok = ok and elapsed < 5
     report(
@@ -179,10 +180,10 @@ def test_criterion_6_known_values():
     # commutator image on 3 x 3 matrices over GF(2) is {0, corner}
     gf2 = FieldSpec.gf(2)
     image = image_bruteforce(parse_poly("x1*x2-x2*x1", gf2), 3, 2)
-    ok = ok and [pm.to_strict_ut() for pm in image] == [
-        StrictUT.zero(3, gf2),
-        StrictUT.unit(3, gf2, 1, 3),
-    ]
+    ok = ok and image == (
+        packed_key(StrictUT.zero(3, gf2), 2),
+        packed_key(StrictUT.unit(3, gf2, 1, 3), 2),
+    )
     # back-substitution on the fixed 2 x 3 system; rows hold raw values at
     # columns k..k+1
     rational = FieldSpec.rational()

@@ -6,7 +6,6 @@ import pytest
 
 from utimage import cli
 from utimage.fields import FieldSpec
-from utimage.solver import WitnessTuple
 from utimage.triangular import StrictUT
 
 from conftest import mat
@@ -265,22 +264,18 @@ class TestSolve:
         assert captured.err.startswith("error: value too long to write")
         assert captured.err.count("\n") == 1
 
-    def test_dimension_mismatch_exits_1(self, tmp_path, gf7_target):
+    def test_dimension_mismatch_exits_1(self, gf7_target, capsys):
+        # preimage rejects a target of the wrong size or field, and main
+        # reports either as exit 1 with one line.
         target_path, _ = gf7_target
-        code = cli.main(
-            [
-                "solve",
-                "--poly",
-                "x1*x2",
-                "--n",
-                "4",
-                "--field",
-                "gf:7",
-                "--target",
-                target_path,
-            ]
-        )
-        assert code == 1
+        for n, field, message in [
+            ("4", "gf:7", "error: target is 5 x 5, not 4\n"),
+            ("5", "gf:5", "error: gf:7 target for gf:5 polynomial\n"),
+        ]:
+            argv = ["solve", "--poly", "x1*x2", "--n", n, "--field", field]
+            assert cli.main(argv + ["--target", target_path]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err == message
 
     def test_bad_poly_exits_1(self, tmp_path, gf7_target):
         target_path, _ = gf7_target
@@ -487,9 +482,7 @@ class TestSelftest:
         # A build whose solver returns garbage must fail loudly with a
         # reproduction line.
         def broken_preimage(f, n, target, trace=None):
-            return WitnessTuple(
-                tuple(StrictUT.zero(n, f.spec) for _ in range(f.m))
-            )
+            return tuple(StrictUT.zero(n, f.spec) for _ in range(f.m))
 
         monkeypatch.setattr("utimage.selfcheck.preimage", broken_preimage)
         code = cli.main(

@@ -9,26 +9,19 @@ import pytest
 from utimage import cli, errors, oracle
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, Permutation, parse_poly
-from utimage.oracle import (
-    PackedMatrix,
-    _compile_terms,
-    check_theorem,
-    enumerate_strict_ut,
-    image_bruteforce,
-    strict_coords,
-)
-from utimage.sampling import random_strict_ut
+from utimage.oracle import _compile_terms, check_theorem, image_bruteforce, strict_coords
 from utimage.selfcheck import IDENTITY_GRID, THEOREM_GRID
 from utimage.triangular import StrictUT
+
+from conftest import all_matrices, packed_key
 
 
 def naive_image_keys(f, n, q):
     """Image by plain evaluation over every matrix tuple: an independent
     path that never touches the compiled scanner."""
-    mats = [pm.to_strict_ut() for pm in enumerate_strict_ut(n, q)]
     keys = set()
-    for combo in itertools.product(mats, repeat=f.m):
-        keys.add(PackedMatrix.from_strict_ut(f.evaluate(list(combo)), q).key)
+    for combo in itertools.product(all_matrices(n, q), repeat=f.m):
+        keys.add(packed_key(f.evaluate(list(combo)), q))
     return sorted(keys)
 
 
@@ -87,78 +80,60 @@ def random_support_cases(max_tuples=70_000):
 
 
 class TestEnumeration:
+    """The image of x1 is every matrix, so its scan enumerates all keys."""
+
     @pytest.mark.parametrize("n,q,count", [(2, 2, 2), (3, 2, 8), (3, 3, 27)])
     def test_counts(self, n, q, count):
-        mats = list(enumerate_strict_ut(n, q))
-        assert len(mats) == count
-        assert [pm.key for pm in mats] == list(range(count))
+        f = parse_poly("x1", FieldSpec.gf(q))
+        assert image_bruteforce(f, n, q) == tuple(range(count))
 
     def test_distinct(self):
-        mats = list(enumerate_strict_ut(3, 3))
-        assert len({pm.digits for pm in mats}) == 27
+        mats = all_matrices(3, 3)
+        assert len(mats) == 27
+        assert all(a != b for a, b in itertools.combinations(mats, 2))
 
     def test_cap(self):
         with pytest.raises(errors.CapExceeded):
-            list(enumerate_strict_ut(6, 5, cap=1000))
+            image_bruteforce(parse_poly("x1", FieldSpec.gf(5)), 6, 5, cap=1000)
 
-    def test_cap_before_any_work(self):
-        with pytest.raises(errors.CapExceeded, match=r"^2\^499999500000 matrices"):
-            next(enumerate_strict_ut(10**6, 2))
-
-    def test_requires_prime(self):
+    def test_requires_prime(self, gf2):
         with pytest.raises(errors.NotPrime):
-            list(enumerate_strict_ut(3, 4))
+            image_bruteforce(parse_poly("x1", gf2), 3, 4)
 
 
 class TestPacking:
     @pytest.mark.parametrize("q", [2, 3])
     def test_round_trip_exhaustive_n3(self, q):
-        for pm in enumerate_strict_ut(3, q):
-            assert PackedMatrix.from_strict_ut(pm.to_strict_ut(), q) == pm
-            assert PackedMatrix.from_key(3, q, pm.key) == pm
+        keys = [packed_key(matrix, q) for matrix in all_matrices(3, q)]
+        assert keys == list(range(q**3))
 
-    def test_round_trip_randomized_n5(self):
-        spec = FieldSpec.gf(5)
-        rng = random.Random("pack")
-        for _ in range(50):
-            matrix = random_strict_ut(rng, spec, 5)
-            pm = PackedMatrix.from_strict_ut(matrix, 5)
-            assert pm.to_strict_ut() == matrix
-
-    def test_packing_order_is_row_major(self):
+    def test_packing_order_is_row_major(self, gf2):
         assert strict_coords(3) == [(1, 2), (1, 3), (2, 3)]
-        pm = PackedMatrix(3, 2, (1, 0, 0))
-        assert pm.key == 4
-        assert pm.to_strict_ut() == StrictUT.unit(3, FieldSpec.gf(2), 1, 2)
-
-    def test_digit_validation(self):
-        with pytest.raises(errors.BadLength):
-            PackedMatrix(3, 2, (0, 1))
-        with pytest.raises(errors.OutOfRange):
-            PackedMatrix(3, 2, (0, 2, 0))
+        units = [StrictUT.unit(3, gf2, p, c) for p, c in strict_coords(3)]
+        assert [packed_key(unit, 2) for unit in units] == [4, 2, 1]
 
 
 class TestImageBruteforce:
     def test_commutator_n3(self, gf2):
         f = parse_poly("x1*x2-x2*x1", gf2)
         image = image_bruteforce(f, 3, 2)
-        assert [pm.to_strict_ut() for pm in image] == [
-            StrictUT.zero(3, gf2),
-            StrictUT.unit(3, gf2, 1, 3),
-        ]
+        assert type(image) is tuple and all(type(key) is int for key in image)
+        assert image == tuple(sorted(image))
+        assert image == (
+            packed_key(StrictUT.zero(3, gf2), 2),
+            packed_key(StrictUT.unit(3, gf2, 1, 3), 2),
+        )
 
     def test_identity_n3(self, gf2):
         f = parse_poly("x1*x2*x3", gf2)
-        image = image_bruteforce(f, 3, 2)
-        assert len(image) == 1 and image[0].key == 0
+        assert image_bruteforce(f, 3, 2) == (0,)
 
     def test_triple_product_n4(self, gf2):
         f = parse_poly("x1*x2*x3", gf2)
-        image = image_bruteforce(f, 4, 2)
-        assert [pm.to_strict_ut() for pm in image] == [
-            StrictUT.zero(4, gf2),
-            StrictUT.unit(4, gf2, 1, 4),
-        ]
+        assert image_bruteforce(f, 4, 2) == (
+            packed_key(StrictUT.zero(4, gf2), 2),
+            packed_key(StrictUT.unit(4, gf2, 1, 4), 2),
+        )
 
     @pytest.mark.parametrize(
         "poly_text,n,q",
@@ -170,8 +145,7 @@ class TestImageBruteforce:
     )
     def test_matches_naive_evaluation(self, poly_text, n, q):
         f = parse_poly(poly_text, FieldSpec.gf(q))
-        scanned = [pm.key for pm in image_bruteforce(f, n, q)]
-        assert scanned == naive_image_keys(f, n, q)
+        assert list(image_bruteforce(f, n, q)) == naive_image_keys(f, n, q)
 
     @pytest.mark.parametrize(
         "poly_text,n,q",
@@ -185,9 +159,8 @@ class TestImageBruteforce:
     )
     def test_reduced_scan_equals_full_scan(self, poly_text, n, q):
         f = parse_poly(poly_text, FieldSpec.gf(q))
-        full = [pm.key for pm in image_bruteforce(f, n, q)]
-        reduced = [pm.key for pm in image_bruteforce(f, n, q, reduce_bands=True)]
-        assert full == reduced
+        full = image_bruteforce(f, n, q)
+        assert full == image_bruteforce(f, n, q, reduce_bands=True)
 
     def test_cap_exceeded(self):
         f = parse_poly("x1*x2", FieldSpec.gf(5))
@@ -237,9 +210,7 @@ class TestLinearSlice:
     def test_grid_rows_equal_exhaustive_scan(self, poly_text, n, q, reduce_bands):
         f = parse_poly(poly_text, FieldSpec.gf(q))
         scanned = image_bruteforce(f, n, q, reduce_bands=reduce_bands)
-        assert {pm.key for pm in scanned} == exhaustive_image_keys(
-            f, n, q, reduce_bands
-        )
+        assert set(scanned) == exhaustive_image_keys(f, n, q, reduce_bands)
 
     @pytest.mark.parametrize(
         "f,n,q,reduce_bands",
@@ -248,9 +219,7 @@ class TestLinearSlice:
     )
     def test_random_supports_equal_exhaustive_scan(self, f, n, q, reduce_bands):
         scanned = image_bruteforce(f, n, q, reduce_bands=reduce_bands)
-        assert {pm.key for pm in scanned} == exhaustive_image_keys(
-            f, n, q, reduce_bands
-        )
+        assert set(scanned) == exhaustive_image_keys(f, n, q, reduce_bands)
 
     def test_random_cases_cover_degree_one_and_both_scans(self):
         cases = random_support_cases()
@@ -263,7 +232,7 @@ class TestLinearSlice:
     def test_cancelled_polynomial_has_image_zero(self, q):
         f = parse_poly(f"x1*x2 + {q - 1}*x1*x2", FieldSpec.gf(q))
         assert f.is_zero
-        assert [pm.key for pm in image_bruteforce(f, 3, q)] == [0]
+        assert image_bruteforce(f, 3, q) == (0,)
         assert exhaustive_image_keys(f, 3, q) == {0}
 
     def test_exhaustive_reference_matches_plain_evaluation(self, gf3):
@@ -280,12 +249,12 @@ class TestLinearSlice:
         # both band matrices.
         f = parse_poly("x1*x2*x3 - x1*x3*x2", gf2)
         units = [StrictUT.unit(4, gf2, p, c) for p, c in strict_coords(4)]
-        descending = [pm.to_strict_ut() for pm in enumerate_strict_ut(4, 2)][::-1]
+        descending = all_matrices(4, 2)[::-1]
         tails = itertools.product(descending, repeat=2)
         for position, (x2, x3) in enumerate(tails, start=1):
             span = {0}
             for unit in units:
-                key = PackedMatrix.from_strict_ut(f.evaluate([unit, x2, x3]), 2).key
+                key = packed_key(f.evaluate([unit, x2, x3]), 2)
                 span |= {s ^ key for s in span}
             if len(span) == 2:
                 break
@@ -393,11 +362,9 @@ def band_keys(f, n, q):
     if f.is_zero or f.m >= n:
         return {0}
     return {
-        pm.key
-        for pm in enumerate_strict_ut(n, q)
-        if not any(
-            d for (p, c), d in zip(strict_coords(n), pm.digits) if c - p < f.m
-        )
+        packed_key(matrix, q)
+        for matrix in all_matrices(n, q)
+        if not any(c - p < f.m for p, c in matrix.entries)
     }
 
 
@@ -448,9 +415,12 @@ class TestReportAgainstExhaustiveScan:
 
 
 def test_oracle_imports_nothing_from_the_solver():
-    # The prediction verify checks must not come from the code it checks.
+    # The prediction verify checks must not come from the code it checks,
+    # so the oracle reads only errors, fields and polynomials from the
+    # package: not the solver, and not the matrices the solver builds.
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = set()
+    package = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
@@ -458,8 +428,13 @@ def test_oracle_imports_nothing_from_the_solver():
             module = "." * node.level + (node.module or "")
             imported.add(module)
             imported.update(f"{module}.{alias.name}" for alias in node.names)
+            if node.level:
+                package.update(
+                    [node.module] if node.module else [a.name for a in node.names]
+                )
     assert imported
     assert not [name for name in imported if "solver" in name.split(".")]
+    assert package == {"errors", "fields", "freealg"}
 
 
 class TestAgainstSolver:
@@ -475,12 +450,12 @@ class TestAgainstSolver:
 
         spec = FieldSpec.gf(q)
         f = parse_poly(poly_text, spec)
-        keys = {pm.key for pm in image_bruteforce(f, n, q)}
+        keys = set(image_bruteforce(f, n, q))
         rng = random.Random(f"contain:{poly_text}:{n}:{q}")
         for _ in range(50):
             target = random_band_target(rng, spec, n, f.m)
             value = f.evaluate(list(preimage(f, n, target)))
-            assert PackedMatrix.from_strict_ut(value, q).key in keys
+            assert packed_key(value, q) in keys
             assert value == target
 
     @pytest.mark.parametrize(
@@ -493,6 +468,8 @@ class TestAgainstSolver:
         ],
     )
     def test_identity_criterion_agrees_with_scan(self, poly_text, n, q):
+        from utimage.solver import image_description
+
         f = parse_poly(poly_text, FieldSpec.gf(q))
-        scanned_zero = [pm.key for pm in image_bruteforce(f, n, q)] == [0]
-        assert f.is_identity_on(n) == scanned_zero
+        scanned_zero = image_bruteforce(f, n, q) == (0,)
+        assert image_description(f, n).is_zero == scanned_zero

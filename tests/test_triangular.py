@@ -4,10 +4,10 @@ import pytest
 
 from utimage import errors
 from utimage.fields import FieldSpec
-from utimage.sampling import random_scalar, random_strict_ut
+from utimage.sampling import random_scalar
 from utimage.triangular import StrictUT, band_decompose
 
-from conftest import mat
+from conftest import mat, random_strict_ut
 
 
 class TestConstruction:
@@ -56,7 +56,7 @@ class TestArithmetic:
         a = mat(3, gf3, [(1, 2, 1), (1, 3, 2)])
         b = mat(3, gf3, [(1, 2, 2)])
         assert a + b == mat(3, gf3, [(1, 3, 2)])
-        assert a - a == StrictUT.zero(3, gf3)
+        assert a + a.scaled(-gf3.one) == StrictUT.zero(3, gf3)
         assert a.scaled(gf3.scalar(2)) == mat(3, gf3, [(1, 2, 2), (1, 3, 1)])
         assert a.scaled(gf3.zero).is_zero
 
