@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 
 from . import errors, selfcheck
@@ -33,7 +34,6 @@ class _Parser(argparse.ArgumentParser):
     """
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         raise errors.ParseError(f"{self.prog}: {message}")
 
 
@@ -73,8 +73,13 @@ def cmd_solve(args) -> int:
         sys.stdout.write(text)
     if args.debug and trace is not None:
         dump = {}
-        if "table" in trace:
-            dump["assignment"] = trace["table"].debug_triples()
+        if "cells" in trace:
+            cells = trace["cells"]
+            dump["assignment"] = [
+                {"k": slot, "l": var, "value": str(cells[var][slot])}
+                for slot in range(2, args.n)
+                for var in range(2, len(cells))
+            ]
             dump["systems"] = [s.debug_dict() for s in trace["systems"]]
         print(json.dumps(dump, sort_keys=True), file=sys.stderr)
     return 0
@@ -166,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--field", required=True, help="'rational' or 'gf:<p>'")
     solve.add_argument("--target", required=True, help="path to the target matrix JSON")
     solve.add_argument("--out", help="path for the witness JSON (default stdout)")
-    solve.add_argument("--debug", action="store_true", help="dump the chosen scalars and band systems to stderr")
+    solve.add_argument("--debug", action="store_true", help="dump the chosen 0/1 cells and band systems to stderr")
     solve.set_defaults(func=cmd_solve)
 
     image = sub.add_parser("image", help="classify the image")
@@ -194,8 +199,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# No option starts like a number or a variable, so a token that does is
+# the value of a preceding --poly, such as -x1*x2 or -2/3*x1*x2.
+_POLY_VALUE = re.compile(r"-[0-9x]")
+
+
+def _join_poly_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--poly TEXT`` as ``--poly=TEXT`` when TEXT starts with '-',
+    which argparse would otherwise read as an option."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] == "--poly" and _POLY_VALUE.match(arg):
+            joined[-1] = f"--poly={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     try:
+        argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
         args = build_parser().parse_args(argv)
         return args.func(args)
     except errors.TargetNotInImage as exc:

@@ -101,12 +101,7 @@ def _trial_rng(seed: int, field_text: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{field_text}:{index}")
 
 
-def run_round_trips(
-    seed: int,
-    field_text: str,
-    trials: int,
-    trace_hook=None,
-) -> list[TrialOutcome]:
+def run_round_trips(seed: int, field_text: str, trials: int) -> list[TrialOutcome]:
     """Random (f, n, target) preimage round trips over one field.
 
     Each trial draws a degree in 2..5, a dimension in m+1..8, a nonzero
@@ -122,9 +117,8 @@ def run_round_trips(
         f = random_poly(rng, spec, m)
         target = random_band_target(rng, spec, n, m)
         poly_text = f.to_text()
-        trace: dict | None = {} if trace_hook is not None else None
         try:
-            witness = preimage(f, n, target, trace=trace)
+            witness = preimage(f, n, target)
         except errors.Error as exc:
             outcomes.append(
                 TrialOutcome(
@@ -132,8 +126,6 @@ def run_round_trips(
                 )
             )
             continue
-        if trace_hook is not None:
-            trace_hook(trace)
         ok = f.evaluate(list(witness)) == target
         outcomes.append(
             TrialOutcome(

@@ -9,8 +9,9 @@ that multiplies up to the target diagonal, and solve a banded linear
 system whose diagonal pivots are that module's nonzero pivot sums.
 
 Because every fixed argument is superdiagonal, that system has a closed
-form.  Write T(slot, v) for the (slot, slot + 1) entry of the argument for
-x_v.  For target diagonal i (entries (k, k+i-1)), column s is the unknown
+form.  Write T(slot, v) = cells[v][slot] for the (slot, slot + 1) entry of
+the argument for x_v; the witness module's cell rows hold only 0s and 1s.
+For target diagonal i (entries (k, k+i-1)), column s is the unknown
 entry of x_1 at (s, s+i-m), and row k is nonzero only at the columns
 s = k+j-1, j = 1..m, where
 
@@ -19,9 +20,10 @@ s = k+j-1, j = 1..m, where
 
 in a monomial with x_1 at position j, the j - 1 factors before it step
 from row k to row s, x_1 jumps i - m diagonals, and the m - j factors
-after it step on to column k+i-1.  The witness table is zero at slots 1
-and n.  Assembling one diagonal therefore costs O(rows * |supp| * m)
-multiplications of raw field values (ints mod p, or Fractions), with no
+after it step on to column k+i-1.  Each product is c_sigma when all its
+cells are 1 and zero otherwise, and the cells are zero at slot 1.
+Assembling one diagonal therefore costs O(rows * |supp| * m) cell reads
+and additions of raw field values (ints mod p, or Fractions), with no
 polynomial evaluation; j = 1 gives the pivot sums.  Each system is solved
 by back-substitution with the free tail set to zero, and the per-diagonal
 solutions add up to the first argument of the witness.  The witness is
@@ -37,7 +39,7 @@ from . import errors
 from .fields import FieldSpec, Scalar
 from .freealg import MultilinearPoly
 from .triangular import StrictUT, band_decompose
-from .witness import PivotValues, witness_scalars
+from .witness import witness_scalars
 
 
 @dataclass
@@ -121,63 +123,30 @@ def image_description(f: MultilinearPoly, n: int) -> ImageClass:
     return ImageClass.band(f.m, n)
 
 
-def _superdiagonal_cells(
-    fixed_args: list[StrictUT], n: int, spec: FieldSpec, m: int
-) -> list[list]:
-    """Raw superdiagonal entries of the fixed arguments.
-
-    ``cells[v][slot]`` is the (slot, slot + 1) entry of the argument for
-    x_v (v = 2..m), and zero at slot 0, which no matrix has.  An entry
-    anywhere else would move coefficients off the band, so it is an
-    InternalInvariantViolation.
-    """
-    if len(fixed_args) != m - 1:
-        raise errors.DimensionMismatch(
-            f"expected {m - 1} fixed arguments, got {len(fixed_args)}"
-        )
-    zero = spec.zero.value
-    cells: list[list] = [[], []]
-    for var, arg in enumerate(fixed_args, start=2):
-        if arg.n != n:
-            raise errors.DimensionMismatch(f"{arg.n} vs {n}")
-        if arg.spec != spec:
-            raise errors.FieldMismatch(f"{arg.spec} argument in {spec} poly")
-        row = [zero] * n
-        for (p, q), v in arg.entries.items():
-            if q != p + 1:
-                raise errors.InternalInvariantViolation(
-                    f"fixed argument for x{var} has entry ({p}, {q}) off the "
-                    f"superdiagonal, which puts coefficients outside the band"
-                )
-            row[p] = v.value
-        cells.append(row)
-    return cells
-
-
 def band_system(
     core: MultilinearPoly,
     n: int,
     i: int,
-    fixed_args: list[StrictUT],
-    pivots: PivotValues,
+    cells: list[list[int]],
+    pivots: tuple,
 ) -> BandSystem:
     """Assemble the system for target diagonal ``i`` (entries (k, k+i-1)).
 
-    The coefficients come from the closed form in the module docstring.
-    Each support term sigma adds, to the column j = sigma^-1(1) of every
-    row, its coefficient times m - 1 superdiagonal cells read off the fixed
-    arguments, so one diagonal costs O(rows * |supp| * m) multiplications
-    of raw field values and no matrix products.  The fixed arguments must
-    be superdiagonal, and every row's diagonal coefficient is checked
-    against the independently computed pivot, so a bookkeeping slip fails
-    loudly here instead of corrupting a witness.
+    ``cells`` and ``pivots`` are what ``witness_scalars`` returns: the 0/1
+    cell rows of the fixed arguments and the raw pivot sums.  The
+    coefficients come from the closed form in the module docstring.  Each
+    support term sigma adds its coefficient to the column j = sigma^-1(1)
+    of every row whose m - 1 cells all read 1, so one diagonal costs
+    O(rows * |supp| * m) cell reads and no matrix products.  Every row's
+    diagonal coefficient is checked against the independently computed
+    pivot, so a bookkeeping slip fails loudly here instead of corrupting a
+    witness.
     """
     m = core.m
     if not m + 1 <= i <= n:
         raise errors.BadIndex(f"diagonal index {i} outside {m + 1}..{n}")
     spec = core.spec
     rows = n - i + 1
-    cells = _superdiagonal_cells(fixed_args, n, spec, m)
     zero = spec.zero.value
     columns = [[zero] * rows for _ in range(m)]
     for sigma, coeff in core.coeffs.items():
@@ -191,18 +160,13 @@ def band_system(
         ]
         column = columns[j - 1]
         for k in range(rows):
-            prod = coeff.value
-            for cell, first in factors:
-                prod *= cell[first + k]
-                if not prod:
-                    break
-            else:
-                column[k] += prod
+            if all(cell[first + k] for cell, first in factors):
+                column[k] += coeff.value
     if spec.p is not None:
         columns = [[v % spec.p for v in column] for column in columns]
     matrix = list(zip(*columns))
     for k, row in enumerate(matrix, start=1):
-        if row[0] != pivots.at(k + i - m - 1).value:
+        if row[0] != pivots[k + i - m - 2]:
             raise errors.CoefficientMismatch(
                 f"diagonal coefficient of row {k} disagrees with pivot "
                 f"{k + i - m - 1}"
@@ -260,7 +224,7 @@ def preimage(
     target is unreachable (nonzero while m >= n, or with entries inside
     the zero band).  The tuple is always re-evaluated against the target
     before being returned; pass a dict as ``trace`` to capture the
-    intermediate table, pivots, and band systems.
+    normalized polynomial, the 0/1 cell rows and the band systems.
     """
     if f.is_zero:
         raise errors.ZeroPolynomial("no preimages for the zero polynomial")
@@ -286,12 +250,18 @@ def preimage(
         # Degree one is direct: f = scale * x1.
         witness = (scaled_target,)
     else:
-        table, pivots = witness_scalars(norm.core, n)
-        fixed_args = [table.diagonal_matrix(var) for var in range(2, m + 1)]
+        cells, pivots = witness_scalars(norm.core, n)
+        one = f.spec.one
+        fixed_args = [
+            StrictUT.from_entries(
+                n, f.spec, [(slot, slot + 1, one) for slot in range(n) if row[slot]]
+            )
+            for row in cells[2:]
+        ]
         first_entries = []
         systems = []
         for index, values in band_decompose(scaled_target, m):
-            system = band_system(norm.core, n, index, fixed_args, pivots)
+            system = band_system(norm.core, n, index, cells, pivots)
             system.rhs = [v.value for v in values]
             ys = solve_band(system)
             first_entries.extend(
@@ -301,8 +271,7 @@ def preimage(
             )
             systems.append(system)
         if trace is not None:
-            trace["table"] = table
-            trace["pivots"] = pivots
+            trace["cells"] = cells
             trace["systems"] = systems
         witness = norm.transfer(
             [StrictUT.from_entries(n, f.spec, first_entries)] + fixed_args

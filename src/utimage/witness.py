@@ -1,15 +1,21 @@
 """Scalar selection for the fixed arguments of a preimage computation.
 
 Given a normalized polynomial (coefficient one at the identity) of degree
-m and a target dimension n > m, this module chooses exact values t[slot,
-var] for the superdiagonal entries of the matrices bound to x_2..x_m; slot
-k means the value sits at entry (k, k+1) of the matrix for x_var.  The
-choice guarantees that each of the n - m pivot sums
+m and a target dimension n > m, this module chooses the superdiagonal
+entries of the matrices bound to x_2..x_m.  Every chosen entry is 0 or 1,
+so the choice is a table of 0/1 cell rows: ``cells[var][slot]`` is the
+entry (slot, slot + 1) of the matrix for x_var, for var = 2..m and slot =
+0..n-1 (rows 0 and 1 are empty, and slots 0 and 1 stay 0).  Writing
+t[slot, var] for that cell, the choice guarantees that each of the n - m
+pivot sums
 
     pivot(k) = sum over support terms s with s(1) = 1 of
                coeff(s) * t[k+1, s(2)] * t[k+2, s(3)] * ... * t[k+m-1, s(m)]
 
-is nonzero.  Those sums reappear as the diagonal pivots of the banded
+is nonzero.  Since the cells are 0/1, a term adds its raw coefficient
+exactly when every cell it reads is 1, and nothing otherwise; sums are
+raw field values (ints mod p, or Fractions), reduced mod p before each
+zero test.  Those sums reappear as the diagonal pivots of the banded
 linear systems the preimage solver back-substitutes, so their nonvanishing
 is exactly what makes every target reachable.
 
@@ -26,7 +32,7 @@ split as head * t[k+j+1, j+2] + remainder, where the remainder collects
 the support terms fixing 1 and everything above j + 2 but moving j + 2.
 Because the head is nonzero, one of the probe values 1, 0 for the new cell
 keeps the extended head nonzero; cells never constrained by the staircase
-default to 0.
+stay 0.
 
 Terms with a zero coefficient add nothing to any of these sums, so every
 sum runs over a filter of the polynomial's support: the work grows with
@@ -35,78 +41,9 @@ sum runs over a filter of the polynomial's support: the work grows with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import errors
-from .fields import Scalar
+from .fields import FieldSpec
 from .freealg import MultilinearPoly, Permutation
-from .triangular import StrictUT
-
-
-class AssignmentTable:
-    """Chosen scalar values, one per (slot, var) cell.
-
-    Slots run 2..n-1 and vars 2..m; the value at (slot, var) lands at
-    entry (slot, slot + 1) of the superdiagonal matrix bound to x_var.
-    """
-
-    def __init__(self, n: int, m: int, spec):
-        self.n = n
-        self.m = m
-        self.spec = spec
-        self.cells: dict[tuple[int, int], Scalar] = {}
-
-    def _check(self, slot: int, var: int) -> None:
-        if not 2 <= slot <= self.n - 1:
-            raise errors.BadIndex(f"slot {slot} outside 2..{self.n - 1}")
-        if not 2 <= var <= self.m:
-            raise errors.BadIndex(f"variable index {var} outside 2..{self.m}")
-
-    def put(self, slot: int, var: int, value: Scalar) -> None:
-        self._check(slot, var)
-        self.cells[(slot, var)] = value
-
-    def get(self, slot: int, var: int) -> Scalar:
-        self._check(slot, var)
-        return self.cells[(slot, var)]
-
-    @property
-    def is_complete(self) -> bool:
-        return len(self.cells) == (self.n - 2) * (self.m - 1)
-
-    def diagonal_matrix(self, var: int) -> StrictUT:
-        """The superdiagonal matrix for x_var; slot 1 is unconstrained by
-        the construction and defaults to zero."""
-        return StrictUT.from_entries(
-            self.n,
-            self.spec,
-            [
-                (slot, slot + 1, self.get(slot, var))
-                for slot in range(2, self.n)
-                if not self.get(slot, var).is_zero
-            ],
-        )
-
-    def debug_triples(self) -> list[dict]:
-        return [
-            {"k": slot, "l": var, "value": self.cells[(slot, var)].to_text()}
-            for slot, var in sorted(self.cells)
-        ]
-
-
-@dataclass(frozen=True)
-class PivotValues:
-    """The n - m pivot sums produced by the selection; all nonzero."""
-
-    values: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        if any(v.is_zero for v in self.values):
-            raise errors.InternalInvariantViolation("zero pivot value")
-
-    def at(self, k: int) -> Scalar:
-        """1-based access: the pivot of equation k."""
-        return self.values[k - 1]
 
 
 def _require_normalized(core: MultilinearPoly) -> None:
@@ -116,165 +53,136 @@ def _require_normalized(core: MultilinearPoly) -> None:
         )
 
 
-def base_assignment(core: MultilinearPoly, n: int) -> AssignmentTable:
-    """Fill the cells of variables 2 and 3 (just 2 when m = 2).
+def _fixing_above(core: MultilinearPoly, top: int) -> list[tuple[Permutation, object]]:
+    """Support terms, with raw coefficients, that fix 1 and every position
+    above ``top``."""
+    return [
+        (sigma, coeff.value)
+        for sigma, coeff in core.coeffs.items()
+        if all(sigma.fixes(t) for t in (1, *range(top + 1, core.m + 1)))
+    ]
+
+
+def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec):
+    """Raw sum, reduced mod p, of the coefficients of the terms sigma whose
+    cells ``cells[sigma(t)][k + t - 1]``, t = 2..depth, all read 1."""
+    total = spec.zero.value
+    for sigma, coeff in terms:
+        images = sigma.images
+        if all(cells[images[t - 1]][k + t - 1] for t in range(2, depth + 1)):
+            total += coeff
+    return total if spec.p is None else total % spec.p
+
+
+def base_assignment(core: MultilinearPoly, n: int) -> list[list[int]]:
+    """The cell rows with variables 2 and 3 (just 2 when m = 2) filled.
 
     For m >= 3 the pattern depends on the coefficient c at the swap of
     positions 2 and 3: all ones when c = 0, otherwise slot k gets
     (0, 1) for odd k and (1, 0) for even k in variables (2, 3).  Either
-    way every head sum comes out 1 or c, both nonzero.
+    way every head sum comes out 1 or c, both nonzero.  The rows of
+    variables 4..m are all 0.
     """
     _require_normalized(core)
     m = core.m
     if not 2 <= m < n:
         raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
-    spec = core.spec
-    table = AssignmentTable(n, m, spec)
-    if m == 2:
-        for slot in range(2, n):
-            table.put(slot, 2, spec.one)
-        return table
-    swap23 = core.coefficient(Permutation.transposition(m, 2, 3))
-    if swap23.is_zero:
-        for slot in range(2, n):
-            table.put(slot, 2, spec.one)
-            table.put(slot, 3, spec.one)
+    cells = [[], []] + [[0] * n for _ in range(m - 1)]
+    if m == 2 or core.coefficient(Permutation.transposition(m, 2, 3)).is_zero:
+        for var in range(2, min(m, 3) + 1):
+            cells[var][2:] = [1] * (n - 2)
     else:
         for slot in range(2, n):
-            if slot % 2 == 1:
-                table.put(slot, 2, spec.zero)
-                table.put(slot, 3, spec.one)
-            else:
-                table.put(slot, 2, spec.one)
-                table.put(slot, 3, spec.zero)
-    return table
+            cells[2][slot], cells[3][slot] = (0, 1) if slot % 2 == 1 else (1, 0)
+    return cells
 
 
-def _head_values(table: AssignmentTable, core: MultilinearPoly, n: int) -> list[Scalar]:
-    """Length-2 head sums over {identity, swap of 2 and 3}, one per k."""
-    m = core.m
-    swap23 = core.coefficient(Permutation.transposition(m, 2, 3))
-    out = []
-    for k in range(1, n - m + 1):
-        head = table.get(k + 1, 2) * table.get(k + 2, 3)
-        if not swap23.is_zero:
-            head = head + swap23 * table.get(k + 1, 3) * table.get(k + 2, 2)
-        out.append(head)
-    return out
-
-
-def step_remainder(core: MultilinearPoly, j: int) -> list[tuple[Permutation, Scalar]]:
-    """Support terms entering at staircase step j: they fix 1 and every
-    position above j + 2, but move j + 2."""
+def step_remainder(core: MultilinearPoly, j: int) -> list[tuple[Permutation, object]]:
+    """Support terms entering at staircase step j, with raw coefficients:
+    they fix 1 and every position above j + 2, but move j + 2."""
     return [
         (sigma, coeff)
-        for sigma, coeff in core.coeffs.items()
-        if sigma.fixes(1)
-        and not sigma.fixes(j + 2)
-        and all(sigma.fixes(t) for t in range(j + 3, core.m + 1))
+        for sigma, coeff in _fixing_above(core, j + 2)
+        if not sigma.fixes(j + 2)
     ]
 
 
 def step_extend(
-    table: AssignmentTable,
+    cells: list[list[int]],
     core: MultilinearPoly,
     n: int,
     j: int,
-    partials: list[Scalar],
-) -> list[Scalar]:
+    partials: list,
+) -> list:
     """Run staircase step j (2 <= j <= m-2), filling variable j + 2.
 
     ``partials`` holds the nonzero head values from the previous step.
-    Every cell of variable j + 2 is first defaulted to 0 so remainder sums
-    only ever read defined cells; the case loop then overwrites cell
-    (k + j + 1, j + 2) for k = 1..n-m in increasing order with whichever
-    probe value in {1, 0} keeps the extended head nonzero.  Returns the
-    new head values.
+    The row of variable j + 2 starts all 0, so remainder sums only ever
+    read defined cells; the case loop overwrites cell (k + j + 1, j + 2)
+    for k = 1..n-m in increasing order with whichever probe value in
+    {1, 0} keeps the extended head nonzero.  Returns the new head values.
     """
     m = core.m
     if not 2 <= j <= m - 2:
         raise errors.BadIndex(f"step {j} outside 2..{m - 2}")
     spec = core.spec
     var = j + 2
-    for slot in range(2, n):
-        table.put(slot, var, spec.zero)
     remainder_terms = step_remainder(core, j)
     out = []
     for k in range(1, n - m + 1):
         head = partials[k - 1]
-        if head.is_zero:
+        if not head:
             raise errors.InternalInvariantViolation(
                 f"zero head value at step {j}, equation {k}"
             )
-        rem = spec.zero
-        for sigma, coeff in remainder_terms:
-            prod = coeff
-            for t in range(2, var + 1):
-                prod = prod * table.get(k + t - 1, sigma(t))
-                if prod.is_zero:
-                    break
-            rem = rem + prod
+        rem = _term_sum(remainder_terms, cells, k, var, spec)
         # Probe 1 first, fall back to 0; one of head + rem, rem is nonzero
         # because head is not.
-        value = head + rem
-        choice = spec.one
-        if value.is_zero:
-            choice = spec.zero
+        value = head + rem if spec.p is None else (head + rem) % spec.p
+        choice = 1
+        if not value:
+            choice = 0
             value = rem
-        table.put(k + j + 1, var, choice)
+        cells[var][k + j + 1] = choice
         out.append(value)
     return out
 
 
-def eval_pivot(table: AssignmentTable, core: MultilinearPoly, k: int) -> Scalar:
-    """Pivot sum of equation k computed directly from the table.
+def eval_pivot(cells: list[list[int]], core: MultilinearPoly, k: int):
+    """Pivot sum of equation k computed directly from the cells.
 
     This is a flat sum over the support terms fixing position 1, with no
     staircase bookkeeping, so it doubles as an independent check on the
     incremental values recorded by the steps.
     """
-    total = core.spec.zero
-    for sigma, coeff in core.coeffs.items():
-        if not sigma.fixes(1):
-            continue
-        prod = coeff
-        for t in range(2, core.m + 1):
-            prod = prod * table.get(k + t - 1, sigma(t))
-            if prod.is_zero:
-                break
-        total = total + prod
-    return total
+    return _term_sum(_fixing_above(core, core.m), cells, k, core.m, core.spec)
 
 
-def witness_scalars(
-    core: MultilinearPoly, n: int
-) -> tuple[AssignmentTable, PivotValues]:
-    """Choose all table cells and return them with the pivot values.
+def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tuple]:
+    """Choose every cell and return the rows with the n - m pivot values.
 
     Runs the base assignment, then steps j = 2..m-2 (none for m in
     {2, 3}), and re-verifies every pivot by direct summation before
     returning; a mismatch or a zero pivot means an implementation bug,
     never bad input.
     """
-    _require_normalized(core)
+    cells = base_assignment(core, n)
     m = core.m
-    if not 2 <= m < n:
-        raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
-    table = base_assignment(core, n)
-    if m == 2:
-        partials = [table.get(k + 1, 2) for k in range(1, n - 1)]
-    else:
-        partials = _head_values(table, core, n)
+    # Length-2 head sums over the identity and the swap of 2 and 3; for
+    # m = 2 the identity alone, whose sum is one cell.
+    heads = _fixing_above(core, 3)
+    partials = [
+        _term_sum(heads, cells, k, min(m, 3), core.spec) for k in range(1, n - m + 1)
+    ]
     for j in range(2, m - 1):
-        partials = step_extend(table, core, n, j, partials)
-    assert table.is_complete
+        partials = step_extend(cells, core, n, j, partials)
     for k in range(1, n - m + 1):
-        direct = eval_pivot(table, core, k)
+        direct = eval_pivot(cells, core, k)
         if direct != partials[k - 1]:
             raise errors.InternalInvariantViolation(
-                f"staircase value {partials[k - 1]!r} disagrees with direct "
-                f"sum {direct!r} at equation {k}"
+                f"staircase value {partials[k - 1]} disagrees with direct "
+                f"sum {direct} at equation {k}"
             )
-        if direct.is_zero:
+        if not direct:
             raise errors.InternalInvariantViolation(f"zero pivot at equation {k}")
-    return table, PivotValues(tuple(partials))
+    return cells, tuple(partials)

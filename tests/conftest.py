@@ -50,6 +50,16 @@ def mat(n, spec, triples):
     )
 
 
+def fixed_arguments(cells, n, spec):
+    """The superdiagonal matrices for x_2..x_m that ``witness_scalars``'
+    0/1 cell rows describe: cell ``cells[var][slot]`` sits at (slot,
+    slot + 1) of the matrix for x_var."""
+    return [
+        mat(n, spec, [(slot, slot + 1, 1) for slot in range(n) if row[slot]])
+        for row in cells[2:]
+    ]
+
+
 def all_matrices(n, q):
     """Every strictly upper triangular n x n matrix over GF(q), in packed
     key order: a product over the digits, most significant first."""

@@ -21,7 +21,7 @@ from utimage.selfcheck import (
     run_grid,
     run_round_trips,
 )
-from utimage.solver import BandSystem, image_description, solve_band
+from utimage.solver import BandSystem, image_description, preimage, solve_band
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, witness_scalars
 
@@ -40,15 +40,12 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def round_trip_runs():
     """Criterion 3 workload, shared with criteria 5 and 7."""
-    traces = []
     outcomes = {}
     started = time.perf_counter()
     for field_text in TRIAL_FIELDS:
-        outcomes[field_text] = run_round_trips(
-            SEED, field_text, TRIALS_PER_FIELD, trace_hook=traces.append
-        )
+        outcomes[field_text] = run_round_trips(SEED, field_text, TRIALS_PER_FIELD)
     elapsed = time.perf_counter() - started
-    return outcomes, traces, elapsed
+    return outcomes, elapsed
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +93,7 @@ def test_criterion_2_identity_cases():
 
 
 def test_criterion_3_round_trip_preimages(round_trip_runs):
-    outcomes, _traces, elapsed = round_trip_runs
+    outcomes, elapsed = round_trip_runs
     total = sum(len(v) for v in outcomes.values())
     good = sum(sum(1 for o in v if o.ok) for v in outcomes.values())
     ok = (
@@ -126,10 +123,10 @@ def test_criterion_4_pivot_selection_suite():
             forced += force
             vectors += 1
             for n in range(m + 1, 9):
-                table, pivots = witness_scalars(core, n)
+                cells, pivots = witness_scalars(core, n)
                 for k in range(1, n - m + 1):
-                    value = eval_pivot(table, core, k)
-                    ok = ok and not value.is_zero and value == pivots.at(k)
+                    value = eval_pivot(cells, core, k)
+                    ok = ok and value != 0 and value == pivots[k - 1]
                     checked += 1
     elapsed = time.perf_counter() - started
     ok = ok and vectors == 200 and forced >= 50 and elapsed < 10
@@ -141,14 +138,29 @@ def test_criterion_4_pivot_selection_suite():
     )
 
 
+def traces(outcomes):
+    """Replay each round trip's preimage from its polynomial text, n and
+    target, capturing the trace; failed round trips are criterion 3's."""
+    for field_text, runs in outcomes.items():
+        spec = FieldSpec.from_text(field_text)
+        for outcome in runs:
+            if outcome.document is None:
+                continue
+            trace = {}
+            target = StrictUT.from_json_dict(outcome.document["target"])
+            f = parse_poly(outcome.poly_text, spec)
+            preimage(f, outcome.n, target, trace=trace)
+            yield trace
+
+
 def test_criterion_5_band_system_structure(round_trip_runs):
-    _outcomes, traces, _elapsed = round_trip_runs
+    outcomes, _elapsed = round_trip_runs
     systems_checked = violations = 0
-    for trace in traces:
+    for trace in traces(outcomes):
         if "systems" not in trace:
             continue
         core = trace["normalized"].core
-        table = trace["table"]
+        cells = trace["cells"]
         m = core.m
         for system in trace["systems"]:
             systems_checked += 1
@@ -158,7 +170,7 @@ def test_criterion_5_band_system_structure(round_trip_runs):
                     inside = k <= s <= k + m - 1
                     if not inside and not system.coeff(k, s).is_zero:
                         violations += 1
-                if system.coeff(k, k) != eval_pivot(table, core, k + i - m - 1):
+                if system.coeff(k, k).value != eval_pivot(cells, core, k + i - m - 1):
                     violations += 1
     ok = systems_checked > 0 and violations == 0
     report(
@@ -198,7 +210,7 @@ def test_criterion_6_known_values():
 
 
 def test_criterion_7_determinism(round_trip_runs, theorem_grid_run):
-    outcomes, _traces, _elapsed = round_trip_runs
+    outcomes, _elapsed = round_trip_runs
     first = "".join(
         canonical_json(o.document)
         for field_text in TRIAL_FIELDS

@@ -341,6 +341,45 @@ class TestSolve:
         assert {"k", "l", "value"} <= set(dump["assignment"][0])
         assert dump["systems"]
 
+    def test_debug_dump_golden(self, tmp_path, capsys):
+        # At slot 5 the staircase takes the 0 probe for x4: the probe 1
+        # would cancel the head over GF(2).  The cells are listed in (slot,
+        # variable) order, then the band systems as dense text.
+        gf2 = FieldSpec.gf(2)
+        target = mat(6, gf2, [(1, 5, 1), (2, 6, 1), (1, 6, 1)])
+        code = cli.main(
+            [
+                "solve",
+                "--poly",
+                "x1*x2*x3*x4 + x1*x2*x4*x3",
+                "--n",
+                "6",
+                "--field",
+                "gf:2",
+                "--target",
+                write_matrix(tmp_path / "target.json", target),
+                "--out",
+                str(tmp_path / "w.json"),
+                "--debug",
+            ]
+        )
+        assert code == 0
+        cells = [
+            (2, 2, 1), (2, 3, 1), (2, 4, 0),
+            (3, 2, 1), (3, 3, 1), (3, 4, 0),
+            (4, 2, 1), (4, 3, 1), (4, 4, 1),
+            (5, 2, 1), (5, 3, 1), (5, 4, 0),
+        ]
+        assignment = ", ".join(
+            f'{{"k": {k}, "l": {l}, "value": "{v}"}}' for k, l, v in cells
+        )
+        assert capsys.readouterr().err == (
+            f'{{"assignment": [{assignment}], "systems": ['
+            '{"diagonal": 5, "matrix": [["1", "0", "0", "0", "0"], '
+            '["0", "1", "0", "0", "0"]], "rhs": ["1", "1"]}, '
+            '{"diagonal": 6, "matrix": [["1", "0", "0", "0"]], "rhs": ["1"]}]}\n'
+        )
+
 
 class TestImage:
     def test_band(self, capsys):
@@ -504,11 +543,25 @@ class TestUsage:
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
-        # 2 is reserved for "not in image", so argparse's exit 2 must not leak.
+        # 2 is reserved for "not in image", so argparse's exit 2 must not leak;
+        # the message is one line, without argparse's usage lines.
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 1
-        assert err.splitlines()[-1].startswith("error:")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "poly, expected",
+        [("-x1*x2", "Band(1), dim 3"), ("-2/3*x1*x2", "Band(1), dim 3")],
+    )
+    def test_poly_text_starting_with_minus(self, capsys, poly, expected):
+        # argparse reads a value that starts with '-' as an option; main
+        # joins it to the preceding --poly.
+        code = cli.main(["image", "--poly", poly, "--n", "4"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert (captured.out, captured.err) == (expected + "\n", "")
 
     @pytest.mark.parametrize(
         "argv",

@@ -14,13 +14,15 @@ from utimage.solver import (
     solve_band,
 )
 from utimage.triangular import StrictUT
-from utimage.witness import PivotValues, eval_pivot, witness_scalars
+from utimage.witness import eval_pivot, witness_scalars
 
-from conftest import mat
+from conftest import fixed_arguments, mat
 
 
-def all_ones_superdiag(n, spec):
-    return mat(n, spec, [(k, k + 1, 1) for k in range(1, n)])
+def all_ones_cells(n):
+    """Cell rows for m = 2 with x_2 all ones from slot 1: rows 0 and 1 are
+    empty, slot 0 is 0."""
+    return [[], [], [0] + [1] * (n - 1)]
 
 
 def system_from_rows(rows, rhs, spec, degree=2, index=3):
@@ -89,8 +91,8 @@ class TestImageDescription:
 class TestBandSystem:
     def test_plain_product_matrix(self, rational):
         core = parse_poly("x1*x2", rational)
-        pivots = PivotValues((rational.one, rational.one))
-        system = band_system(core, 4, 3, [all_ones_superdiag(4, rational)], pivots)
+        pivots = (rational.one.value,) * 2
+        system = band_system(core, 4, 3, all_ones_cells(4), pivots)
         assert system.debug_dict()["matrix"] == [
             ["1", "0", "0"],
             ["0", "1", "0"],
@@ -98,8 +100,8 @@ class TestBandSystem:
 
     def test_commutator_matrix(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
-        pivots = PivotValues((rational.one, rational.one))
-        system = band_system(core, 4, 3, [all_ones_superdiag(4, rational)], pivots)
+        pivots = (rational.one.value,) * 2
+        system = band_system(core, 4, 3, all_ones_cells(4), pivots)
         assert system.debug_dict()["matrix"] == [
             ["1", "-1", "0"],
             ["0", "1", "-1"],
@@ -107,16 +109,16 @@ class TestBandSystem:
 
     def test_top_diagonal_single_row(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
-        pivots = PivotValues((rational.one, rational.one))
-        system = band_system(core, 4, 4, [all_ones_superdiag(4, rational)], pivots)
+        pivots = (rational.one.value,) * 2
+        system = band_system(core, 4, 4, all_ones_cells(4), pivots)
         assert system.rows == 1 and system.cols == 2
         assert system.coeff(1, 1) == rational.one
 
     def test_wrong_pivots_rejected(self, rational):
         core = parse_poly("x1*x2", rational)
-        pivots = PivotValues((rational.scalar(2), rational.one))
+        pivots = (rational.scalar(2).value, rational.one.value)
         with pytest.raises(errors.CoefficientMismatch):
-            band_system(core, 4, 3, [all_ones_superdiag(4, rational)], pivots)
+            band_system(core, 4, 3, all_ones_cells(4), pivots)
 
     @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "rational"])
     def test_band_structure_and_pivots_randomized(self, field_text):
@@ -126,24 +128,16 @@ class TestBandSystem:
             m = rng.randint(2, 4)
             n = rng.randint(m + 1, 7)
             core = random_poly(rng, spec, m).normalize().core
-            table, pivots = witness_scalars(core, n)
-            fixed = [table.diagonal_matrix(var) for var in range(2, m + 1)]
+            cells, pivots = witness_scalars(core, n)
             for i in range(m + 1, n + 1):
-                system = band_system(core, n, i, fixed, pivots)
+                system = band_system(core, n, i, cells, pivots)
                 for k in range(1, system.rows + 1):
                     for s in range(1, system.cols + 1):
                         if not k <= s <= k + m - 1:
                             assert system.coeff(k, s).is_zero
-                    assert system.coeff(k, k) == eval_pivot(
-                        table, core, k + i - m - 1
+                    assert system.coeff(k, k).value == eval_pivot(
+                        cells, core, k + i - m - 1
                     )
-
-    def test_fixed_argument_off_superdiagonal_rejected(self, rational):
-        core = parse_poly("x1*x2", rational)
-        pivots = PivotValues((rational.one, rational.one))
-        fixed = all_ones_superdiag(4, rational) + mat(4, rational, [(1, 3, 1)])
-        with pytest.raises(errors.InternalInvariantViolation):
-            band_system(core, 4, 3, [fixed], pivots)
 
     @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "gf:7", "rational"])
     def test_closed_form_equals_evaluation_reference(self, field_text):
@@ -153,10 +147,10 @@ class TestBandSystem:
             for _ in range(3):
                 n = rng.randint(m + 1, m + 5)
                 core = random_poly(rng, spec, m).normalize().core
-                table, pivots = witness_scalars(core, n)
-                fixed = [table.diagonal_matrix(var) for var in range(2, m + 1)]
+                cells, pivots = witness_scalars(core, n)
+                fixed = fixed_arguments(cells, n, spec)
                 for i in range(m + 1, n + 1):
-                    system = band_system(core, n, i, fixed, pivots)
+                    system = band_system(core, n, i, cells, pivots)
                     assert dense(system) == reference_band_matrix(core, n, i, fixed)
 
     def test_assembly_evaluates_nothing(self, monkeypatch, gf5):
@@ -180,11 +174,10 @@ class TestBandSystem:
         preimage(f, 13, target)
         assert calls["evaluate"] == 1
         core = f.normalize().core
-        table, pivots = witness_scalars(core, 13)
-        fixed = [table.diagonal_matrix(var) for var in range(2, 8)]
+        cells, pivots = witness_scalars(core, 13)
         monkeypatch.setattr(StrictUT, "__mul__", counted_mul)
         for i in range(8, 14):
-            band_system(core, 13, i, fixed, pivots)
+            band_system(core, 13, i, cells, pivots)
         assert calls == {"evaluate": 1, "mul": 0}
 
 
@@ -307,7 +300,7 @@ class TestPreimage:
         target = mat(4, rational, [(1, 3, 1), (1, 4, 2)])
         trace = {}
         preimage(f, 4, target, trace=trace)
-        assert trace["table"].is_complete
+        assert trace["cells"] == [[], [], [0, 0, 1, 1]]
         assert [s.diagonal_index for s in trace["systems"]] == [3, 4]
 
     def test_first_slot_splits_by_diagonal(self, gf5):
@@ -316,8 +309,8 @@ class TestPreimage:
         rng = random.Random("linear")
         f = random_poly(rng, gf5, 3).normalize().core
         n = 6
-        table, _ = witness_scalars(f, n)
-        fixed = [table.diagonal_matrix(var) for var in (2, 3)]
+        cells, _ = witness_scalars(f, n)
+        fixed = fixed_arguments(cells, n, gf5)
         pieces = []
         for i in (4, 5, 6):
             pairs = [

@@ -6,7 +6,6 @@ from utimage import errors
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, Permutation, parse_poly, symmetric_group
 from utimage.witness import (
-    AssignmentTable,
     base_assignment,
     eval_pivot,
     step_extend,
@@ -14,7 +13,7 @@ from utimage.witness import (
     witness_scalars,
 )
 
-from conftest import random_pivot_coeffs
+from conftest import fixed_arguments, mat, random_pivot_coeffs
 
 
 def poly_from(coeff_map, m, spec):
@@ -36,58 +35,70 @@ class TestStepRemainder:
         seen = [Permutation.identity(m), Permutation.transposition(m, 2, 3)]
         for j in range(2, m - 1):
             for sigma, coeff in step_remainder(core, j):
-                assert coeff == core.coefficient(sigma)
+                assert coeff == core.coefficient(sigma).value
                 seen.append(sigma)
         assert sorted(seen) == [s for s in group if s.fixes(1)]
 
 
 class TestAssignmentTable:
-    def test_bounds(self, rational):
-        table = AssignmentTable(5, 3, rational)
-        with pytest.raises(errors.BadIndex):
-            table.put(1, 2, rational.one)
-        with pytest.raises(errors.BadIndex):
-            table.put(2, 4, rational.one)
+    """The table of chosen cells: one 0/1 int row per variable 2..m."""
 
     def test_diagonal_matrix_skips_first_slot(self, rational):
-        table = AssignmentTable(4, 2, rational)
-        table.put(2, 2, rational.scalar(5))
-        table.put(3, 2, rational.zero)
-        d = table.diagonal_matrix(2)
-        assert d.get(2, 3) == rational.scalar(5)
-        assert d.get(1, 2).is_zero and d.get(3, 4).is_zero
+        # The rows have one cell per slot 0..n-1; slot 1 is left at 0, so
+        # no fixed argument has an entry at (1, 2).
+        core = poly_from({(1, 2): 1}, 2, rational)
+        cells, _pivots = witness_scalars(core, 4)
+        assert cells[2] == [0, 0, 1, 1]
+        (d,) = fixed_arguments(cells, 4, rational)
+        assert d == mat(4, rational, [(2, 3, 1), (3, 4, 1)])
+
+    @pytest.mark.parametrize("field_text", ["gf:2", "gf:3", "gf:5", "rational"])
+    def test_cells_are_zero_one_rows_randomized(self, field_text):
+        # Every cell the staircase writes is a probe value or a base-pattern
+        # value, so each row holds n ints in {0, 1}, and slots 0 and 1, which
+        # no pivot sum reads, stay 0.
+        spec = FieldSpec.from_text(field_text)
+        rng = random.Random("cells:" + field_text)
+        for _ in range(25):
+            m = rng.randint(2, 6)
+            core = random_pivot_coeffs(
+                rng, spec, m, force_swap23=(m >= 3 and rng.random() < 0.5)
+            )
+            for n in range(m + 1, 9):
+                cells, _pivots = witness_scalars(core, n)
+                assert len(cells) == m + 1
+                for row in cells[2:]:
+                    assert len(row) == n and row[:2] == [0, 0]
+                    assert all(type(cell) is int and cell in (0, 1) for cell in row)
 
 
 class TestBaseAssignment:
     def test_degree_two_all_ones(self, rational):
         core = poly_from({(1, 2): 1}, 2, rational)
-        table = base_assignment(core, 4)
-        assert all(table.get(slot, 2).is_one for slot in (2, 3))
+        cells = base_assignment(core, 4)
+        assert cells[2] == [0, 0, 1, 1]
 
     def test_degree_three_without_swap(self, rational):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 0}, 3, rational)
-        table = base_assignment(core, 5)
-        for slot in range(2, 5):
-            assert table.get(slot, 2).is_one and table.get(slot, 3).is_one
+        cells = base_assignment(core, 5)
+        assert cells[2] == cells[3] == [0, 0, 1, 1, 1]
         # every head sum is 1
         for k in (1, 2):
-            assert eval_pivot(table, core, k).is_one
+            assert eval_pivot(cells, core, k) == 1
 
     def test_degree_three_with_swap_gf2(self, gf2):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 1}, 3, gf2)
-        table = base_assignment(core, 5)
-        for slot in range(2, 5):
-            if slot % 2 == 1:
-                assert table.get(slot, 2).is_zero and table.get(slot, 3).is_one
-            else:
-                assert table.get(slot, 2).is_one and table.get(slot, 3).is_zero
-        assert [eval_pivot(table, core, k).to_text() for k in (1, 2)] == ["1", "1"]
+        cells = base_assignment(core, 5)
+        # odd slots (0, 1), even slots (1, 0) in variables (2, 3)
+        assert cells[2] == [0, 0, 1, 0, 1]
+        assert cells[3] == [0, 0, 0, 1, 0]
+        assert [eval_pivot(cells, core, k) for k in (1, 2)] == [1, 1]
 
     def test_head_sums_are_one_or_swap_coeff(self, gf5):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 3}, 3, gf5)
-        table = base_assignment(core, 7)
-        values = {eval_pivot(table, core, k).to_text() for k in range(1, 5)}
-        assert values <= {"1", "3"}
+        cells = base_assignment(core, 7)
+        values = {eval_pivot(cells, core, k) for k in range(1, 5)}
+        assert values <= {1, 3}
 
     def test_requires_normalized(self, rational):
         core = poly_from({(1, 2): 2}, 2, rational)
@@ -101,14 +112,14 @@ class TestStepExtend:
         # is empty, so the probe value 1 is always chosen.
         core = poly_from({(1, 2, 3, 4, 5): 1, (1, 3, 2, 4, 5): 2}, 5, rational)
         n = 8
-        table = base_assignment(core, n)
-        heads = [eval_head(table, core, k) for k in range(1, n - 4)]
+        cells = base_assignment(core, n)
+        heads = [eval_head(cells, core, k) for k in range(1, n - 4)]
         out = heads
         for j in (2, 3):
-            out = step_extend(table, core, n, j, out)
+            out = step_extend(cells, core, n, j, out)
             assert out == heads
             for k in range(1, n - 4):
-                assert table.get(k + j + 1, j + 2).is_one
+                assert cells[j + 2][k + j + 1] == 1
 
     def test_gf2_fallback_to_zero_probe(self, gf2):
         # Degree 4 over GF(2) with an extra monomial moving position 4:
@@ -116,66 +127,75 @@ class TestStepExtend:
         # staircase must fall back to 0.  Values computed by hand.
         core = poly_from({(1, 2, 3, 4): 1, (1, 2, 4, 3): 1}, 4, gf2)
         n = 6
-        table, pivots = witness_scalars(core, n)
-        assert table.get(4, 4).is_one
-        assert table.get(5, 4).is_zero
-        assert [v.to_text() for v in pivots.values] == ["1", "1"]
+        cells, pivots = witness_scalars(core, n)
+        assert cells[4] == [0, 0, 0, 0, 1, 0]
+        assert pivots == (1, 1)
 
     def test_step_bounds(self, rational):
         core = poly_from({(1, 2, 3, 4): 1}, 4, rational)
-        table = base_assignment(core, 6)
+        cells = base_assignment(core, 6)
+        one = rational.one.value
         with pytest.raises(errors.BadIndex):
-            step_extend(table, core, 6, 3, [rational.one, rational.one])
+            step_extend(cells, core, 6, 3, [one, one])
 
     def test_zero_partial_is_a_bug_signal(self, rational):
         core = poly_from({(1, 2, 3, 4): 1}, 4, rational)
-        table = base_assignment(core, 6)
+        cells = base_assignment(core, 6)
         with pytest.raises(errors.InternalInvariantViolation):
-            step_extend(table, core, 6, 2, [rational.zero, rational.one])
+            step_extend(cells, core, 6, 2, [rational.zero.value, rational.one.value])
 
 
-def eval_head(table, core, k):
+def cell(cells, spec, slot, var):
+    """One cell as a Scalar, so test-side sums use field arithmetic."""
+    return spec.scalar(cells[var][slot])
+
+
+def eval_head(cells, core, k):
     """Length-2 head sum computed directly, for test-side comparisons."""
+    spec = core.spec
     swap = core.coefficient(Permutation.transposition(core.m, 2, 3))
-    value = table.get(k + 1, 2) * table.get(k + 2, 3)
-    return value + swap * table.get(k + 1, 3) * table.get(k + 2, 2)
+    value = cell(cells, spec, k + 1, 2) * cell(cells, spec, k + 2, 3)
+    value = value + swap * cell(cells, spec, k + 1, 3) * cell(cells, spec, k + 2, 2)
+    return value.value
 
 
-def eval_staircase(table, core, k, depth):
+def eval_staircase(cells, core, k, depth):
     """The nested head value at a given depth, evaluated from scratch.
 
     Depth 1 is the length-2 head sum; each further level j multiplies by the
     staircase cell and adds the support terms fixing 1 whose largest moved
     position is j + 2.
     """
-    value = eval_head(table, core, k)
+    spec = core.spec
+    value = spec.scalar(eval_head(cells, core, k))
     for j in range(2, depth + 1):
-        value = value * table.get(k + j + 1, j + 2)
+        value = value * cell(cells, spec, k + j + 1, j + 2)
         for sigma, coeff in core.coeffs.items():
             moved = [t for t in range(1, core.m + 1) if not sigma.fixes(t)]
             if sigma.fixes(1) and moved and max(moved) == j + 2:
                 for t in range(2, j + 3):
-                    coeff = coeff * table.get(k + t - 1, sigma(t))
+                    coeff = coeff * cell(cells, spec, k + t - 1, sigma(t))
                 value = value + coeff
-    return value
+    return value.value
 
 
 class TestWitnessScalars:
     def test_degree_two_pivots_all_one(self, gf3):
         core = poly_from({(1, 2): 1}, 2, gf3)
-        _table, pivots = witness_scalars(core, 5)
-        assert [v.to_text() for v in pivots.values] == ["1", "1", "1"]
+        _cells, pivots = witness_scalars(core, 5)
+        assert pivots == (1, 1, 1)
 
     def test_degree_three_swap_gf2(self, gf2):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 1}, 3, gf2)
-        _table, pivots = witness_scalars(core, 5)
-        assert [v.to_text() for v in pivots.values] == ["1", "1"]
+        _cells, pivots = witness_scalars(core, 5)
+        assert pivots == (1, 1)
 
     def test_degree_four_plain_product(self, rational):
         core = parse_poly("x1*x2*x3*x4", rational).normalize().core
-        table, pivots = witness_scalars(core, 6)
-        assert [v.to_text() for v in pivots.values] == ["1", "1"]
-        assert table.is_complete
+        cells, pivots = witness_scalars(core, 6)
+        assert pivots == (1, 1)
+        # no remainder terms: variable 4 takes the probe 1 at slots k + 3
+        assert cells[2:] == [[0, 0, 1, 1, 1, 1]] * 2 + [[0, 0, 0, 0, 1, 1]]
 
     def test_builds_no_symmetric_group(self, monkeypatch, gf5):
         # Every sum ranges over the support, so four terms at m = 8 must not
@@ -198,8 +218,8 @@ class TestWitnessScalars:
             original_init(self, images)
 
         monkeypatch.setattr(Permutation, "__init__", counting_init)
-        _table, pivots = witness_scalars(core, 11)
-        assert len(pivots.values) == 3
+        _cells, pivots = witness_scalars(core, 11)
+        assert len(pivots) == 3
         assert len(built) < 100
 
     def test_requires_degree_below_dimension(self, rational):
@@ -220,11 +240,11 @@ class TestWitnessScalars:
                 rng, spec, m, force_swap23=(m >= 3 and rng.random() < 0.5)
             )
             for n in range(m + 1, 9):
-                table, pivots = witness_scalars(core, n)
+                cells, pivots = witness_scalars(core, n)
                 for k in range(1, n - m + 1):
-                    direct = eval_pivot(table, core, k)
-                    assert not direct.is_zero
-                    assert direct == pivots.at(k)
+                    direct = eval_pivot(cells, core, k)
+                    assert direct
+                    assert direct == pivots[k - 1]
 
     @pytest.mark.parametrize("field_text", ["gf:2", "rational"])
     def test_staircase_matches_direct_sums_at_every_depth(self, field_text):
@@ -236,11 +256,11 @@ class TestWitnessScalars:
             m = rng.randint(4, 6)
             n = rng.randint(m + 1, 8)
             core = random_pivot_coeffs(rng, spec, m, force_swap23=(m >= 3))
-            table, pivots = witness_scalars(core, n)
+            cells, pivots = witness_scalars(core, n)
             for k in range(1, n - m + 1):
                 for depth in range(1, m - 1):
-                    assert not eval_staircase(table, core, k, depth).is_zero
-                assert eval_staircase(table, core, k, m - 2) == pivots.at(k)
+                    assert eval_staircase(cells, core, k, depth)
+                assert eval_staircase(cells, core, k, m - 2) == pivots[k - 1]
 
 
 class TestProbeCompleteness:
