@@ -156,8 +156,10 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every
     ``main`` call in the process: parsing leaves it unchanged."""
+    # No parser takes abbreviations, so _join_poly_values sees every --poly.
     parser = _Parser(
         prog="utimage",
+        allow_abbrev=False,
         description=(
             "Images and preimage witnesses of multilinear polynomials on "
             "strictly upper triangular matrices, in exact arithmetic."
@@ -165,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    solve = sub.add_parser("solve", help="construct a witness for a target matrix")
+    solve = sub.add_parser("solve", help="construct a witness for a target matrix", allow_abbrev=False)
     solve.add_argument("--poly", required=True, help="polynomial text, e.g. 'x1*x2-x2*x1'")
     solve.add_argument("--n", type=_int_value, required=True, help="matrix dimension")
     solve.add_argument("--field", required=True, help="'rational' or 'gf:<p>'")
@@ -174,14 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--debug", action="store_true", help="dump the chosen 0/1 cells and band systems to stderr")
     solve.set_defaults(func=cmd_solve)
 
-    image = sub.add_parser("image", help="classify the image")
+    image = sub.add_parser("image", help="classify the image", allow_abbrev=False)
     image.add_argument("--poly", required=True)
     image.add_argument("--n", type=_int_value, required=True)
     image.add_argument("--field", default="rational")
     image.add_argument("--json", action="store_true")
     image.set_defaults(func=cmd_image)
 
-    verify = sub.add_parser("verify", help="brute-force check over a prime field")
+    verify = sub.add_parser("verify", help="brute-force check over a prime field", allow_abbrev=False)
     verify.add_argument("--poly", required=True)
     verify.add_argument("--n", type=_int_value, required=True)
     verify.add_argument("--field", required=True, help="prime field, e.g. gf:2")
@@ -190,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--out", help="path for the report JSON (default stdout)")
     verify.set_defaults(func=cmd_verify)
 
-    selftest = sub.add_parser("selftest", help="fixed grid plus seeded round trips")
+    selftest = sub.add_parser("selftest", help="fixed grid plus seeded round trips", allow_abbrev=False)
     selftest.add_argument("--trials", type=_int_value, default=100)
     selftest.add_argument("--seed", type=_int_value, default=0)
     selftest.add_argument("--field", help="restrict trials to one field")

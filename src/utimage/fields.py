@@ -6,6 +6,10 @@ of coercing.  Rationals ride on fractions.Fraction (arbitrary precision, so
 back-substitution cannot overflow); prime-field residues are stored as the
 least nonnegative representative and inverted with pow(value, -1, p).
 
+``Scalar`` is the boundary type.  Matrices and linear systems hold raw
+values, the ``Scalar.value`` of each element, and ``FieldSpec.reduce``
+brings their exact sums and products back to canonical form.
+
 Text encodings, used verbatim in JSON files and CLI output:
 
 * rationals: ``a`` or ``a/b`` with the sign on the numerator and b > 0,
@@ -58,6 +62,14 @@ def parse_int(digits: str) -> int:
         raise errors.ParseError(f"{len(digits)}-character literal is too long") from exc
 
 
+def value_text(value) -> str:
+    """The text encoding of a raw value."""
+    try:
+        return str(value)
+    except ValueError as exc:  # past Python's int-to-decimal digit limit
+        raise errors.CapExceeded(f"value too long to write: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The ground field: either the rationals or GF(p) for a prime p."""
@@ -106,6 +118,10 @@ class FieldSpec:
     @property
     def one(self) -> "Scalar":
         return Scalar(self, Fraction(1) if self.is_rational else 1)
+
+    def reduce(self, value):
+        """A raw sum or product in canonical form: its residue mod p."""
+        return value if self.p is None else value % self.p
 
     def scalar(self, value: Union[int, Fraction, str]) -> "Scalar":
         """Make a scalar of this field from an int, Fraction, or text."""
@@ -166,9 +182,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.spec.is_rational:
-            return Scalar(self.spec, self.value + other.value)
-        return Scalar(self.spec, (self.value + other.value) % self.spec.p)
+        return Scalar(self.spec, self.spec.reduce(self.value + other.value))
 
     __radd__ = __add__
 
@@ -176,9 +190,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.spec.is_rational:
-            return Scalar(self.spec, self.value - other.value)
-        return Scalar(self.spec, (self.value - other.value) % self.spec.p)
+        return Scalar(self.spec, self.spec.reduce(self.value - other.value))
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -190,9 +202,7 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.spec.is_rational:
-            return Scalar(self.spec, self.value * other.value)
-        return Scalar(self.spec, (self.value * other.value) % self.spec.p)
+        return Scalar(self.spec, self.spec.reduce(self.value * other.value))
 
     __rmul__ = __mul__
 
@@ -209,17 +219,14 @@ class Scalar:
         return other * self.inv()
 
     def __neg__(self):
-        if self.spec.is_rational:
-            return Scalar(self.spec, -self.value)
-        return Scalar(self.spec, (-self.value) % self.spec.p)
+        return Scalar(self.spec, self.spec.reduce(-self.value))
 
     def inv(self) -> "Scalar":
         """Multiplicative inverse; raises DivisionByZero on zero."""
         if self.is_zero:
             raise errors.DivisionByZero(f"cannot invert zero in {self.spec}")
-        if self.spec.is_rational:
-            return Scalar(self.spec, 1 / self.value)
-        return Scalar(self.spec, pow(self.value, -1, self.spec.p))
+        p = self.spec.p
+        return Scalar(self.spec, 1 / self.value if p is None else pow(self.value, -1, p))
 
     @property
     def is_zero(self) -> bool:
@@ -238,10 +245,7 @@ class Scalar:
         return hash((self.spec, self.value))
 
     def to_text(self) -> str:
-        try:
-            return str(self.value)
-        except ValueError as exc:  # past Python's int-to-decimal digit limit
-            raise errors.CapExceeded(f"value too long to write: {exc}") from exc
+        return value_text(self.value)
 
     def __repr__(self):
         return f"Scalar({self.value}, {self.spec})"

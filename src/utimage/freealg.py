@@ -17,13 +17,15 @@ Every monomial must contain each of x1..xm exactly once for one common m.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import errors
 from .fields import FieldSpec, Scalar, parse_int
-from .triangular import StrictUT
+from .triangular import StrictUT, by_row, sparse_product
 
 
 class Permutation:
@@ -142,7 +144,13 @@ class MultilinearPoly:
         return sorted(self.coeffs)
 
     def evaluate(self, args: Sequence[StrictUT]) -> StrictUT:
-        """Evaluate at a tuple of m strictly upper triangular matrices."""
+        """Evaluate at a tuple of m strictly upper triangular matrices.
+
+        Each term is a chain of sparse products on raw values.  Over Q they
+        run on integers: each argument and the coefficients are scaled by
+        the lcm of their denominators, and as every monomial holds each
+        argument once, one division per entry undoes the scaling exactly.
+        """
         if len(args) != self.m:
             raise errors.DimensionMismatch(
                 f"expected {self.m} arguments, got {len(args)}"
@@ -153,16 +161,33 @@ class MultilinearPoly:
                 raise errors.DimensionMismatch(f"{a.n} vs {n}")
             if a.spec != self.spec:
                 raise errors.FieldMismatch(f"{a.spec} argument in {self.spec} poly")
-        total = StrictUT.zero(n, self.spec)
-        for sigma, coeff in self.coeffs.items():
-            prod = args[sigma(1) - 1]
-            for t in range(2, self.m + 1):
-                if prod.is_zero:
+        p = self.spec.p
+        factors = [a.entries for a in args]
+        coeffs = [(sigma.images, c.value) for sigma, c in self.coeffs.items()]
+        if p is None:
+            scales = [math.lcm(*(v.denominator for v in f.values())) for f in factors]
+            factors = [
+                {key: v.numerator * (scale // v.denominator) for key, v in f.items()}
+                for f, scale in zip(factors, scales)
+            ]
+            scale = math.lcm(*(c.denominator for _, c in coeffs))
+            coeffs = [(images, c.numerator * (scale // c.denominator)) for images, c in coeffs]
+            scale *= math.prod(scales)
+        rows = [by_row(f) for f in factors]
+        total: dict = {}
+        for images, coeff in coeffs:
+            prod = factors[images[0] - 1]
+            for var in images[1:]:
+                if not prod:
                     break
-                prod = prod * args[sigma(t) - 1]
-            if not prod.is_zero:
-                total = total + prod.scaled(coeff)
-        return total
+                prod = sparse_product(prod, rows[var - 1], p)
+            for key, v in prod.items():
+                total[key] = total.get(key, 0) + coeff * v
+        if p is None:
+            entries = {key: Fraction(v, scale) for key, v in total.items() if v}
+        else:
+            entries = {key: v % p for key, v in total.items() if v % p}
+        return StrictUT(n, self.spec, entries)
 
     def normalize(self) -> NormalizedPoly:
         """Divide out a nonzero coefficient and relabel variables so the
@@ -176,8 +201,9 @@ class MultilinearPoly:
         sigma0 = min(self.coeffs)
         scale = self.coeffs[sigma0]
         relabel = sigma0.inverse()
+        inverse = scale.inv()
         core = {
-            relabel.compose(sigma): coeff / scale
+            relabel.compose(sigma): coeff * inverse
             for sigma, coeff in self.coeffs.items()
         }
         return NormalizedPoly(MultilinearPoly(self.m, self.spec, core), relabel, scale)
@@ -214,25 +240,22 @@ class MultilinearPoly:
         return f"MultilinearPoly({self.to_text()!r}, {self.spec})"
 
 
-_TOKEN = re.compile(r"\s*(?:(x)(\d+)|(\d+)|([*+/-]))")
+# One findall pass: tokens after optional blanks, then any unmatched rest.
+_TOKEN = re.compile(r"\s*(?:x(\d+)|(\d+)|([*+/-]))|(\s*\S.*)", re.S)
+_SIGNS = (("op", "+"), ("op", "-"))
 
 
 def _tokenize(text: str) -> list:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise errors.ParseError(f"unexpected character at {text[pos:]!r}")
-        if match.group(1) is not None:
-            tokens.append(("var", parse_int(match.group(2))))
-        elif match.group(3) is not None:
-            tokens.append(("num", match.group(3)))
+    for var, num, op, rest in _TOKEN.findall(text):
+        if rest:
+            raise errors.ParseError(f"unexpected character at {rest!r}")
+        if var:
+            tokens.append(("var", parse_int(var)))
+        elif num:
+            tokens.append(("num", num))
         else:
-            tokens.append(("op", match.group(4)))
-        pos = match.end()
+            tokens.append(("op", op))
     return tokens
 
 
@@ -264,75 +287,52 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
     tokens = _tokenize(text)
     if not tokens:
         raise errors.ParseError("empty polynomial")
+    if tokens[0] not in _SIGNS:
+        tokens.insert(0, ("op", "+"))  # so every term follows a sign
+    tokens.append((None, None))  # end marker: every read of it ends the parse
     pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
-
-    def take():
-        nonlocal pos
-        tok = peek()
+    monomials: list[tuple[object, list[int]]] = []
+    while tokens[pos][0] is not None:
+        kind, value = tokens[pos]
+        if (kind, value) not in _SIGNS:
+            raise errors.ParseError(f"unexpected token {value!r}")
+        coeff = 1 if value == "+" else -1
         pos += 1
-        return tok
-
-    def parse_coeff() -> Scalar:
-        kind, first = take()
-        assert kind == "num"
-        if peek() == ("op", "/"):
-            if not spec.is_rational:
-                raise errors.ParseError("'/' in a prime-field coefficient")
-            take()
-            kind, denom = take()
-            if kind != "num":
-                raise errors.ParseError("expected digits after '/'")
-            return spec.parse(f"{first}/{denom}")
-        return spec.parse(first)
-
-    def parse_term() -> tuple[Scalar, list[int]]:
-        coeff = spec.one
         # Rational scalar text carries its sign on the numerator, so a term
         # may open with a signed coefficient like -2/3.
-        if (
-            spec.is_rational
-            and peek() in (("op", "+"), ("op", "-"))
-            and pos + 1 < len(tokens)
-            and tokens[pos + 1][0] == "num"
-        ):
-            if take() == ("op", "-"):
+        if spec.is_rational and tokens[pos] in _SIGNS and tokens[pos + 1][0] == "num":
+            if tokens[pos][1] == "-":
                 coeff = -coeff
-        if peek()[0] == "num":
-            coeff = coeff * parse_coeff()
-            if take() != ("op", "*"):
+            pos += 1
+        if tokens[pos][0] == "num":
+            digits = tokens[pos][1]
+            pos += 1
+            if tokens[pos] == ("op", "/"):
+                if not spec.is_rational:
+                    raise errors.ParseError("'/' in a prime-field coefficient")
+                kind, denom = tokens[pos + 1]
+                if kind != "num":
+                    raise errors.ParseError("expected digits after '/'")
+                digits = f"{digits}/{denom}"
+                pos += 2
+            coeff = coeff * spec.parse(digits).value
+            if tokens[pos] != ("op", "*"):
                 raise errors.ParseError("expected '*' after a coefficient")
+            pos += 1
         variables = []
         while True:
-            kind, value = take()
+            kind, value = tokens[pos]
+            pos += 1
             if kind != "var":
                 raise errors.ParseError("expected a variable like x1")
             variables.append(value)
-            if peek() == ("op", "*"):
-                take()
-                continue
-            return coeff, variables
-
-    monomials: list[tuple[Scalar, list[int]]] = []
-    sign = spec.one
-    if peek() in (("op", "+"), ("op", "-")):
-        if take() == ("op", "-"):
-            sign = -sign
-    while True:
-        coeff, variables = parse_term()
-        monomials.append((sign * coeff, variables))
-        kind, value = peek()
-        if kind is None:
-            break
-        if (kind, value) not in (("op", "+"), ("op", "-")):
-            raise errors.ParseError(f"unexpected token {value!r}")
-        take()
-        sign = spec.one if value == "+" else -spec.one
+            if tokens[pos] != ("op", "*"):
+                break
+            pos += 1
+        monomials.append((coeff, variables))
 
     degree = len(monomials[0][1])
-    coeffs: dict[Permutation, Scalar] = {}
+    raw: dict[tuple, object] = {}
     for coeff, variables in monomials:
         if sorted(variables) != list(range(1, len(variables) + 1)):
             raise errors.NotMultilinear(_multilinear_fault(variables))
@@ -340,10 +340,6 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
             raise errors.InconsistentDegree(
                 f"monomial of degree {len(variables)} in a degree-{degree} polynomial"
             )
-        sigma = Permutation(variables)
-        total = coeffs.get(sigma, spec.zero) + coeff
-        if total.is_zero:
-            coeffs.pop(sigma, None)
-        else:
-            coeffs[sigma] = total
-    return MultilinearPoly(degree, spec, coeffs)
+        key = tuple(variables)
+        raw[key] = raw.get(key, 0) + coeff
+    return MultilinearPoly(degree, spec, {Permutation(k): spec.scalar(v) for k, v in raw.items()})

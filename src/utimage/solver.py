@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, value_text
 from .freealg import MultilinearPoly
 from .triangular import StrictUT, band_decompose
 from .witness import witness_scalars
@@ -51,8 +51,8 @@ class BandSystem:
     (s, s + diagonal_index - degree).  The matrix is banded: row k is
     supported on columns k..k + degree - 1, so ``matrix[k - 1]`` holds just
     those ``degree`` coefficients, the diagonal one (a nonzero pivot sum)
-    first.  Coefficients and ``rhs`` are raw values of ``spec``: ints
-    mod p or Fractions.
+    first.  Coefficients and ``rhs`` (one value per row) are raw values of
+    ``spec``: ints mod p or Fractions.
     """
 
     diagonal_index: int
@@ -61,7 +61,7 @@ class BandSystem:
     cols: int
     spec: FieldSpec
     matrix: list[tuple]
-    rhs: list | None = None
+    rhs: tuple | list | None = None
 
     def coeff(self, k: int, s: int) -> Scalar:
         """1-based access to the system matrix; zero off the band."""
@@ -83,7 +83,7 @@ class BandSystem:
             ],
         }
         if self.rhs is not None:
-            doc["rhs"] = [Scalar(self.spec, v).to_text() for v in self.rhs]
+            doc["rhs"] = [value_text(v) for v in self.rhs]
         return doc
 
 
@@ -174,13 +174,13 @@ def band_system(
     return BandSystem(i, m, rows, n - i + m, spec, matrix)
 
 
-def solve_band(system: BandSystem) -> list[Scalar]:
+def solve_band(system: BandSystem) -> list:
     """Solve a band system exactly by back-substitution.
 
     The tail unknowns beyond the last equation are free; they are set to
     zero, then rows are solved from the last upward, dividing by the
-    nonzero diagonal pivot.  The arithmetic runs on raw field values and
-    the solution comes back as one Scalar per column.
+    nonzero diagonal pivot.  The solution is one raw field value per
+    column.
     """
     if system.rhs is None:
         raise errors.BadLength("system has no right-hand side")
@@ -199,7 +199,7 @@ def solve_band(system: BandSystem) -> list[Scalar]:
         if not row[0]:
             raise errors.DivisionByZero(f"zero pivot in row {k + 1}")
         ys[k] = acc / row[0] if p is None else acc * pow(row[0], -1, p) % p
-    return [Scalar(spec, y) for y in ys]
+    return ys
 
 
 def _check_band_target(target: StrictUT, m: int) -> None:
@@ -251,31 +251,25 @@ def preimage(
         witness = (scaled_target,)
     else:
         cells, pivots = witness_scalars(norm.core, n)
-        one = f.spec.one
+        one = f.spec.one.value
         fixed_args = [
-            StrictUT.from_entries(
-                n, f.spec, [(slot, slot + 1, one) for slot in range(n) if row[slot]]
-            )
+            StrictUT(n, f.spec, {(slot, slot + 1): one for slot in range(n) if row[slot]})
             for row in cells[2:]
         ]
-        first_entries = []
+        first_entries = {}
         systems = []
         for index, values in band_decompose(scaled_target, m):
             system = band_system(norm.core, n, index, cells, pivots)
-            system.rhs = [v.value for v in values]
+            system.rhs = values
             ys = solve_band(system)
-            first_entries.extend(
-                (s, s + index - m, y)
-                for s, y in enumerate(ys, start=1)
-                if not y.is_zero
+            first_entries.update(
+                ((s, s + index - m), y) for s, y in enumerate(ys, start=1) if y
             )
             systems.append(system)
         if trace is not None:
             trace["cells"] = cells
             trace["systems"] = systems
-        witness = norm.transfer(
-            [StrictUT.from_entries(n, f.spec, first_entries)] + fixed_args
-        )
+        witness = norm.transfer([StrictUT(n, f.spec, first_entries)] + fixed_args)
     if f.evaluate(witness) != target:
         raise errors.PostconditionViolation(
             "constructed witness does not evaluate to the target"

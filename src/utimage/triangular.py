@@ -1,9 +1,12 @@
 """Strictly upper triangular matrices over an exact field.
 
 Matrices are stored sparsely as a map from 1-based (row, col) coordinates
-with col > row to nonzero scalars; absent means zero.  The band subspace at
-level t is the set of matrices whose (p, q) entry vanishes whenever
-q - p <= t, so level 0 is the whole strictly upper triangular algebra.
+with col > row to nonzero raw field values (ints in [0, p) or Fractions),
+absent meaning zero; products and sums run on them with ``FieldSpec``'s
+arithmetic, and ``Scalar`` appears only at the boundary: ``from_entries``,
+``scaled``, ``get``.  The band subspace at level t is the set of matrices
+whose (p, q) entry vanishes whenever q - p <= t, so level 0 is the whole
+strictly upper triangular algebra.
 
 A product of n strictly upper triangular n x n matrices is always zero
 (each factor pushes support at least one diagonal further up), which is
@@ -15,7 +18,28 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import errors
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec, Scalar, value_text
+
+
+def by_row(entries: dict) -> dict[int, list[tuple]]:
+    """Index sparse entries by row: row -> [(col, value), ...]."""
+    rows: dict[int, list[tuple]] = {}
+    for (row, col), value in entries.items():
+        rows.setdefault(row, []).append((col, value))
+    return rows
+
+
+def sparse_product(left: dict, right_rows: dict, p: int | None) -> dict:
+    """Entries of left * right, with right indexed by ``by_row``: exact
+    sums of raw products, reduced mod p when p is given, zeros dropped."""
+    acc: dict = {}
+    for (row, mid), a in left.items():
+        for col, b in right_rows.get(mid, ()):
+            key = (row, col)
+            acc[key] = acc.get(key, 0) + a * b
+    if p is not None:
+        return {key: v % p for key, v in acc.items() if v % p}
+    return {key: v for key, v in acc.items() if v}
 
 
 class StrictUT:
@@ -25,8 +49,8 @@ class StrictUT:
 
     def __init__(self, n: int, spec: FieldSpec, entries: dict):
         # Trusted constructor: entries must already be canonical
-        # (coordinates valid, values nonzero).  Use from_entries for
-        # untrusted input.
+        # (coordinates valid, raw values of spec, nonzero).  Use
+        # from_entries for untrusted input.
         self.n = n
         self.spec = spec
         self.entries = entries
@@ -41,7 +65,7 @@ class StrictUT:
         """
         if n < 2:
             raise errors.OutOfRange(f"dimension must be at least 2, got {n}")
-        acc: dict[tuple[int, int], Scalar] = {}
+        acc: dict = {}
         for row, col, value in pairs:
             if not (1 <= row <= n and 1 <= col <= n):
                 raise errors.OutOfRange(f"entry ({row}, {col}) outside 1..{n}")
@@ -52,11 +76,8 @@ class StrictUT:
             if value.spec != spec:
                 raise errors.FieldMismatch(f"{value.spec} entry in {spec} matrix")
             key = (row, col)
-            if key in acc:
-                acc[key] = acc[key] + value
-            else:
-                acc[key] = value
-        return cls(n, spec, {k: v for k, v in acc.items() if not v.is_zero})
+            acc[key] = spec.reduce(acc[key] + value.value) if key in acc else value.value
+        return cls(n, spec, {key: v for key, v in acc.items() if v})
 
     @classmethod
     def zero(cls, n: int, spec: FieldSpec) -> "StrictUT":
@@ -68,14 +89,12 @@ class StrictUT:
         return cls.from_entries(n, spec, [(row, col, spec.one)])
 
     def get(self, row: int, col: int) -> Scalar:
-        return self.entries.get((row, col), self.spec.zero)
+        value = self.entries.get((row, col))
+        return self.spec.zero if value is None else Scalar(self.spec, value)
 
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def sorted_entries(self) -> list[tuple[int, int, Scalar]]:
-        return [(r, c, self.entries[(r, c)]) for r, c in sorted(self.entries)]
 
     def _check_compat(self, other: "StrictUT") -> None:
         if self.n != other.n:
@@ -87,36 +106,22 @@ class StrictUT:
         self._check_compat(other)
         acc = dict(self.entries)
         for key, value in other.entries.items():
-            total = acc[key] + value if key in acc else value
-            if total.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = total
-        return StrictUT(self.n, self.spec, acc)
+            acc[key] = self.spec.reduce(acc[key] + value) if key in acc else value
+        return StrictUT(self.n, self.spec, {key: v for key, v in acc.items() if v})
 
     def __mul__(self, other: "StrictUT") -> "StrictUT":
         self._check_compat(other)
-        by_row: dict[int, list[tuple[int, Scalar]]] = {}
-        for (row, col), value in other.entries.items():
-            by_row.setdefault(row, []).append((col, value))
-        acc: dict[tuple[int, int], Scalar] = {}
-        for (row, mid), left in self.entries.items():
-            for col, right in by_row.get(mid, ()):
-                key = (row, col)
-                term = left * right
-                total = acc[key] + term if key in acc else term
-                if total.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = total
-        return StrictUT(self.n, self.spec, acc)
+        entries = sparse_product(self.entries, by_row(other.entries), self.spec.p)
+        return StrictUT(self.n, self.spec, entries)
 
     def scaled(self, c: Scalar) -> "StrictUT":
         if c.spec != self.spec:
             raise errors.FieldMismatch(f"{c.spec} scale on {self.spec} matrix")
         if c.is_zero:
             return StrictUT(self.n, self.spec, {})
-        return StrictUT(self.n, self.spec, {k: v * c for k, v in self.entries.items()})
+        # A field has no zero divisors, so no entry becomes zero.
+        entries = {k: self.spec.reduce(v * c.value) for k, v in self.entries.items()}
+        return StrictUT(self.n, self.spec, entries)
 
     def band_member(self, t: int) -> bool:
         """True iff every entry (p, q) with q - p <= t is zero."""
@@ -135,7 +140,7 @@ class StrictUT:
 
     def __repr__(self):
         cells = ", ".join(
-            f"({r},{c})={v.to_text()}" for r, c, v in self.sorted_entries()
+            f"({e['row']},{e['col']})={e['value']}" for e in self.to_json_dict()["entries"]
         )
         return f"StrictUT(n={self.n}, {self.spec}, [{cells}])"
 
@@ -144,8 +149,8 @@ class StrictUT:
             "n": self.n,
             "field": self.spec.to_text(),
             "entries": [
-                {"row": r, "col": c, "value": v.to_text()}
-                for r, c, v in self.sorted_entries()
+                {"row": r, "col": c, "value": value_text(self.entries[(r, c)])}
+                for r, c in sorted(self.entries)
             ],
         }
 
@@ -184,11 +189,11 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def band_decompose(matrix: StrictUT, m: int) -> list[tuple[int, tuple[Scalar, ...]]]:
+def band_decompose(matrix: StrictUT, m: int) -> list[tuple[int, tuple]]:
     """Split a matrix in the level-(m-1) band into its single diagonals.
 
     Returns one (index, values) pair per index i = m + 1 .. n, where
-    ``values[k - 1]`` is the entry at (k, k + i - 1) for k = 1..n - i + 1,
+    ``values[k - 1]`` is the raw entry at (k, k + i - 1) for k = 1..n - i + 1,
     zeros included; the diagonals together hold every entry of the input.
     Raises NotInBand if some entry sits at q - p <= m - 1.
     """
@@ -197,8 +202,8 @@ def band_decompose(matrix: StrictUT, m: int) -> list[tuple[int, tuple[Scalar, ..
         raise errors.NotInBand(
             f"entry ({row}, {col}) violates the level-{m - 1} band"
         )
-    n = matrix.n
+    n, entries, zero = matrix.n, matrix.entries, matrix.spec.zero.value
     return [
-        (i, tuple(matrix.get(k, k + i - 1) for k in range(1, n - i + 2)))
+        (i, tuple(entries.get((k, k + i - 1), zero) for k in range(1, n - i + 2)))
         for i in range(m + 1, n + 1)
     ]

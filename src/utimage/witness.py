@@ -53,13 +53,20 @@ def _require_normalized(core: MultilinearPoly) -> None:
         )
 
 
-def _fixing_above(core: MultilinearPoly, top: int) -> list[tuple[Permutation, object]]:
-    """Support terms, with raw coefficients, that fix 1 and every position
-    above ``top``."""
+def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, object]]:
+    """The support terms that fix 1, with raw coefficients: the terms every
+    pivot sum and staircase filter runs over."""
     return [
-        (sigma, coeff.value)
-        for sigma, coeff in core.coeffs.items()
-        if all(sigma.fixes(t) for t in (1, *range(top + 1, core.m + 1)))
+        (sigma, coeff.value) for sigma, coeff in core.coeffs.items() if sigma.fixes(1)
+    ]
+
+
+def _fixing_above(terms, top: int) -> list[tuple[Permutation, object]]:
+    """The terms among ``terms`` that fix every position above ``top``."""
+    return [
+        (sigma, coeff)
+        for sigma, coeff in terms
+        if all(sigma.fixes(t) for t in range(top + 1, sigma.degree + 1))
     ]
 
 
@@ -97,12 +104,12 @@ def base_assignment(core: MultilinearPoly, n: int) -> list[list[int]]:
     return cells
 
 
-def step_remainder(core: MultilinearPoly, j: int) -> list[tuple[Permutation, object]]:
-    """Support terms entering at staircase step j, with raw coefficients:
-    they fix 1 and every position above j + 2, but move j + 2."""
+def step_remainder(terms, j: int) -> list[tuple[Permutation, object]]:
+    """The ``pivot_terms`` entering at staircase step j: they fix every
+    position above j + 2, but move j + 2."""
     return [
         (sigma, coeff)
-        for sigma, coeff in _fixing_above(core, j + 2)
+        for sigma, coeff in _fixing_above(terms, j + 2)
         if not sigma.fixes(j + 2)
     ]
 
@@ -110,13 +117,15 @@ def step_remainder(core: MultilinearPoly, j: int) -> list[tuple[Permutation, obj
 def step_extend(
     cells: list[list[int]],
     core: MultilinearPoly,
+    terms: list,
     n: int,
     j: int,
     partials: list,
 ) -> list:
     """Run staircase step j (2 <= j <= m-2), filling variable j + 2.
 
-    ``partials`` holds the nonzero head values from the previous step.
+    ``terms`` is ``pivot_terms(core)``; ``partials`` holds the nonzero head
+    values from the previous step.
     The row of variable j + 2 starts all 0, so remainder sums only ever
     read defined cells; the case loop overwrites cell (k + j + 1, j + 2)
     for k = 1..n-m in increasing order with whichever probe value in
@@ -127,7 +136,7 @@ def step_extend(
         raise errors.BadIndex(f"step {j} outside 2..{m - 2}")
     spec = core.spec
     var = j + 2
-    remainder_terms = step_remainder(core, j)
+    remainder_terms = step_remainder(terms, j)
     out = []
     for k in range(1, n - m + 1):
         head = partials[k - 1]
@@ -148,14 +157,14 @@ def step_extend(
     return out
 
 
-def eval_pivot(cells: list[list[int]], core: MultilinearPoly, k: int):
+def eval_pivot(cells: list[list[int]], core: MultilinearPoly, terms: list, k: int):
     """Pivot sum of equation k computed directly from the cells.
 
-    This is a flat sum over the support terms fixing position 1, with no
+    This is a flat sum over ``terms = pivot_terms(core)``, with no
     staircase bookkeeping, so it doubles as an independent check on the
     incremental values recorded by the steps.
     """
-    return _term_sum(_fixing_above(core, core.m), cells, k, core.m, core.spec)
+    return _term_sum(terms, cells, k, core.m, core.spec)
 
 
 def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tuple]:
@@ -168,16 +177,17 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
     """
     cells = base_assignment(core, n)
     m = core.m
+    terms = pivot_terms(core)
     # Length-2 head sums over the identity and the swap of 2 and 3; for
     # m = 2 the identity alone, whose sum is one cell.
-    heads = _fixing_above(core, 3)
+    heads = _fixing_above(terms, 3)
     partials = [
         _term_sum(heads, cells, k, min(m, 3), core.spec) for k in range(1, n - m + 1)
     ]
     for j in range(2, m - 1):
-        partials = step_extend(cells, core, n, j, partials)
+        partials = step_extend(cells, core, terms, n, j, partials)
     for k in range(1, n - m + 1):
-        direct = eval_pivot(cells, core, k)
+        direct = eval_pivot(cells, core, terms, k)
         if direct != partials[k - 1]:
             raise errors.InternalInvariantViolation(
                 f"staircase value {partials[k - 1]} disagrees with direct "

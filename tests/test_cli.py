@@ -519,17 +519,18 @@ class TestSelftest:
 
     def test_corrupted_solver_caught(self, capsys, monkeypatch):
         # A build whose solver returns garbage must fail loudly with a
-        # reproduction line.
-        def broken_preimage(f, n, target, trace=None):
-            return tuple(StrictUT.zero(n, f.spec) for _ in range(f.m))
-
-        monkeypatch.setattr("utimage.selfcheck.preimage", broken_preimage)
+        # reproduction line: back-substitution that returns zeros builds a
+        # wrong witness, which preimage's postcondition rejects.
+        monkeypatch.setattr(
+            "utimage.solver.solve_band", lambda system: [0] * system.cols
+        )
         code = cli.main(
             ["selftest", "--trials", "3", "--seed", "42", "--field", "gf:3"]
         )
         out = capsys.readouterr().out
         assert code == 4
         assert "FAIL seed=42" in out
+        assert "constructed witness does not evaluate to the target" in out
 
 
 class TestUsage:
@@ -562,6 +563,20 @@ class TestUsage:
         captured = capsys.readouterr()
         assert code == 0
         assert (captured.out, captured.err) == (expected + "\n", "")
+
+    @pytest.mark.parametrize("command", ["image", "solve"])
+    def test_abbreviated_poly_is_unknown(self, capsys, command):
+        # Options must be spelled out, so --pol is no --poly whether its
+        # value starts with '-' or not: both get the same one-line exit 1.
+        rest = {"image": [], "solve": ["--field", "gf:2", "--target", "t.json"]}
+        lines = []
+        for poly in ("x1*x2", "-x1*x2"):
+            code = cli.main([command, "--pol", poly, "--n", "4"] + rest[command])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            lines.append(captured.err)
+        assert lines[0] == lines[1]
+        assert lines[0] == f"error: utimage {command}: the following arguments are required: --poly\n"
 
     @pytest.mark.parametrize(
         "argv",

@@ -15,6 +15,32 @@ from utimage.triangular import StrictUT
 from conftest import random_strict_ut
 
 
+def scalar_evaluate(f, args):
+    """f at ``args``, Scalar by Scalar: dense n x n products of Scalars,
+    with no raw values, no sparsity and no integer scaling.  Returns the
+    grid of entries (row, col) for 1 <= row, col <= n."""
+    n, spec = args[0].n, f.spec
+    dense = [
+        [[a.get(r, c) if r < c else spec.zero for c in range(1, n + 1)]
+         for r in range(1, n + 1)]
+        for a in args
+    ]
+    total = [[spec.zero] * n for _ in range(n)]
+    for sigma, coeff in f.coeffs.items():
+        prod = dense[sigma(1) - 1]
+        for t in range(2, f.m + 1):
+            right = dense[sigma(t) - 1]
+            prod = [
+                [sum((prod[r][k] * right[k][c] for k in range(n)), spec.zero)
+                 for c in range(n)]
+                for r in range(n)
+            ]
+        total = [
+            [total[r][c] + coeff * prod[r][c] for c in range(n)] for r in range(n)
+        ]
+    return total
+
+
 class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -158,6 +184,28 @@ class TestEvaluate:
             f.evaluate([a, StrictUT.unit(4, rational, 1, 2)])
         with pytest.raises(errors.FieldMismatch):
             f.evaluate([a, StrictUT.unit(3, gf2, 1, 2)])
+
+    @pytest.mark.parametrize("field_text", ["gf:2", "gf:3", "gf:5", "gf:7", "rational"])
+    def test_matches_scalar_reference(self, field_text):
+        # The raw-value evaluation (integer-scaled over Q) agrees entry by
+        # entry with Scalar arithmetic.  Rational arguments and coefficients
+        # have signs and denominators 1..6 mixed within each matrix.
+        spec = FieldSpec.from_text(field_text)
+        rng = random.Random("reference:" + field_text)
+        for _ in range(12):
+            m = rng.randint(1, 4)
+            n = rng.randint(2, 6)
+            f = random_poly(rng, spec, m)
+            args = [random_strict_ut(rng, spec, n) for _ in range(m)]
+            if rng.random() < 0.2:
+                args[rng.randrange(m)] = StrictUT.zero(n, spec)
+            value = f.evaluate(args)
+            reference = scalar_evaluate(f, args)
+            for r in range(1, n + 1):
+                for c in range(1, n + 1):
+                    expected = reference[r - 1][c - 1]
+                    assert (value.get(r, c) if r < c else spec.zero) == expected
+            assert all(v and spec.reduce(v) == v for v in value.entries.values())
 
     @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "rational"])
     def test_multilinearity_slotwise(self, field_text):

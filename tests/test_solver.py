@@ -1,8 +1,9 @@
+import json
 import random
 
 import pytest
 
-from utimage import errors
+from utimage import cli, errors, solver
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.sampling import random_band_target, random_poly
@@ -14,7 +15,7 @@ from utimage.solver import (
     solve_band,
 )
 from utimage.triangular import StrictUT
-from utimage.witness import eval_pivot, witness_scalars
+from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
 from conftest import fixed_arguments, mat
 
@@ -53,9 +54,10 @@ def reference_band_matrix(core, n, i, fixed_args):
     matrix = [[core.spec.zero] * cols for _ in range(rows)]
     for s in range(1, cols + 1):
         basis = StrictUT.unit(n, core.spec, s, s + i - m)
-        for (p, q), v in core.evaluate([basis] + fixed_args).entries.items():
+        value = core.evaluate([basis] + fixed_args)
+        for p, q in value.entries:
             assert q - p == i - 1 and p <= rows
-            matrix[p - 1][s - 1] = v
+            matrix[p - 1][s - 1] = value.get(p, q)
     return matrix
 
 
@@ -136,7 +138,7 @@ class TestBandSystem:
                         if not k <= s <= k + m - 1:
                             assert system.coeff(k, s).is_zero
                     assert system.coeff(k, k).value == eval_pivot(
-                        cells, core, k + i - m - 1
+                        cells, core, pivot_terms(core), k + i - m - 1
                     )
 
     @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "gf:7", "rational"])
@@ -184,17 +186,15 @@ class TestBandSystem:
 class TestSolveBand:
     def test_known_rational_solution(self, rational):
         system = system_from_rows([[1, -1, 0], [0, 1, -1]], [1, 1], rational)
-        ys = solve_band(system)
-        assert [v.to_text() for v in ys] == ["2", "1", "0"]
+        assert solve_band(system) == [2, 1, 0]
 
     def test_known_gf2_solution(self, gf2):
         system = system_from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], gf2)
-        ys = solve_band(system)
-        assert [v.to_text() for v in ys] == ["0", "1", "0"]
+        assert solve_band(system) == [0, 1, 0]
 
     def test_zero_rhs(self, gf3):
         system = system_from_rows([[1, 2, 0], [0, 2, 1]], [0, 0], gf3)
-        assert all(v.is_zero for v in solve_band(system))
+        assert not any(solve_band(system))
 
     @pytest.mark.parametrize("field_text", ["gf:3", "rational"])
     def test_solution_satisfies_system(self, field_text):
@@ -216,7 +216,7 @@ class TestSolveBand:
             for k in range(rows):
                 total = spec.zero
                 for s in range(cols):
-                    total = total + spec.scalar(matrix[k][s]) * ys[s]
+                    total = total + spec.scalar(matrix[k][s]) * spec.scalar(ys[s])
                 assert total == spec.scalar(rhs[k])
 
 
@@ -294,6 +294,39 @@ class TestPreimage:
         first = preimage(f, 6, target)
         second = preimage(f, 6, target)
         assert [x.to_json_dict() for x in first] == [x.to_json_dict() for x in second]
+
+    @pytest.mark.parametrize("field_text", ["gf:5", "rational"])
+    def test_perturbed_witness_fails_postcondition(self, monkeypatch, tmp_path, capsys, field_text):
+        # Shift one entry of X_1 by one: the pivot of its row is nonzero, so
+        # exactly one target entry changes and the postcondition must fail,
+        # in the library and as exit 3 from the CLI.
+        spec = FieldSpec.from_text(field_text)
+        solve = solver.solve_band
+        shifted = []
+
+        def perturbed(system):
+            ys = solve(system)
+            if not shifted:
+                ys[0] = spec.reduce(ys[0] + 1)
+                shifted.append(system.diagonal_index)
+            return ys
+
+        monkeypatch.setattr(solver, "solve_band", perturbed)
+        f = parse_poly("x1*x2*x3 + 2*x2*x1*x3", spec)
+        target = mat(5, spec, [(1, 4, 1), (2, 5, 3), (1, 5, 2)])
+        with pytest.raises(errors.PostconditionViolation):
+            preimage(f, 5, target)
+        assert shifted == [4]
+        shifted.clear()
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(target.to_json_dict()))
+        argv = ["solve", "--poly", "x1*x2*x3 + 2*x2*x1*x3", "--n", "5"]
+        code = cli.main(argv + ["--field", field_text, "--target", str(path)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == (
+            "internal error (bug): constructed witness does not evaluate to the target\n"
+        )
 
     def test_trace_exposes_internals(self, rational):
         f = parse_poly("x1*x2-x2*x1", rational)

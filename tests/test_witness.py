@@ -9,6 +9,7 @@ from utimage.witness import (
     base_assignment,
     eval_pivot,
     step_extend,
+    pivot_terms,
     step_remainder,
     witness_scalars,
 )
@@ -34,7 +35,7 @@ class TestStepRemainder:
         )
         seen = [Permutation.identity(m), Permutation.transposition(m, 2, 3)]
         for j in range(2, m - 1):
-            for sigma, coeff in step_remainder(core, j):
+            for sigma, coeff in step_remainder(pivot_terms(core), j):
                 assert coeff == core.coefficient(sigma).value
                 seen.append(sigma)
         assert sorted(seen) == [s for s in group if s.fixes(1)]
@@ -84,7 +85,7 @@ class TestBaseAssignment:
         assert cells[2] == cells[3] == [0, 0, 1, 1, 1]
         # every head sum is 1
         for k in (1, 2):
-            assert eval_pivot(cells, core, k) == 1
+            assert eval_pivot(cells, core, pivot_terms(core), k) == 1
 
     def test_degree_three_with_swap_gf2(self, gf2):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 1}, 3, gf2)
@@ -92,12 +93,14 @@ class TestBaseAssignment:
         # odd slots (0, 1), even slots (1, 0) in variables (2, 3)
         assert cells[2] == [0, 0, 1, 0, 1]
         assert cells[3] == [0, 0, 0, 1, 0]
-        assert [eval_pivot(cells, core, k) for k in (1, 2)] == [1, 1]
+        terms = pivot_terms(core)
+        assert [eval_pivot(cells, core, terms, k) for k in (1, 2)] == [1, 1]
 
     def test_head_sums_are_one_or_swap_coeff(self, gf5):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 3}, 3, gf5)
         cells = base_assignment(core, 7)
-        values = {eval_pivot(cells, core, k) for k in range(1, 5)}
+        terms = pivot_terms(core)
+        values = {eval_pivot(cells, core, terms, k) for k in range(1, 5)}
         assert values <= {1, 3}
 
     def test_requires_normalized(self, rational):
@@ -116,7 +119,7 @@ class TestStepExtend:
         heads = [eval_head(cells, core, k) for k in range(1, n - 4)]
         out = heads
         for j in (2, 3):
-            out = step_extend(cells, core, n, j, out)
+            out = step_extend(cells, core, pivot_terms(core), n, j, out)
             assert out == heads
             for k in range(1, n - 4):
                 assert cells[j + 2][k + j + 1] == 1
@@ -136,13 +139,15 @@ class TestStepExtend:
         cells = base_assignment(core, 6)
         one = rational.one.value
         with pytest.raises(errors.BadIndex):
-            step_extend(cells, core, 6, 3, [one, one])
+            step_extend(cells, core, pivot_terms(core), 6, 3, [one, one])
 
     def test_zero_partial_is_a_bug_signal(self, rational):
         core = poly_from({(1, 2, 3, 4): 1}, 4, rational)
         cells = base_assignment(core, 6)
         with pytest.raises(errors.InternalInvariantViolation):
-            step_extend(cells, core, 6, 2, [rational.zero.value, rational.one.value])
+            step_extend(
+                cells, core, pivot_terms(core), 6, 2, [rational.zero.value, rational.one.value]
+            )
 
 
 def cell(cells, spec, slot, var):
@@ -242,7 +247,7 @@ class TestWitnessScalars:
             for n in range(m + 1, 9):
                 cells, pivots = witness_scalars(core, n)
                 for k in range(1, n - m + 1):
-                    direct = eval_pivot(cells, core, k)
+                    direct = eval_pivot(cells, core, pivot_terms(core), k)
                     assert direct
                     assert direct == pivots[k - 1]
 
