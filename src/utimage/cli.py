@@ -63,9 +63,7 @@ def cmd_solve(args) -> int:
     target = StrictUT.from_json_dict(doc)
     trace: dict | None = {} if args.debug else None
     witness = preimage(poly, args.n, target, trace=trace)
-    text = selfcheck.canonical_json(
-        selfcheck.witness_document(args.poly, args.n, spec, target, witness)
-    )
+    text = selfcheck.witness_json(args.poly, args.n, spec, target, witness)
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(text)

@@ -238,6 +238,11 @@ def _image_keys(
     m = f.m
     count = _scanned_count(n, m, reduce_bands)
     _check_cap(q, max(m - 1, 1) * count, cap)
+    if not count:
+        # Nothing is scanned (m >= n with reduce_bands, or n < 2), so every
+        # chain is dropped: the image is {0}, full rank on no position, and
+        # compiling the chains would cost O(n^3) for nothing.
+        return _ScannedImage((), None), 1
     all_coords = strict_coords(n)
     if reduce_bands:
         coords = [(p, c) for p, c in all_coords if c - p <= n - m]

@@ -4,7 +4,9 @@ Two layers: a fixed grid of brute-force theorem checks over small prime
 fields, and seeded random preimage round trips.  Everything is pinned by
 explicit seeds so that a failing case can be replayed from its printed
 reproduction line, and witness documents serialize to identical bytes on
-identical runs.
+identical runs.  The CLI's JSON text comes from here too: reports through
+``canonical_json``, witnesses through ``witness_json``, which writes the
+same bytes straight from the matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import errors
-from .fields import FieldSpec
+from .fields import FieldSpec, value_text
 from .freealg import parse_poly
 from .oracle import ImageReport, check_theorem
 from .sampling import random_band_target, random_poly
@@ -48,7 +50,9 @@ TRIAL_FIELDS = ["gf:2", "gf:3", "gf:5", "rational"]
 
 
 def canonical_json(doc: dict) -> str:
-    """One serialization for every emitted document, byte-stable."""
+    """The byte-stable text of a document: sorted keys, 2-space indent and
+    a trailing newline.  ``verify`` reports use it; ``solve`` writes the
+    same text for its witness document with ``witness_json``."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -63,6 +67,50 @@ def witness_document(
         "witness": [x.to_json_dict() for x in witness],
         "verified": True,
     }
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """A JSON list of already written items, laid out as ``canonical_json``
+    lays it out when the list's key sits at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + ",\n".join(inner + item for item in items) + f"\n{indent}]"
+
+
+def _matrix_json(matrix: StrictUT, indent: str) -> str:
+    """``canonical_json``'s text of ``matrix.to_json_dict()`` for an object
+    whose closing brace sits at ``indent``."""
+    item = indent + "    "
+    entries = matrix.entries
+    rows = [
+        f'{{\n{item}  "col": {c},\n{item}  "row": {r},\n'
+        f'{item}  "value": "{value_text(entries[r, c])}"\n{item}}}'
+        for r, c in sorted(entries)
+    ]
+    return (
+        f'{{\n{indent}  "entries": {_json_list(rows, indent + "  ")},\n'
+        f'{indent}  "field": "{matrix.spec.to_text()}",\n'
+        f'{indent}  "n": {matrix.n}\n{indent}}}'
+    )
+
+
+def witness_json(
+    poly_text: str, n: int, spec: FieldSpec, target: StrictUT, witness: tuple[StrictUT, ...]
+) -> str:
+    """``canonical_json(witness_document(...))``, written straight from the
+    matrices' raw entries without building the document.  A value past
+    Python's int-to-decimal limit raises CapExceeded, as it does there."""
+    # The target is written first, so the first value too long to write
+    # is the one the document's serialization would meet first.
+    target_text = _matrix_json(target, "  ")
+    witness_text = _json_list([_matrix_json(x, "    ") for x in witness], "  ")
+    return (
+        f'{{\n  "field": "{spec.to_text()}",\n  "n": {n},\n'
+        f'  "polynomial": {json.dumps(poly_text)},\n'
+        f'  "target": {target_text},\n  "verified": true,\n'
+        f'  "witness": {witness_text}\n}}\n'
+    )
 
 
 def run_grid(grid=THEOREM_GRID) -> list[tuple[str, int, int, ImageReport]]:

@@ -179,8 +179,10 @@ def solve_band(system: BandSystem) -> list:
 
     The tail unknowns beyond the last equation are free; they are set to
     zero, then rows are solved from the last upward, dividing by the
-    nonzero diagonal pivot.  The solution is one raw field value per
-    column.
+    nonzero diagonal pivot.  A term whose coefficient or unknown is zero
+    is skipped: it subtracts nothing, and most band coefficients off the
+    diagonal are zero because the fixed arguments are 0/1 cells.  The
+    solution is one raw field value per column.
     """
     if system.rhs is None:
         raise errors.BadLength("system has no right-hand side")
@@ -195,7 +197,8 @@ def solve_band(system: BandSystem) -> list:
         row = system.matrix[k]
         acc = system.rhs[k]
         for j in range(1, system.degree):
-            acc -= row[j] * ys[k + j]
+            if row[j] and ys[k + j]:
+                acc -= row[j] * ys[k + j]
         if not row[0]:
             raise errors.DivisionByZero(f"zero pivot in row {k + 1}")
         ys[k] = acc / row[0] if p is None else acc * pow(row[0], -1, p) % p

@@ -16,6 +16,143 @@ def write_matrix(path, matrix):
     return str(path)
 
 
+# Witness bytes of two solve cases, as the canonical_json of the witness
+# document writes them: sorted keys, 2-space indent, trailing newline.
+RATIONAL_WITNESS = """\
+{
+  "field": "rational",
+  "n": 4,
+  "polynomial": "-2/3*x1*x2 + 5*x2*x1",
+  "target": {
+    "entries": [
+      {
+        "col": 3,
+        "row": 1,
+        "value": "-5/2"
+      },
+      {
+        "col": 4,
+        "row": 1,
+        "value": "-1/7"
+      },
+      {
+        "col": 4,
+        "row": 2,
+        "value": "3"
+      }
+    ],
+    "field": "rational",
+    "n": 4
+  },
+  "verified": true,
+  "witness": [
+    {
+      "entries": [
+        {
+          "col": 2,
+          "row": 1,
+          "value": "15/4"
+        },
+        {
+          "col": 3,
+          "row": 1,
+          "value": "3/14"
+        },
+        {
+          "col": 3,
+          "row": 2,
+          "value": "-9/2"
+        }
+      ],
+      "field": "rational",
+      "n": 4
+    },
+    {
+      "entries": [
+        {
+          "col": 3,
+          "row": 2,
+          "value": "1"
+        },
+        {
+          "col": 4,
+          "row": 3,
+          "value": "1"
+        }
+      ],
+      "field": "rational",
+      "n": 4
+    }
+  ]
+}
+"""
+
+GF5_WITNESS = """\
+{
+  "field": "gf:5",
+  "n": 4,
+  "polynomial": "x1*x2*x3 + 2*x2*x1*x3",
+  "target": {
+    "entries": [
+      {
+        "col": 4,
+        "row": 1,
+        "value": "3"
+      }
+    ],
+    "field": "gf:5",
+    "n": 4
+  },
+  "verified": true,
+  "witness": [
+    {
+      "entries": [
+        {
+          "col": 2,
+          "row": 1,
+          "value": "3"
+        }
+      ],
+      "field": "gf:5",
+      "n": 4
+    },
+    {
+      "entries": [
+        {
+          "col": 3,
+          "row": 2,
+          "value": "1"
+        },
+        {
+          "col": 4,
+          "row": 3,
+          "value": "1"
+        }
+      ],
+      "field": "gf:5",
+      "n": 4
+    },
+    {
+      "entries": [
+        {
+          "col": 3,
+          "row": 2,
+          "value": "1"
+        },
+        {
+          "col": 4,
+          "row": 3,
+          "value": "1"
+        }
+      ],
+      "field": "gf:5",
+      "n": 4
+    }
+  ]
+}
+"""
+
+
 @pytest.fixture
 def gf7_target(tmp_path):
     spec = FieldSpec.gf(7)
@@ -111,6 +248,33 @@ class TestSolve:
         assert cli.main(args + ["--out", str(first)]) == 0
         assert cli.main(args + ["--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize(
+        "poly,field,entries,expected",
+        [
+            (
+                "-2/3*x1*x2 + 5*x2*x1",
+                "rational",
+                [(1, 3, "-5/2"), (2, 4, "3"), (1, 4, "-1/7")],
+                RATIONAL_WITNESS,
+            ),
+            ("x1*x2*x3 + 2*x2*x1*x3", "gf:5", [(1, 4, "3")], GF5_WITNESS),
+        ],
+        ids=["rational", "gf:5"],
+    )
+    def test_witness_golden(self, tmp_path, capsys, poly, field, entries, expected):
+        doc = {
+            "n": 4,
+            "field": field,
+            "entries": [{"row": r, "col": c, "value": v} for r, c, v in entries],
+        }
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(
+            ["solve", "--poly", poly, "--n", "4", "--field", field, "--target", str(path)]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == expected
 
     def test_band_violation_exits_2(self, tmp_path, capsys):
         spec = FieldSpec.gf(7)

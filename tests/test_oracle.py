@@ -155,12 +155,26 @@ class TestImageBruteforce:
             ("x1*x2*x3", 4, 2),
             ("x1*x2", 3, 3),
             ("x1*x2*x3", 3, 2),  # m = n: the reduced scan has no entries
+            ("x1*x2*x3*x4+x4*x3*x2*x1", 3, 3),  # m > n
         ],
     )
     def test_reduced_scan_equals_full_scan(self, poly_text, n, q):
         f = parse_poly(poly_text, FieldSpec.gf(q))
         full = image_bruteforce(f, n, q)
         assert full == image_bruteforce(f, n, q, reduce_bands=True)
+
+    def test_reduced_scan_of_nothing_compiles_nothing(self, monkeypatch, gf2):
+        # m >= n leaves no entry to scan; compiling every chain of every
+        # entry anyway would cost O(n^3), about 4 s at n = 1,000.
+        def refuse(*args):
+            raise AssertionError("compiled chains for an empty scan")
+
+        monkeypatch.setattr(oracle, "_compile_terms", refuse)
+        monkeypatch.setattr(oracle, "strict_coords", refuse)
+        f = parse_poly("*".join(f"x{i}" for i in range(1, 1001)), gf2)
+        report = check_theorem(f, 1000, 2, reduce_bands=True)
+        assert (report.image_size, report.expected_size, report.matches) == (1, 1, True)
+        assert report.evaluations == 1
 
     def test_cap_exceeded(self):
         f = parse_poly("x1*x2", FieldSpec.gf(5))

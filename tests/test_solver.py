@@ -219,6 +219,34 @@ class TestSolveBand:
                     total = total + spec.scalar(matrix[k][s]) * spec.scalar(ys[s])
                 assert total == spec.scalar(rhs[k])
 
+    @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "rational"])
+    def test_sparse_rows_match_dense_back_substitution(self, field_text):
+        # Most off-diagonal coefficients and many right-hand sides are
+        # zero, as in the solver's systems; the reference subtracts every
+        # term of the dense row with Scalar arithmetic.
+        spec = FieldSpec.from_text(field_text)
+        rng = random.Random("sparse:" + field_text)
+        for _ in range(60):
+            rows = rng.randint(1, 6)
+            degree = rng.randint(2, 5)
+            cols = rows + degree - 1
+            matrix = [[0] * cols for _ in range(rows)]
+            for k in range(rows):
+                matrix[k][k] = rng.choice([v for v in range(1, 5) if spec.scalar(v).value])
+                for s in range(k + 1, k + degree):
+                    if rng.random() < 0.25:
+                        matrix[k][s] = rng.randint(-4, 4)
+            rhs = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(rows)]
+            system = system_from_rows(matrix, rhs, spec, degree, degree + 1)
+            coeffs = dense(system)
+            expected = [spec.zero] * cols
+            for k in range(rows - 1, -1, -1):
+                acc = spec.scalar(rhs[k])
+                for s in range(k + 1, cols):
+                    acc = acc - coeffs[k][s] * expected[s]
+                expected[k] = acc / coeffs[k][k]
+            assert solve_band(system) == [y.value for y in expected]
+
 
 class TestPreimage:
     def test_commutator_corner(self, rational):
