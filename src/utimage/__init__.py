@@ -2,7 +2,7 @@
 strictly upper triangular matrix algebra."""
 
 from . import errors
-from .fields import FieldSpec, Scalar
+from .fields import FieldSpec
 from .freealg import MultilinearPoly, Permutation, parse_poly
 from .oracle import ImageReport, check_theorem
 from .solver import ImageClass, image_description, preimage
@@ -16,7 +16,6 @@ __all__ = [
     "ImageReport",
     "MultilinearPoly",
     "Permutation",
-    "Scalar",
     "StrictUT",
     "check_theorem",
     "errors",

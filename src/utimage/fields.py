@@ -1,14 +1,12 @@
-"""Exact scalar arithmetic over the rationals and over prime fields GF(p).
+"""Exact field elements over the rationals and over prime fields GF(p).
 
-Every scalar carries its field description and arithmetic never mixes
-fields: combining scalars of different fields raises FieldMismatch instead
-of coercing.  Rationals ride on fractions.Fraction (arbitrary precision, so
-back-substitution cannot overflow); prime-field residues are stored as the
-least nonnegative representative and inverted with pow(value, -1, p).
-
-``Scalar`` is the boundary type.  Matrices and linear systems hold raw
-values, the ``Scalar.value`` of each element, and ``FieldSpec.reduce``
-brings their exact sums and products back to canonical form.
+A field element is a raw value: a fractions.Fraction over the rationals
+(arbitrary precision, so back-substitution cannot overflow), an int in
+[0, p) over GF(p).  Raw values carry no field, so ``FieldSpec`` owns their
+arithmetic: ``element`` canonicalises an int, Fraction or text,
+``reduce`` brings an exact sum or product back to canonical form, and
+``inv`` inverts with pow(value, -1, p).  Containers (matrices and
+polynomials) carry the field and refuse to mix two of them.
 
 Text encodings, used verbatim in JSON files and CLI output:
 
@@ -21,7 +19,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from . import errors
 
@@ -112,140 +109,55 @@ class FieldSpec:
         return self.kind == RATIONAL
 
     @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, Fraction(0) if self.is_rational else 0)
+    def zero(self):
+        return Fraction(0) if self.is_rational else 0
 
     @property
-    def one(self) -> "Scalar":
-        return Scalar(self, Fraction(1) if self.is_rational else 1)
+    def one(self):
+        return Fraction(1) if self.is_rational else 1
 
     def reduce(self, value):
         """A raw sum or product in canonical form: its residue mod p."""
         return value if self.p is None else value % self.p
 
-    def scalar(self, value: Union[int, Fraction, str]) -> "Scalar":
-        """Make a scalar of this field from an int, Fraction, or text."""
+    def element(self, value: int | Fraction | str):
+        """The canonical raw value of an int, a Fraction or text.
+
+        Anything else, a bool or a float included, is a ParseError: a
+        float is not exact, and a bool is not a number.
+        """
         if isinstance(value, str):
             return self.parse(value)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            raise errors.ParseError(
+                f"{type(value).__name__} {value!r} is not an exact field element"
+            )
         if self.is_rational:
-            return Scalar(self, Fraction(value))
+            return Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise errors.ParseError(f"{value} is not an integer residue")
             value = value.numerator
-        return Scalar(self, value % self.p)
+        return value % self.p
 
-    def parse(self, text: str) -> "Scalar":
-        """Parse the canonical text encoding of one scalar of this field."""
+    def inv(self, value):
+        """The multiplicative inverse of a raw value; DivisionByZero on zero."""
+        if not value:
+            raise errors.DivisionByZero(f"cannot invert zero in {self}")
+        return Fraction(1, value) if self.p is None else pow(value, -1, self.p)
+
+    def parse(self, text: str):
+        """Parse the canonical text encoding of one element of this field."""
         if self.is_rational:
             if _RATIONAL_TEXT.match(text) is None:
                 raise errors.ParseError(f"bad rational literal {text!r}")
             if "/" in text and text.split("/", 1)[1].lstrip("0") == "":
                 raise errors.ParseError(f"zero denominator in {text!r}")
             num, _, den = text.partition("/")
-            return Scalar(self, Fraction(parse_int(num), parse_int(den or "1")))
+            return Fraction(parse_int(num), parse_int(den or "1"))
         if _RESIDUE_TEXT.match(text) is None:
             raise errors.ParseError(f"bad GF({self.p}) literal {text!r}")
         value = parse_int(text)
         if value >= self.p:
             raise errors.ParseError(f"residue {value} outside [0, {self.p})")
-        return Scalar(self, value)
-
-
-class Scalar:
-    """An immutable field element in canonical form.
-
-    Canonical means: reduced fraction with positive denominator for the
-    rationals, least nonnegative residue for GF(p).  Two scalars compare
-    equal exactly when they are mathematically equal in the same field.
-    """
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, _value):
-        raise AttributeError(f"Scalar is immutable, cannot set {name!r}")
-
-    def _coerce(self, other) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.spec != self.spec:
-                raise errors.FieldMismatch(f"{self.spec} vs {other.spec}")
-            return other
-        if isinstance(other, int):
-            return self.spec.scalar(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.spec, self.spec.reduce(self.value + other.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.spec, self.spec.reduce(self.value - other.value))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.spec, self.spec.reduce(self.value * other.value))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inv()
-
-    def __neg__(self):
-        return Scalar(self.spec, self.spec.reduce(-self.value))
-
-    def inv(self) -> "Scalar":
-        """Multiplicative inverse; raises DivisionByZero on zero."""
-        if self.is_zero:
-            raise errors.DivisionByZero(f"cannot invert zero in {self.spec}")
-        p = self.spec.p
-        return Scalar(self.spec, 1 / self.value if p is None else pow(self.value, -1, p))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    @property
-    def is_one(self) -> bool:
-        return self.value == 1
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.spec == other.spec and self.value == other.value
-
-    def __hash__(self):
-        return hash((self.spec, self.value))
-
-    def to_text(self) -> str:
-        return value_text(self.value)
-
-    def __repr__(self):
-        return f"Scalar({self.value}, {self.spec})"
+        return value

@@ -2,21 +2,21 @@
 
 A multilinear polynomial of degree m is a sum over permutations s of
 {1..m} of coefficients times the monomial x_{s(1)} * ... * x_{s(m)}, so a
-polynomial is stored as a map from permutations to nonzero scalars.
+polynomial is stored as a map from permutations to nonzero raw field
+values.
 
 Text grammar (whitespace insignificant, leading '-' permitted)::
 
     poly   := term (('+' | '-') term)*
     term   := [coeff '*'] factor ('*' factor)*
     factor := 'x' uint
-    coeff  := scalar text of the ambient field
+    coeff  := element text of the ambient field
 
 Every monomial must contain each of x1..xm exactly once for one common m.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import errors
-from .fields import FieldSpec, Scalar, parse_int
+from .fields import FieldSpec, parse_int, value_text
 from .triangular import StrictUT, by_row, sparse_product
 
 
@@ -84,11 +84,6 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
 
-def symmetric_group(m: int) -> list[Permutation]:
-    """All permutations of {1..m} in lexicographic image order."""
-    return [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
-
-
 @dataclass(frozen=True)
 class NormalizedPoly:
     """A polynomial rewritten to have coefficient one at the identity.
@@ -104,7 +99,7 @@ class NormalizedPoly:
 
     core: "MultilinearPoly"
     relabel: Permutation
-    scale: Scalar
+    scale: object
 
     def transfer(self, args: Sequence) -> tuple:
         """Rearrange arguments for ``core`` into arguments for the original."""
@@ -116,18 +111,17 @@ class MultilinearPoly:
 
     __slots__ = ("m", "spec", "coeffs")
 
-    def __init__(
-        self, m: int, spec: FieldSpec, coeffs: Mapping[Permutation, Scalar]
-    ):
+    def __init__(self, m: int, spec: FieldSpec, coeffs: Mapping[Permutation, object]):
+        # Each coefficient is an int, Fraction or text, canonicalised by
+        # ``spec.element``; zero coefficients are dropped.
         if m < 1:
             raise ValueError(f"degree must be at least 1, got {m}")
         cleaned = {}
         for sigma, value in coeffs.items():
             if sigma.degree != m:
                 raise ValueError(f"{sigma} has degree {sigma.degree}, expected {m}")
-            if value.spec != spec:
-                raise errors.FieldMismatch(f"{value.spec} coefficient in {spec} poly")
-            if not value.is_zero:
+            value = spec.element(value)
+            if value:
                 cleaned[sigma] = value
         self.m = m
         self.spec = spec
@@ -137,7 +131,7 @@ class MultilinearPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, sigma: Permutation) -> Scalar:
+    def coefficient(self, sigma: Permutation):
         return self.coeffs.get(sigma, self.spec.zero)
 
     def support(self) -> list[Permutation]:
@@ -163,7 +157,7 @@ class MultilinearPoly:
                 raise errors.FieldMismatch(f"{a.spec} argument in {self.spec} poly")
         p = self.spec.p
         factors = [a.entries for a in args]
-        coeffs = [(sigma.images, c.value) for sigma, c in self.coeffs.items()]
+        coeffs = [(sigma.images, c) for sigma, c in self.coeffs.items()]
         if p is None:
             scales = [math.lcm(*(v.denominator for v in f.values())) for f in factors]
             factors = [
@@ -201,9 +195,9 @@ class MultilinearPoly:
         sigma0 = min(self.coeffs)
         scale = self.coeffs[sigma0]
         relabel = sigma0.inverse()
-        inverse = scale.inv()
+        inverse = self.spec.inv(scale)
         core = {
-            relabel.compose(sigma): coeff * inverse
+            relabel.compose(sigma): self.spec.reduce(coeff * inverse)
             for sigma, coeff in self.coeffs.items()
         }
         return NormalizedPoly(MultilinearPoly(self.m, self.spec, core), relabel, scale)
@@ -225,11 +219,11 @@ class MultilinearPoly:
         for sigma in self.support():
             coeff = self.coeffs[sigma]
             mono = "*".join(f"x{sigma(t)}" for t in range(1, self.m + 1))
-            if self.spec.is_rational and coeff.value < 0:
-                sign, body = "-", (-coeff)
+            if self.spec.is_rational and coeff < 0:
+                sign, body = "-", -coeff
             else:
                 sign, body = "+", coeff
-            text = mono if body.is_one else f"{body.to_text()}*{mono}"
+            text = mono if body == 1 else f"{value_text(body)}*{mono}"
             if not pieces:
                 pieces.append(text if sign == "+" else "-" + text)
             else:
@@ -315,7 +309,7 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
                     raise errors.ParseError("expected digits after '/'")
                 digits = f"{digits}/{denom}"
                 pos += 2
-            coeff = coeff * spec.parse(digits).value
+            coeff = coeff * spec.parse(digits)
             if tokens[pos] != ("op", "*"):
                 raise errors.ParseError("expected '*' after a coefficient")
             pos += 1
@@ -342,4 +336,4 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
             )
         key = tuple(variables)
         raw[key] = raw.get(key, 0) + coeff
-    return MultilinearPoly(degree, spec, {Permutation(k): spec.scalar(v) for k, v in raw.items()})
+    return MultilinearPoly(degree, spec, {Permutation(k): v for k, v in raw.items()})

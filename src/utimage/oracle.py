@@ -109,7 +109,7 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
                         break
                     uses[sigma(t + 1) - 1] = coord_index[link]
                 if ok:
-                    terms.append((coeff.value, tuple(uses)))
+                    terms.append((coeff, tuple(uses)))
         if terms:
             grouped.append((out_pos, terms))
     return grouped
@@ -257,20 +257,6 @@ def _image_keys(
     seen = _scan_slices(count, m, term_rows, weights, q)
     keys = None if seen is None else tuple(sorted(seen))
     return _ScannedImage(positions, keys), q ** (m * count)
-
-
-def image_bruteforce(
-    f: MultilinearPoly,
-    n: int,
-    q: int,
-    cap: int = DEFAULT_CAP,
-    reduce_bands: bool = False,
-) -> tuple[int, ...]:
-    """The exact set of values f attains, as sorted packed keys."""
-    image, _ = _image_keys(f, n, q, cap, reduce_bands)
-    if image.keys is None:
-        return _supported_keys(image.positions, n, q)
-    return image.keys
 
 
 @dataclass(frozen=True)

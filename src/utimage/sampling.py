@@ -6,32 +6,38 @@ a single integer seed; nothing here touches the global RNG state.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
-from .fields import FieldSpec, Scalar
-from .freealg import MultilinearPoly, symmetric_group
+from .fields import FieldSpec
+from .freealg import MultilinearPoly, Permutation
 from .triangular import StrictUT
 
 
-def random_scalar(rng: random.Random, spec: FieldSpec, nonzero: bool = False) -> Scalar:
+def random_scalar(rng: random.Random, spec: FieldSpec, nonzero: bool = False):
+    """A random raw value of ``spec``, optionally nonzero."""
     if spec.is_rational:
         while True:
             value = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             if not (nonzero and value == 0):
-                return spec.scalar(value)
+                return value
     lo = 1 if nonzero else 0
-    return spec.scalar(rng.randrange(lo, spec.p))
+    return rng.randrange(lo, spec.p)
 
 
 def random_poly(rng: random.Random, spec: FieldSpec, m: int) -> MultilinearPoly:
-    """A random nonzero polynomial with a bounded, varied support."""
-    group = symmetric_group(m)
-    keep = min(1.0, 12 / len(group))
+    """A random nonzero polynomial with a bounded, varied support.
+
+    Each permutation, in lexicographic order, is kept with probability
+    12 / m! (capped at 1), so the expected support stays near 12.
+    """
+    keep = min(1.0, 12 / math.factorial(m))
     while True:
         coeffs = {
-            sigma: random_scalar(rng, spec, nonzero=True)
-            for sigma in group
+            Permutation(images): random_scalar(rng, spec, nonzero=True)
+            for images in itertools.permutations(range(1, m + 1))
             if rng.random() < keep
         }
         if coeffs:

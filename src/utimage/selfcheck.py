@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .fields import FieldSpec, value_text
-from .freealg import parse_poly
+from .freealg import MultilinearPoly, parse_poly
 from .oracle import ImageReport, check_theorem
 from .sampling import random_band_target, random_poly
 from .solver import preimage
@@ -134,7 +134,6 @@ class TrialOutcome:
     poly_text: str
     ok: bool
     message: str
-    document: dict | None
 
     def reproduction_line(self) -> str:
         return (
@@ -149,34 +148,36 @@ def _trial_rng(seed: int, field_text: str, index: int) -> random.Random:
     return random.Random(f"{seed}:{field_text}:{index}")
 
 
+def trial_case(
+    seed: int, field_text: str, spec: FieldSpec, index: int
+) -> tuple[int, int, MultilinearPoly, StrictUT]:
+    """The (m, n, f, target) of one round trip over ``spec``, the field
+    ``field_text`` names: a degree in 2..5, a dimension in m+1..8, a
+    nonzero polynomial and a target inside the reachable band, drawn from
+    the trial's own seeded stream."""
+    rng = _trial_rng(seed, field_text, index)
+    m = rng.randint(2, 5)
+    n = rng.randint(m + 1, 8)
+    f = random_poly(rng, spec, m)
+    return m, n, f, random_band_target(rng, spec, n, m)
+
+
 def run_round_trips(seed: int, field_text: str, trials: int) -> list[TrialOutcome]:
     """Random (f, n, target) preimage round trips over one field.
 
-    Each trial draws a degree in 2..5, a dimension in m+1..8, a nonzero
-    polynomial, and a target inside the reachable band, then demands a
-    witness: ``preimage`` itself checks that it evaluates back to the
-    target exactly, raising PostconditionViolation otherwise.
+    Each trial draws its case with ``trial_case`` and demands a witness:
+    ``preimage`` itself checks that it evaluates back to the target
+    exactly, raising PostconditionViolation otherwise.
     """
     spec = FieldSpec.from_text(field_text)
     outcomes = []
     for index in range(trials):
-        rng = _trial_rng(seed, field_text, index)
-        m = rng.randint(2, 5)
-        n = rng.randint(m + 1, 8)
-        f = random_poly(rng, spec, m)
-        target = random_band_target(rng, spec, n, m)
-        poly_text = f.to_text()
+        m, n, f, target = trial_case(seed, field_text, spec, index)
         try:
-            witness = preimage(f, n, target)
+            preimage(f, n, target)
         except errors.Error as exc:
-            outcomes.append(
-                TrialOutcome(
-                    index, field_text, m, n, poly_text, False, str(exc), None
-                )
-            )
-            continue
-        document = witness_document(poly_text, n, spec, target, witness)
-        outcomes.append(
-            TrialOutcome(index, field_text, m, n, poly_text, True, "ok", document)
-        )
+            ok, message = False, str(exc)
+        else:
+            ok, message = True, "ok"
+        outcomes.append(TrialOutcome(index, field_text, m, n, f.to_text(), ok, message))
     return outcomes

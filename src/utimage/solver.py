@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import errors
-from .fields import FieldSpec, Scalar, value_text
+from .fields import FieldSpec, value_text
 from .freealg import MultilinearPoly
 from .triangular import StrictUT, band_decompose
 from .witness import witness_scalars
@@ -63,14 +63,15 @@ class BandSystem:
     matrix: list[tuple]
     rhs: tuple | list | None = None
 
-    def coeff(self, k: int, s: int) -> Scalar:
-        """1-based access to the system matrix; zero off the band."""
+    def coeff(self, k: int, s: int):
+        """1-based access to the system matrix, as a raw value; zero off
+        the band."""
         if not (1 <= k <= self.rows and 1 <= s <= self.cols):
             raise errors.BadIndex(
                 f"entry ({k}, {s}) outside {self.rows} x {self.cols}"
             )
         if 0 <= s - k < self.degree:
-            return Scalar(self.spec, self.matrix[k - 1][s - k])
+            return self.matrix[k - 1][s - k]
         return self.spec.zero
 
     def debug_dict(self) -> dict:
@@ -78,7 +79,7 @@ class BandSystem:
         doc = {
             "diagonal": self.diagonal_index,
             "matrix": [
-                [self.coeff(k, s).to_text() for s in range(1, self.cols + 1)]
+                [value_text(self.coeff(k, s)) for s in range(1, self.cols + 1)]
                 for k in range(1, self.rows + 1)
             ],
         }
@@ -147,8 +148,7 @@ def band_system(
         raise errors.BadIndex(f"diagonal index {i} outside {m + 1}..{n}")
     spec = core.spec
     rows = n - i + 1
-    zero = spec.zero.value
-    columns = [[zero] * rows for _ in range(m)]
+    columns = [[spec.zero] * rows for _ in range(m)]
     for sigma, coeff in core.coeffs.items():
         j = sigma.images.index(1) + 1
         # Per factor: its variable's cells and its slot in row 1, which is
@@ -161,7 +161,7 @@ def band_system(
         column = columns[j - 1]
         for k in range(rows):
             if all(cell[first + k] for cell, first in factors):
-                column[k] += coeff.value
+                column[k] += coeff
     if spec.p is not None:
         columns = [[v % spec.p for v in column] for column in columns]
     matrix = list(zip(*columns))
@@ -192,7 +192,7 @@ def solve_band(system: BandSystem) -> list:
         )
     spec = system.spec
     p = spec.p
-    ys = [spec.zero.value] * system.cols
+    ys = [spec.zero] * system.cols
     for k in range(system.rows - 1, -1, -1):
         row = system.matrix[k]
         acc = system.rhs[k]
@@ -210,7 +210,7 @@ def _check_band_target(target: StrictUT, m: int) -> None:
         return
     row, col = min((r, c) for r, c in target.entries if c - r <= m - 1)
     raise errors.TargetNotInImage(
-        f"target entry ({row}, {col}) = {target.get(row, col).to_text()} sits "
+        f"target entry ({row}, {col}) = {value_text(target.get(row, col))} sits "
         f"at distance {col - row} from the diagonal, inside the zero band "
         f"(distance <= {m - 1})"
     )
@@ -248,13 +248,13 @@ def preimage(
     _check_band_target(target, m)
     if target.is_zero:
         return (StrictUT.zero(n, f.spec),) * m
-    scaled_target = target.scaled(norm.scale.inv())
+    scaled_target = target.scaled(f.spec.inv(norm.scale))
     if m == 1:
         # Degree one is direct: f = scale * x1.
         witness = (scaled_target,)
     else:
         cells, pivots = witness_scalars(norm.core, n)
-        one = f.spec.one.value
+        one = f.spec.one
         fixed_args = [
             StrictUT(n, f.spec, {(slot, slot + 1): one for slot in range(n) if row[slot]})
             for row in cells[2:]

@@ -3,8 +3,9 @@
 Matrices are stored sparsely as a map from 1-based (row, col) coordinates
 with col > row to nonzero raw field values (ints in [0, p) or Fractions),
 absent meaning zero; products and sums run on them with ``FieldSpec``'s
-arithmetic, and ``Scalar`` appears only at the boundary: ``from_entries``,
-``scaled``, ``get``.  The band subspace at level t is the set of matrices
+arithmetic.  ``from_entries`` canonicalises untrusted values with
+``FieldSpec.element``; the plain constructor trusts its entries.  The band
+subspace at level t is the set of matrices
 whose (p, q) entry vanishes whenever q - p <= t, so level 0 is the whole
 strictly upper triangular algebra.
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import errors
-from .fields import FieldSpec, Scalar, value_text
+from .fields import FieldSpec, value_text
 
 
 def by_row(entries: dict) -> dict[int, list[tuple]]:
@@ -57,11 +58,13 @@ class StrictUT:
 
     @classmethod
     def from_entries(
-        cls, n: int, spec: FieldSpec, pairs: Iterable[tuple[int, int, Scalar]]
+        cls, n: int, spec: FieldSpec, pairs: Iterable[tuple[int, int, object]]
     ) -> "StrictUT":
         """Build a matrix from (row, col, value) triples.
 
-        Duplicate coordinates are summed; zero sums are dropped.
+        Each value is an int, a Fraction or text, canonicalised by
+        ``spec.element``.  Duplicate coordinates are summed; zero sums are
+        dropped.
         """
         if n < 2:
             raise errors.OutOfRange(f"dimension must be at least 2, got {n}")
@@ -73,10 +76,9 @@ class StrictUT:
                 raise errors.NotStrictlyUpper(
                     f"entry ({row}, {col}) is not strictly above the diagonal"
                 )
-            if value.spec != spec:
-                raise errors.FieldMismatch(f"{value.spec} entry in {spec} matrix")
+            value = spec.element(value)
             key = (row, col)
-            acc[key] = spec.reduce(acc[key] + value.value) if key in acc else value.value
+            acc[key] = spec.reduce(acc[key] + value) if key in acc else value
         return cls(n, spec, {key: v for key, v in acc.items() if v})
 
     @classmethod
@@ -88,9 +90,9 @@ class StrictUT:
         """The matrix with a single 1 at (row, col)."""
         return cls.from_entries(n, spec, [(row, col, spec.one)])
 
-    def get(self, row: int, col: int) -> Scalar:
-        value = self.entries.get((row, col))
-        return self.spec.zero if value is None else Scalar(self.spec, value)
+    def get(self, row: int, col: int):
+        """The raw value at (row, col), zero when absent."""
+        return self.entries.get((row, col), self.spec.zero)
 
     @property
     def is_zero(self) -> bool:
@@ -114,13 +116,13 @@ class StrictUT:
         entries = sparse_product(self.entries, by_row(other.entries), self.spec.p)
         return StrictUT(self.n, self.spec, entries)
 
-    def scaled(self, c: Scalar) -> "StrictUT":
-        if c.spec != self.spec:
-            raise errors.FieldMismatch(f"{c.spec} scale on {self.spec} matrix")
-        if c.is_zero:
+    def scaled(self, c) -> "StrictUT":
+        """The matrix times ``c``, an int, Fraction or text of this field."""
+        c = self.spec.element(c)
+        if not c:
             return StrictUT(self.n, self.spec, {})
         # A field has no zero divisors, so no entry becomes zero.
-        entries = {k: self.spec.reduce(v * c.value) for k, v in self.entries.items()}
+        entries = {k: self.spec.reduce(v * c) for k, v in self.entries.items()}
         return StrictUT(self.n, self.spec, entries)
 
     def band_member(self, t: int) -> bool:
@@ -202,7 +204,7 @@ def band_decompose(matrix: StrictUT, m: int) -> list[tuple[int, tuple]]:
         raise errors.NotInBand(
             f"entry ({row}, {col}) violates the level-{m - 1} band"
         )
-    n, entries, zero = matrix.n, matrix.entries, matrix.spec.zero.value
+    n, entries, zero = matrix.n, matrix.entries, matrix.spec.zero
     return [
         (i, tuple(entries.get((k, k + i - 1), zero) for k in range(1, n - i + 2)))
         for i in range(m + 1, n + 1)

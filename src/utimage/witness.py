@@ -56,9 +56,7 @@ def _require_normalized(core: MultilinearPoly) -> None:
 def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, object]]:
     """The support terms that fix 1, with raw coefficients: the terms every
     pivot sum and staircase filter runs over."""
-    return [
-        (sigma, coeff.value) for sigma, coeff in core.coeffs.items() if sigma.fixes(1)
-    ]
+    return [(sigma, coeff) for sigma, coeff in core.coeffs.items() if sigma.fixes(1)]
 
 
 def _fixing_above(terms, top: int) -> list[tuple[Permutation, object]]:
@@ -73,7 +71,7 @@ def _fixing_above(terms, top: int) -> list[tuple[Permutation, object]]:
 def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec):
     """Raw sum, reduced mod p, of the coefficients of the terms sigma whose
     cells ``cells[sigma(t)][k + t - 1]``, t = 2..depth, all read 1."""
-    total = spec.zero.value
+    total = spec.zero
     for sigma, coeff in terms:
         images = sigma.images
         if all(cells[images[t - 1]][k + t - 1] for t in range(2, depth + 1)):
@@ -95,7 +93,7 @@ def base_assignment(core: MultilinearPoly, n: int) -> list[list[int]]:
     if not 2 <= m < n:
         raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
     cells = [[], []] + [[0] * n for _ in range(m - 1)]
-    if m == 2 or core.coefficient(Permutation.transposition(m, 2, 3)).is_zero:
+    if m == 2 or not core.coefficient(Permutation.transposition(m, 2, 3)):
         for var in range(2, min(m, 3) + 1):
             cells[var][2:] = [1] * (n - 2)
     else:

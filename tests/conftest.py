@@ -4,7 +4,7 @@ import pytest
 
 from utimage import oracle
 from utimage.fields import FieldSpec
-from utimage.freealg import MultilinearPoly, Permutation, symmetric_group
+from utimage.freealg import MultilinearPoly, Permutation
 from utimage.sampling import random_band_target, random_scalar
 from utimage.triangular import StrictUT
 
@@ -45,9 +45,7 @@ def row_reduce_calls(monkeypatch):
 
 def mat(n, spec, triples):
     """StrictUT from (row, col, int_value) triples."""
-    return StrictUT.from_entries(
-        n, spec, [(r, c, spec.scalar(v)) for r, c, v in triples]
-    )
+    return StrictUT.from_entries(n, spec, triples)
 
 
 def fixed_arguments(cells, n, spec):
@@ -71,12 +69,22 @@ def all_matrices(n, q):
     ]
 
 
+def image_bruteforce(f, n, q, cap=oracle.DEFAULT_CAP, reduce_bands=False):
+    """The exact set of values f attains over GF(q), as sorted packed keys:
+    the scan's keys, or every key supported on its positions when a slice
+    reached full rank."""
+    image, _ = oracle._image_keys(f, n, q, cap, reduce_bands)
+    if image.keys is None:
+        return oracle._supported_keys(image.positions, n, q)
+    return image.keys
+
+
 def packed_key(matrix, q):
     """The packed key of a matrix over GF(q): the base-q integer of its
     strictly upper entries, row-major, most significant first."""
     key = 0
     for p, c in oracle.strict_coords(matrix.n):
-        key = key * q + matrix.get(p, c).value
+        key = key * q + matrix.get(p, c)
     return key
 
 
@@ -90,7 +98,8 @@ def random_pivot_coeffs(rng, spec, m, force_swap23=False):
     positions 2 and 3."""
     identity = Permutation.identity(m)
     coeffs = {identity: spec.one}
-    for sigma in symmetric_group(m):
+    for images in itertools.permutations(range(1, m + 1)):
+        sigma = Permutation(images)
         if not sigma.fixes(1) or sigma == identity:
             continue
         if rng.random() < 0.5:

@@ -12,20 +12,20 @@ import pytest
 
 from utimage.fields import FieldSpec
 from utimage.freealg import parse_poly
-from utimage.oracle import image_bruteforce
 from utimage.selfcheck import (
     IDENTITY_GRID,
     THEOREM_GRID,
     TRIAL_FIELDS,
-    canonical_json,
     run_grid,
     run_round_trips,
+    trial_case,
+    witness_json,
 )
 from utimage.solver import BandSystem, image_description, preimage, solve_band
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import packed_key, random_pivot_coeffs
+from conftest import image_bruteforce, packed_key, random_pivot_coeffs
 
 SEED = 1789
 TRIALS_PER_FIELD = 100
@@ -138,25 +138,26 @@ def test_criterion_4_pivot_selection_suite():
     )
 
 
-def traces(outcomes):
-    """Replay each round trip's preimage from its polynomial text, n and
-    target, capturing the trace; failed round trips are criterion 3's."""
+def replays(outcomes):
+    """Replay each passing round trip from its seeded case, capturing the
+    trace; yields (trace, witness JSON).  Failed round trips are
+    criterion 3's."""
     for field_text, runs in outcomes.items():
         spec = FieldSpec.from_text(field_text)
         for outcome in runs:
-            if outcome.document is None:
+            if not outcome.ok:
                 continue
+            _m, n, f, target = trial_case(SEED, field_text, spec, outcome.index)
+            assert (n, f.to_text()) == (outcome.n, outcome.poly_text)
             trace = {}
-            target = StrictUT.from_json_dict(outcome.document["target"])
-            f = parse_poly(outcome.poly_text, spec)
-            preimage(f, outcome.n, target, trace=trace)
-            yield trace
+            witness = preimage(f, n, target, trace=trace)
+            yield trace, witness_json(outcome.poly_text, n, spec, target, witness)
 
 
 def test_criterion_5_band_system_structure(round_trip_runs):
     outcomes, _elapsed = round_trip_runs
     systems_checked = violations = 0
-    for trace in traces(outcomes):
+    for trace, _text in replays(outcomes):
         if "systems" not in trace:
             continue
         core = trace["normalized"].core
@@ -169,9 +170,9 @@ def test_criterion_5_band_system_structure(round_trip_runs):
             for k in range(1, system.rows + 1):
                 for s in range(1, system.cols + 1):
                     inside = k <= s <= k + m - 1
-                    if not inside and not system.coeff(k, s).is_zero:
+                    if not inside and system.coeff(k, s):
                         violations += 1
-                if system.coeff(k, k).value != eval_pivot(cells, core, terms, k + i - m - 1):
+                if system.coeff(k, k) != eval_pivot(cells, core, terms, k + i - m - 1):
                     violations += 1
     ok = systems_checked > 0 and violations == 0
     report(
@@ -200,7 +201,7 @@ def test_criterion_6_known_values():
     # back-substitution on the fixed 2 x 3 system; rows hold raw values at
     # columns k..k+1
     rational = FieldSpec.rational()
-    one, minus_one = rational.one.value, (-rational.one).value
+    one, minus_one = rational.one, -rational.one
     sys_q = BandSystem(
         3, 2, 2, 3, rational, [(one, minus_one), (one, minus_one)], [one, one]
     )
@@ -212,19 +213,13 @@ def test_criterion_6_known_values():
 
 def test_criterion_7_determinism(round_trip_runs, theorem_grid_run):
     outcomes, _elapsed = round_trip_runs
-    first = "".join(
-        canonical_json(o.document)
+    rerun = {
+        field_text: run_round_trips(SEED, field_text, TRIALS_PER_FIELD)
         for field_text in TRIAL_FIELDS
-        for o in outcomes[field_text]
-        if o.document is not None
-    )
-    second = "".join(
-        canonical_json(o.document)
-        for field_text in TRIAL_FIELDS
-        for o in run_round_trips(SEED, field_text, TRIALS_PER_FIELD)
-        if o.document is not None
-    )
-    ok = first == second and len(first) > 0
+    }
+    first = "".join(text for _trace, text in replays(outcomes))
+    second = "".join(text for _trace, text in replays(rerun))
+    ok = rerun == outcomes and first == second and len(first) > 0
 
     def untimed(rows):
         return [(*row[:3], dataclasses.replace(row[3], elapsed_ms=0)) for row in rows]

@@ -1,4 +1,5 @@
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from utimage import errors
-from utimage.fields import PRIME_CAP, FieldSpec, is_prime
+from utimage.fields import PRIME_CAP, FieldSpec, is_prime, value_text
+from utimage.freealg import MultilinearPoly, Permutation
+from utimage.triangular import StrictUT
 
 # 2^31 - 1 is prime: the largest modulus below PRIME_CAP = 2^31.
 LARGEST_PRIME = PRIME_CAP - 1
@@ -48,86 +51,96 @@ def test_inverse_small_fields():
     for p in (2, 3, 7):
         spec = FieldSpec.gf(p)
         for v in range(1, p):
-            assert spec.scalar(v) * spec.scalar(v).inv() == spec.one
+            assert spec.reduce(v * spec.inv(v)) == spec.one
 
 
 @given(st.integers(1, LARGEST_PRIME - 1))
 def test_inverse_largest_modulus(v):
     spec = FieldSpec.gf(LARGEST_PRIME)
-    assert spec.scalar(v) * spec.scalar(v).inv() == spec.one
+    assert spec.reduce(v * spec.inv(v)) == spec.one
 
 
 def test_rational_examples(rational):
-    assert rational.scalar("2/3") + rational.scalar("1/6") == rational.scalar("5/6")
-    assert (rational.scalar(2) / rational.scalar(3)).to_text() == "2/3"
-    assert (-rational.scalar("1/2")).to_text() == "-1/2"
+    assert rational.element("2/3") + rational.element("1/6") == rational.element("5/6")
+    assert value_text(rational.element(2) * rational.inv(rational.element(3))) == "2/3"
+    assert value_text(-rational.element("1/2")) == "-1/2"
 
 
 def test_gf5_examples(gf5):
-    assert gf5.scalar(3) * gf5.scalar(4) == gf5.scalar(2)
-    assert gf5.scalar(2).inv() == gf5.scalar(3)
-    assert gf5.scalar(1) - gf5.scalar(3) == gf5.scalar(3)
+    assert gf5.reduce(3 * 4) == gf5.element(2)
+    assert gf5.inv(2) == gf5.element(3)
+    assert gf5.reduce(1 - 3) == gf5.element(3)
 
 
 def test_division_by_zero(rational, gf5):
     for spec in (rational, gf5):
         with pytest.raises(errors.DivisionByZero):
-            spec.one / spec.zero
+            spec.inv(spec.zero)
         with pytest.raises(errors.DivisionByZero):
-            spec.zero.inv()
+            spec.inv(spec.element(0))
 
 
 def test_field_mismatch(rational, gf2):
+    # Raw values carry no field; the containers do, and refuse to mix.
     with pytest.raises(errors.FieldMismatch):
-        rational.one + gf2.one
+        StrictUT.unit(3, rational, 1, 2) + StrictUT.unit(3, gf2, 1, 2)
+    with pytest.raises(errors.FieldMismatch):
+        StrictUT.unit(3, rational, 1, 2) * StrictUT.unit(3, gf2, 2, 3)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_field_axioms_exhaustive(p):
     spec = FieldSpec.gf(p)
-    elems = [spec.scalar(v) for v in range(p)]
+
+    def add(a, b):
+        return spec.reduce(a + b)
+
+    def mul(a, b):
+        return spec.reduce(a * b)
+
+    elems = [spec.element(v) for v in range(p)]
     for a, b, c in itertools.product(elems, repeat=3):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a + b == b + a
-        assert a * b == b * a
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
     for a in elems:
-        assert a + (-a) == spec.zero
-        assert a * spec.one == a
-        if not a.is_zero:
-            assert a * a.inv() == spec.one
+        assert add(a, spec.reduce(-a)) == spec.zero
+        assert mul(a, spec.one) == a
+        if a:
+            assert mul(a, spec.inv(a)) == spec.one
 
 
 @given(fractions_st, fractions_st, fractions_st)
 def test_field_axioms_rational(x, y, z):
     spec = FieldSpec.rational()
-    a, b, c = spec.scalar(x), spec.scalar(y), spec.scalar(z)
+    a, b, c = spec.element(x), spec.element(y), spec.element(z)
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
     assert a - a == spec.zero
-    if not b.is_zero:
-        assert (a / b) * b == a
+    if b:
+        assert (a * spec.inv(b)) * b == a
 
 
 @given(fractions_st)
 def test_rational_text_round_trip(x):
     spec = FieldSpec.rational()
-    a = spec.scalar(x)
-    assert spec.parse(a.to_text()) == a
+    a = spec.element(x)
+    assert spec.parse(value_text(a)) == a
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_gf_text_round_trip(p):
     spec = FieldSpec.gf(p)
     for v in range(p):
-        a = spec.scalar(v)
-        assert spec.parse(a.to_text()) == a
+        a = spec.element(v)
+        assert spec.parse(value_text(a)) == a
 
 
 def test_parse_accepts_unreduced_fraction(rational):
-    assert rational.parse("4/6") == rational.scalar("2/3")
-    assert rational.parse("-2/4").to_text() == "-1/2"
+    assert rational.parse("4/6") == rational.element("2/3")
+    assert value_text(rational.parse("-2/4")) == "-1/2"
 
 
 @pytest.mark.parametrize("text", ["1/0", "2/", "/3", "1.5", "a", "", "1/-2"])
@@ -142,21 +155,51 @@ def test_gf5_parse_errors(text, gf5):
         gf5.parse(text)
 
 
-def test_scalar_is_hashable_and_immutable(gf3):
-    a = gf3.scalar(2)
-    assert hash(a) == hash(gf3.scalar(2))
-    assert len({a, gf3.scalar(2), gf3.scalar(1)}) == 2
-    with pytest.raises(AttributeError):
-        a.value = 0
+def test_scalar_is_hashable_and_immutable(gf3, rational):
+    # Canonical raw values: equal elements are equal values with equal
+    # hashes, and neither ints nor Fractions can be changed in place.
+    a = gf3.element(2)
+    assert hash(a) == hash(gf3.element(-1))
+    assert len({a, gf3.element(5), gf3.element(1)}) == 2
+    b = rational.element("2/4")
+    assert b == rational.element(Fraction(1, 2)) and hash(b) == hash(Fraction(1, 2))
+    for value in (a, b):
+        with pytest.raises(AttributeError):
+            value.numerator = 0
 
 
 def test_int_coercion_in_arithmetic(gf5, rational):
-    assert gf5.scalar(3) + 4 == gf5.scalar(2)
-    assert 2 * rational.scalar("1/2") == rational.one
+    # Ints mix with raw values; reduce brings the result back to canonical.
+    assert gf5.reduce(gf5.element(3) + 4) == gf5.element(2)
+    assert 2 * rational.element("1/2") == rational.one
 
 
 def test_gf_canonical_residues(gf5):
-    assert gf5.scalar(-1) == gf5.scalar(4)
-    assert gf5.scalar(Fraction(10)) == gf5.zero
+    assert gf5.element(-1) == gf5.element(4) == 4
+    assert gf5.element(Fraction(10)) == gf5.zero
     with pytest.raises(errors.ParseError):
-        gf5.scalar(Fraction(1, 2))
+        gf5.element(Fraction(1, 2))
+
+
+def test_zero_and_one_are_raw_values(rational, gf5):
+    assert type(rational.zero) is Fraction and rational.zero == 0
+    assert type(rational.one) is Fraction and rational.one == 1
+    assert (gf5.zero, gf5.one) == (0, 1) and type(gf5.one) is int
+
+
+@pytest.mark.parametrize(
+    "value", [2.5, 2.0, True, False, None, Decimal("2"), complex(1, 0), [1]]
+)
+def test_element_rejects_non_exact_values(value, rational, gf5):
+    # Only ints, Fractions and text are field elements: a float is not
+    # exact and a bool is not a number, so neither reaches a matrix entry
+    # or a polynomial coefficient.
+    for spec in (rational, gf5):
+        with pytest.raises(errors.ParseError, match="not an exact field element"):
+            spec.element(value)
+        with pytest.raises(errors.ParseError):
+            StrictUT.from_entries(3, spec, [(1, 2, value)])
+        with pytest.raises(errors.ParseError):
+            StrictUT.unit(3, spec, 1, 2).scaled(value)
+        with pytest.raises(errors.ParseError):
+            MultilinearPoly(2, spec, {Permutation([1, 2]): value})

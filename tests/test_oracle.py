@@ -9,11 +9,11 @@ import pytest
 from utimage import cli, errors, oracle
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, Permutation, parse_poly
-from utimage.oracle import _compile_terms, check_theorem, image_bruteforce, strict_coords
+from utimage.oracle import _compile_terms, check_theorem, strict_coords
 from utimage.selfcheck import IDENTITY_GRID, THEOREM_GRID
 from utimage.triangular import StrictUT
 
-from conftest import all_matrices, packed_key
+from conftest import all_matrices, image_bruteforce, packed_key
 
 
 def naive_image_keys(f, n, q):
@@ -72,7 +72,7 @@ def random_support_cases(max_tuples=70_000):
         support = rng.sample(perms, rng.randint(1, len(perms)))
         spec = FieldSpec.gf(q)
         coeffs = {
-            Permutation(list(perm)): spec.scalar(rng.randrange(1, q))
+            Permutation(list(perm)): spec.element(rng.randrange(1, q))
             for perm in support
         }
         cases.append((MultilinearPoly(m, spec, coeffs), n, q, reduce_bands))

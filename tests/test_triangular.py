@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ class TestConstruction:
     def test_single_entry(self, rational):
         a = mat(3, rational, [(1, 3, 1)])
         assert a.get(1, 3) == rational.one
-        assert a.get(1, 2).is_zero
+        assert a.get(1, 2) == rational.zero
 
     def test_rejects_diagonal_entry(self, rational):
         with pytest.raises(errors.NotStrictlyUpper):
@@ -37,8 +38,13 @@ class TestConstruction:
             StrictUT.zero(1, rational)
 
     def test_field_mismatch(self, rational, gf2):
+        # Entries are raw values, canonicalised in the matrix's own field;
+        # matrices of two fields never combine.
+        assert StrictUT.from_entries(3, gf2, [(1, 2, 3)]) == StrictUT.unit(3, gf2, 1, 2)
+        with pytest.raises(errors.ParseError):
+            StrictUT.from_entries(3, gf2, [(1, 2, Fraction(1, 2))])
         with pytest.raises(errors.FieldMismatch):
-            StrictUT.from_entries(3, rational, [(1, 2, gf2.one)])
+            StrictUT.unit(3, rational, 1, 2) + StrictUT.unit(3, gf2, 1, 2)
 
 
 class TestArithmetic:
@@ -57,7 +63,7 @@ class TestArithmetic:
         b = mat(3, gf3, [(1, 2, 2)])
         assert a + b == mat(3, gf3, [(1, 3, 2)])
         assert a + a.scaled(-gf3.one) == StrictUT.zero(3, gf3)
-        assert a.scaled(gf3.scalar(2)) == mat(3, gf3, [(1, 2, 2), (1, 3, 1)])
+        assert a.scaled(2) == mat(3, gf3, [(1, 2, 2), (1, 3, 1)])
         assert a.scaled(gf3.zero).is_zero
 
     def test_dimension_mismatch(self, rational):
@@ -122,7 +128,7 @@ def diagonal_matrix(n, spec, index, values):
     return StrictUT.from_entries(
         n,
         spec,
-        [(k, k + index - 1, spec.scalar(v)) for k, v in enumerate(values, start=1) if v],
+        [(k, k + index - 1, v) for k, v in enumerate(values, start=1) if v],
     )
 
 

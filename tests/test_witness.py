@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from utimage import errors
 from utimage.fields import FieldSpec
-from utimage.freealg import MultilinearPoly, Permutation, parse_poly, symmetric_group
+from utimage.freealg import MultilinearPoly, Permutation, parse_poly
 from utimage.witness import (
     base_assignment,
     eval_pivot,
@@ -18,9 +19,7 @@ from conftest import fixed_arguments, mat, random_pivot_coeffs
 
 
 def poly_from(coeff_map, m, spec):
-    return MultilinearPoly(
-        m, spec, {Permutation(k): spec.scalar(v) for k, v in coeff_map.items()}
-    )
+    return MultilinearPoly(m, spec, {Permutation(k): v for k, v in coeff_map.items()})
 
 
 class TestStepRemainder:
@@ -29,14 +28,12 @@ class TestStepRemainder:
         # With all of S_m in the support, the head terms (identity and the
         # swap of 2 and 3) plus the terms entering at each step cover the
         # terms fixing 1 exactly once, and carry their own coefficients.
-        group = symmetric_group(m)
-        core = MultilinearPoly(
-            m, rational, {s: rational.scalar(i + 1) for i, s in enumerate(group)}
-        )
+        group = [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
+        core = MultilinearPoly(m, rational, {s: i + 1 for i, s in enumerate(group)})
         seen = [Permutation.identity(m), Permutation.transposition(m, 2, 3)]
         for j in range(2, m - 1):
             for sigma, coeff in step_remainder(pivot_terms(core), j):
-                assert coeff == core.coefficient(sigma).value
+                assert coeff == core.coefficient(sigma)
                 seen.append(sigma)
         assert sorted(seen) == [s for s in group if s.fixes(1)]
 
@@ -137,7 +134,7 @@ class TestStepExtend:
     def test_step_bounds(self, rational):
         core = poly_from({(1, 2, 3, 4): 1}, 4, rational)
         cells = base_assignment(core, 6)
-        one = rational.one.value
+        one = rational.one
         with pytest.raises(errors.BadIndex):
             step_extend(cells, core, pivot_terms(core), 6, 3, [one, one])
 
@@ -146,22 +143,15 @@ class TestStepExtend:
         cells = base_assignment(core, 6)
         with pytest.raises(errors.InternalInvariantViolation):
             step_extend(
-                cells, core, pivot_terms(core), 6, 2, [rational.zero.value, rational.one.value]
+                cells, core, pivot_terms(core), 6, 2, [rational.zero, rational.one]
             )
-
-
-def cell(cells, spec, slot, var):
-    """One cell as a Scalar, so test-side sums use field arithmetic."""
-    return spec.scalar(cells[var][slot])
 
 
 def eval_head(cells, core, k):
     """Length-2 head sum computed directly, for test-side comparisons."""
-    spec = core.spec
     swap = core.coefficient(Permutation.transposition(core.m, 2, 3))
-    value = cell(cells, spec, k + 1, 2) * cell(cells, spec, k + 2, 3)
-    value = value + swap * cell(cells, spec, k + 1, 3) * cell(cells, spec, k + 2, 2)
-    return value.value
+    value = cells[2][k + 1] * cells[3][k + 2] + swap * cells[3][k + 1] * cells[2][k + 2]
+    return core.spec.reduce(value)
 
 
 def eval_staircase(cells, core, k, depth):
@@ -171,17 +161,17 @@ def eval_staircase(cells, core, k, depth):
     staircase cell and adds the support terms fixing 1 whose largest moved
     position is j + 2.
     """
-    spec = core.spec
-    value = spec.scalar(eval_head(cells, core, k))
+    value = eval_head(cells, core, k)
     for j in range(2, depth + 1):
-        value = value * cell(cells, spec, k + j + 1, j + 2)
+        value = value * cells[j + 2][k + j + 1]
         for sigma, coeff in core.coeffs.items():
             moved = [t for t in range(1, core.m + 1) if not sigma.fixes(t)]
             if sigma.fixes(1) and moved and max(moved) == j + 2:
                 for t in range(2, j + 3):
-                    coeff = coeff * cell(cells, spec, k + t - 1, sigma(t))
+                    coeff = coeff * cells[sigma(t)][k + t - 1]
                 value = value + coeff
-    return value.value
+        value = core.spec.reduce(value)
+    return value
 
 
 class TestWitnessScalars:
@@ -274,13 +264,12 @@ class TestProbeCompleteness:
         spec = FieldSpec.gf(p)
         for a in range(1, p):
             for b in range(p):
-                head = spec.scalar(a)
-                rem = spec.scalar(b)
-                assert not (head + rem).is_zero or not rem.is_zero
+                head, rem = spec.element(a), spec.element(b)
+                assert spec.reduce(head + rem) or rem
 
     def test_random_rationals(self, rational):
         rng = random.Random("probe")
         for _ in range(200):
-            head = rational.scalar(rng.randint(1, 9))
-            rem = rational.scalar(rng.randint(-9, 9))
-            assert not (head + rem).is_zero or not rem.is_zero
+            head = rational.element(rng.randint(1, 9))
+            rem = rational.element(rng.randint(-9, 9))
+            assert head + rem or rem
