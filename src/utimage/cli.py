@@ -19,7 +19,7 @@ import re
 import sys
 
 from . import errors, selfcheck
-from .fields import FieldSpec
+from .fields import FieldSpec, value_text
 from .freealg import parse_poly
 from .oracle import DEFAULT_CAP, check_theorem
 from .solver import image_description, preimage
@@ -51,6 +51,21 @@ def _int_value(text: str) -> int:
         ) from None
 
 
+def _dense_system(i: int, matrix: list[tuple], rhs: tuple) -> dict:
+    """The --debug text of one traced system: its band rows widened to the
+    dense rows x cols matrix, "0" off the band, and its right-hand side."""
+    degree = len(matrix[0])
+    cols = len(matrix) + degree - 1
+    return {
+        "diagonal": i,
+        "matrix": [
+            ["0"] * k + [value_text(v) for v in row] + ["0"] * (cols - degree - k)
+            for k, row in enumerate(matrix)
+        ],
+        "rhs": [value_text(v) for v in rhs],
+    }
+
+
 def cmd_solve(args) -> int:
     spec = FieldSpec.from_text(args.field)
     poly = parse_poly(args.poly, spec)
@@ -78,7 +93,7 @@ def cmd_solve(args) -> int:
                 for slot in range(2, args.n)
                 for var in range(2, len(cells))
             ]
-            dump["systems"] = [s.debug_dict() for s in trace["systems"]]
+            dump["systems"] = [_dense_system(*s) for s in trace["systems"]]
         print(json.dumps(dump, sort_keys=True), file=sys.stderr)
     return 0
 
@@ -119,6 +134,10 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     if args.trials < 0:
         raise errors.ParseError(f"--trials must be at least 0, got {args.trials}")
+    if args.field:
+        # Refuse a bad --field before the grid runs; the trials still get
+        # the text as given, which seeds them.
+        FieldSpec.from_text(args.field)
     failures = []
     fields = [args.field] if args.field else list(selfcheck.TRIAL_FIELDS)
 

@@ -57,10 +57,6 @@ class BadIndex(Error):
     """Diagonal index outside the valid range."""
 
 
-class NotInBand(Error):
-    """Matrix has a nonzero entry inside the band that must vanish."""
-
-
 class NotNormalized(Error):
     """Polynomial does not have coefficient one at the identity permutation."""
 

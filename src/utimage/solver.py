@@ -24,9 +24,13 @@ after it step on to column k+i-1.  Each product is c_sigma when all its
 cells are 1 and zero otherwise, and the cells are zero at slot 1.
 Assembling one diagonal therefore costs O(rows * |supp| * m) cell reads
 and additions of raw field values (ints mod p, or Fractions), with no
-polynomial evaluation; j = 1 gives the pivot sums.  Each system is solved
-by back-substitution with the free tail set to zero, and the per-diagonal
-solutions add up to the first argument of the witness.  The witness is
+polynomial evaluation; j = 1 gives the pivot sums.  A system is plain
+data: its band rows, a list whose entry k - 1 is the tuple coeff(k, k),
+..., coeff(k, k+m-1), and its right-hand side, the target's diagonal i
+read straight off the scaled target, zeros included.  ``preimage``
+assembles and solves one diagonal at a time, by back-substitution with
+the free tail set to zero, and the per-diagonal solutions add up to the
+first argument of the witness.  The witness is
 then re-evaluated against the target with sparse matrix products, a check
 that shares nothing with the closed form.
 """
@@ -38,54 +42,8 @@ from dataclasses import dataclass
 from . import errors
 from .fields import FieldSpec, value_text
 from .freealg import MultilinearPoly
-from .triangular import StrictUT, band_decompose
+from .triangular import StrictUT
 from .witness import witness_scalars
-
-
-@dataclass
-class BandSystem:
-    """Linear system tying the unknown diagonal of x_1 to one target diagonal.
-
-    Row k (1-based, k = 1..rows) is the equation for target entry
-    (k, k + diagonal_index - 1); column s is the unknown entry of x_1 at
-    (s, s + diagonal_index - degree).  The matrix is banded: row k is
-    supported on columns k..k + degree - 1, so ``matrix[k - 1]`` holds just
-    those ``degree`` coefficients, the diagonal one (a nonzero pivot sum)
-    first.  Coefficients and ``rhs`` (one value per row) are raw values of
-    ``spec``: ints mod p or Fractions.
-    """
-
-    diagonal_index: int
-    degree: int
-    rows: int
-    cols: int
-    spec: FieldSpec
-    matrix: list[tuple]
-    rhs: tuple | list | None = None
-
-    def coeff(self, k: int, s: int):
-        """1-based access to the system matrix, as a raw value; zero off
-        the band."""
-        if not (1 <= k <= self.rows and 1 <= s <= self.cols):
-            raise errors.BadIndex(
-                f"entry ({k}, {s}) outside {self.rows} x {self.cols}"
-            )
-        if 0 <= s - k < self.degree:
-            return self.matrix[k - 1][s - k]
-        return self.spec.zero
-
-    def debug_dict(self) -> dict:
-        """The dense rows x cols matrix and the right-hand side, as text."""
-        doc = {
-            "diagonal": self.diagonal_index,
-            "matrix": [
-                [value_text(self.coeff(k, s)) for s in range(1, self.cols + 1)]
-                for k in range(1, self.rows + 1)
-            ],
-        }
-        if self.rhs is not None:
-            doc["rhs"] = [value_text(v) for v in self.rhs]
-        return doc
 
 
 @dataclass(frozen=True)
@@ -130,11 +88,13 @@ def band_system(
     i: int,
     cells: list[list[int]],
     pivots: tuple,
-) -> BandSystem:
-    """Assemble the system for target diagonal ``i`` (entries (k, k+i-1)).
+) -> list[tuple]:
+    """Assemble the band rows for target diagonal ``i`` (entries (k, k+i-1)).
 
     ``cells`` and ``pivots`` are what ``witness_scalars`` returns: the 0/1
-    cell rows of the fixed arguments and the raw pivot sums.  The
+    cell rows of the fixed arguments and the raw pivot sums.  Row k - 1 of
+    the result holds the m coefficients of equation k at the unknowns
+    s = k..k+m-1, the pivot first; every other coefficient is zero.  The
     coefficients come from the closed form in the module docstring.  Each
     support term sigma adds its coefficient to the column j = sigma^-1(1)
     of every row whose m - 1 cells all read 1, so one diagonal costs
@@ -171,32 +131,32 @@ def band_system(
                 f"diagonal coefficient of row {k} disagrees with pivot "
                 f"{k + i - m - 1}"
             )
-    return BandSystem(i, m, rows, n - i + m, spec, matrix)
+    return matrix
 
 
-def solve_band(system: BandSystem) -> list:
-    """Solve a band system exactly by back-substitution.
+def solve_band(matrix: list[tuple], rhs, spec: FieldSpec) -> list:
+    """Solve band rows (as ``band_system`` returns them) for the
+    right-hand side ``rhs``, one raw value per row, by back-substitution.
 
-    The tail unknowns beyond the last equation are free; they are set to
-    zero, then rows are solved from the last upward, dividing by the
-    nonzero diagonal pivot.  A term whose coefficient or unknown is zero
-    is skipped: it subtracts nothing, and most band coefficients off the
-    diagonal are zero because the fixed arguments are 0/1 cells.  The
-    solution is one raw field value per column.
+    The rows hold degree = len(matrix[0]) coefficients each, so there are
+    len(matrix) + degree - 1 unknowns.  The tail unknowns beyond the last
+    equation are free; they are set to zero, then rows are solved from the
+    last upward, dividing by the nonzero pivot.  A term whose coefficient
+    or unknown is zero is skipped: it subtracts nothing, and most band
+    coefficients off the pivot are zero because the fixed arguments are
+    0/1 cells.  The solution is one raw field value per unknown.
     """
-    if system.rhs is None:
-        raise errors.BadLength("system has no right-hand side")
-    if len(system.rhs) != system.rows:
+    rows, degree = len(matrix), len(matrix[0])
+    if len(rhs) != rows:
         raise errors.BadLength(
-            f"right-hand side has {len(system.rhs)} values, expected {system.rows}"
+            f"right-hand side has {len(rhs)} values, expected {rows}"
         )
-    spec = system.spec
     p = spec.p
-    ys = [spec.zero] * system.cols
-    for k in range(system.rows - 1, -1, -1):
-        row = system.matrix[k]
-        acc = system.rhs[k]
-        for j in range(1, system.degree):
+    ys = [spec.zero] * (rows + degree - 1)
+    for k in range(rows - 1, -1, -1):
+        row = matrix[k]
+        acc = rhs[k]
+        for j in range(1, degree):
             if row[j] and ys[k + j]:
                 acc -= row[j] * ys[k + j]
         if not row[0]:
@@ -206,7 +166,7 @@ def solve_band(system: BandSystem) -> list:
 
 
 def _check_band_target(target: StrictUT, m: int) -> None:
-    if target.band_member(min(m - 1, target.n - 1)):
+    if target.band_member(m - 1):
         return
     row, col = min((r, c) for r, c in target.entries if c - r <= m - 1)
     raise errors.TargetNotInImage(
@@ -227,7 +187,8 @@ def preimage(
     target is unreachable (nonzero while m >= n, or with entries inside
     the zero band).  The tuple is always re-evaluated against the target
     before being returned; pass a dict as ``trace`` to capture the
-    normalized polynomial, the 0/1 cell rows and the band systems.
+    normalized polynomial, the 0/1 cell rows and one (i, band rows,
+    right-hand side) tuple per target diagonal i = m+1..n.
     """
     if f.is_zero:
         raise errors.ZeroPolynomial("no preimages for the zero polynomial")
@@ -259,16 +220,17 @@ def preimage(
             StrictUT(n, f.spec, {(slot, slot + 1): one for slot in range(n) if row[slot]})
             for row in cells[2:]
         ]
+        entries, zero = scaled_target.entries, f.spec.zero
         first_entries = {}
         systems = []
-        for index, values in band_decompose(scaled_target, m):
-            system = band_system(norm.core, n, index, cells, pivots)
-            system.rhs = values
-            ys = solve_band(system)
+        for i in range(m + 1, n + 1):
+            rhs = tuple(entries.get((k, k + i - 1), zero) for k in range(1, n - i + 2))
+            matrix = band_system(norm.core, n, i, cells, pivots)
+            ys = solve_band(matrix, rhs, f.spec)
             first_entries.update(
-                ((s, s + index - m), y) for s, y in enumerate(ys, start=1) if y
+                ((s, s + i - m), y) for s, y in enumerate(ys, start=1) if y
             )
-            systems.append(system)
+            systems.append((i, matrix, rhs))
         if trace is not None:
             trace["cells"] = cells
             trace["systems"] = systems

@@ -189,23 +189,3 @@ class StrictUT:
 def _is_json_int(value) -> bool:
     # JSON true/false load as bool, an int subclass; neither is an index.
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def band_decompose(matrix: StrictUT, m: int) -> list[tuple[int, tuple]]:
-    """Split a matrix in the level-(m-1) band into its single diagonals.
-
-    Returns one (index, values) pair per index i = m + 1 .. n, where
-    ``values[k - 1]`` is the raw entry at (k, k + i - 1) for k = 1..n - i + 1,
-    zeros included; the diagonals together hold every entry of the input.
-    Raises NotInBand if some entry sits at q - p <= m - 1.
-    """
-    if not matrix.band_member(m - 1):
-        row, col = min((r, c) for r, c in matrix.entries if c - r <= m - 1)
-        raise errors.NotInBand(
-            f"entry ({row}, {col}) violates the level-{m - 1} band"
-        )
-    n, entries, zero = matrix.n, matrix.entries, matrix.spec.zero
-    return [
-        (i, tuple(entries.get((k, k + i - 1), zero) for k in range(1, n - i + 2)))
-        for i in range(m + 1, n + 1)
-    ]

@@ -21,7 +21,7 @@ from utimage.selfcheck import (
     trial_case,
     witness_json,
 )
-from utimage.solver import BandSystem, image_description, preimage, solve_band
+from utimage.solver import image_description, preimage, solve_band
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
@@ -164,15 +164,17 @@ def test_criterion_5_band_system_structure(round_trip_runs):
         cells = trace["cells"]
         terms = pivot_terms(core)
         m = core.m
-        for system in trace["systems"]:
+        n = len(cells[-1])  # one cell per slot 0..n-1
+        for i, matrix, rhs in trace["systems"]:
             systems_checked += 1
-            i = system.diagonal_index
-            for k in range(1, system.rows + 1):
-                for s in range(1, system.cols + 1):
-                    inside = k <= s <= k + m - 1
-                    if not inside and system.coeff(k, s):
-                        violations += 1
-                if system.coeff(k, k) != eval_pivot(cells, core, terms, k + i - m - 1):
+            # Row k holds the m coefficients of columns k..k+m-1, the pivot
+            # first; nothing else can be stored.
+            if len(matrix) != len(rhs) or len(matrix) != n - i + 1:
+                violations += 1
+            for k, row in enumerate(matrix, start=1):
+                if len(row) != m:
+                    violations += 1
+                if row[0] != eval_pivot(cells, core, terms, k + i - m - 1):
                     violations += 1
     ok = systems_checked > 0 and violations == 0
     report(
@@ -198,16 +200,13 @@ def test_criterion_6_known_values():
         packed_key(StrictUT.zero(3, gf2), 2),
         packed_key(StrictUT.unit(3, gf2, 1, 3), 2),
     )
-    # back-substitution on the fixed 2 x 3 system; rows hold raw values at
-    # columns k..k+1
+    # back-substitution on the fixed 2 x 3 system; row k holds raw values
+    # at columns k..k+1
     rational = FieldSpec.rational()
     one, minus_one = rational.one, -rational.one
-    sys_q = BandSystem(
-        3, 2, 2, 3, rational, [(one, minus_one), (one, minus_one)], [one, one]
-    )
-    ok = ok and solve_band(sys_q) == [2, 1, 0]
-    sys_2 = BandSystem(3, 2, 2, 3, gf2, [(1, 1), (1, 1)], [1, 1])
-    ok = ok and solve_band(sys_2) == [0, 1, 0]
+    rows_q = [(one, minus_one), (one, minus_one)]
+    ok = ok and solve_band(rows_q, [one, one], rational) == [2, 1, 0]
+    ok = ok and solve_band([(1, 1), (1, 1)], [1, 1], gf2) == [0, 1, 0]
     report(6, ok, "unit-chain values, commutator image, and fixed solves agree")
 
 

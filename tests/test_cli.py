@@ -544,6 +544,37 @@ class TestSolve:
             '{"diagonal": 6, "matrix": [["1", "0", "0", "0"]], "rhs": ["1"]}]}\n'
         )
 
+    def test_debug_dump_rational_golden(self, tmp_path, capsys):
+        # The normalized core is x1*x2 - 1/2*x2*x1 and the target is halved,
+        # so the dump writes Fractions in the matrix and the right-hand
+        # sides; zeros off the band and in the target are written "0".
+        rational = FieldSpec.rational()
+        target = StrictUT.from_entries(4, rational, [(1, 3, "1/2"), (1, 4, -3)])
+        code = cli.main(
+            [
+                "solve",
+                "--poly",
+                "2*x1*x2-x2*x1",
+                "--n",
+                "4",
+                "--field",
+                "rational",
+                "--target",
+                write_matrix(tmp_path / "target.json", target),
+                "--out",
+                str(tmp_path / "w.json"),
+                "--debug",
+            ]
+        )
+        assert code == 0
+        assert capsys.readouterr().err == (
+            '{"assignment": [{"k": 2, "l": 2, "value": "1"}, '
+            '{"k": 3, "l": 2, "value": "1"}], "systems": ['
+            '{"diagonal": 3, "matrix": [["1", "0", "0"], ["0", "1", "-1/2"]], '
+            '"rhs": ["1/4", "0"]}, '
+            '{"diagonal": 4, "matrix": [["1", "0"]], "rhs": ["-3/2"]}]}\n'
+        )
+
 
 class TestImage:
     def test_band(self, capsys):
@@ -686,7 +717,8 @@ class TestSelftest:
         # reproduction line: back-substitution that returns zeros builds a
         # wrong witness, which preimage's postcondition rejects.
         monkeypatch.setattr(
-            "utimage.solver.solve_band", lambda system: [0] * system.cols
+            "utimage.solver.solve_band",
+            lambda matrix, rhs, spec: [0] * (len(matrix) + len(matrix[0]) - 1),
         )
         code = cli.main(
             ["selftest", "--trials", "3", "--seed", "42", "--field", "gf:3"]
@@ -695,6 +727,14 @@ class TestSelftest:
         assert code == 4
         assert "FAIL seed=42" in out
         assert "constructed witness does not evaluate to the target" in out
+
+    @pytest.mark.parametrize("field", ["gf:4", "bogus"])
+    def test_bad_field_refused_before_the_grid(self, capsys, field):
+        code = cli.main(["selftest", "--trials", "1", "--field", field])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
 
 
 class TestUsage:

@@ -7,13 +7,7 @@ from utimage import cli, errors, solver
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.sampling import random_band_target, random_poly
-from utimage.solver import (
-    BandSystem,
-    band_system,
-    image_description,
-    preimage,
-    solve_band,
-)
+from utimage.solver import band_system, image_description, preimage, solve_band
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
@@ -26,21 +20,14 @@ def all_ones_cells(n):
     return [[], [], [0] + [1] * (n - 1)]
 
 
-def system_from_rows(rows, rhs, spec, degree=2, index=3):
-    """A BandSystem from dense int rows; row k keeps columns k..k+degree-1."""
+def system_from_rows(rows, rhs, spec, degree=2):
+    """Band rows and a raw right-hand side from dense int rows; row k
+    keeps columns k..k+degree-1."""
     matrix = [
         tuple(spec.element(v) for v in row[k : k + degree])
         for k, row in enumerate(rows)
     ]
-    return BandSystem(
-        index,
-        degree,
-        len(rows),
-        len(rows[0]),
-        spec,
-        matrix,
-        [spec.element(v) for v in rhs],
-    )
+    return matrix, [spec.element(v) for v in rhs]
 
 
 def reference_band_matrix(core, n, i, fixed_args):
@@ -61,10 +48,13 @@ def reference_band_matrix(core, n, i, fixed_args):
     return matrix
 
 
-def dense(system):
+def dense(matrix):
+    """The rows x cols matrix of band rows, zero off the band."""
+    degree = len(matrix[0])
+    cols = len(matrix) + degree - 1
     return [
-        [system.coeff(k, s) for s in range(1, system.cols + 1)]
-        for k in range(1, system.rows + 1)
+        [0] * k + list(row) + [0] * (cols - degree - k)
+        for k, row in enumerate(matrix)
     ]
 
 
@@ -94,27 +84,30 @@ class TestBandSystem:
     def test_plain_product_matrix(self, rational):
         core = parse_poly("x1*x2", rational)
         pivots = (rational.one,) * 2
-        system = band_system(core, 4, 3, all_ones_cells(4), pivots)
-        assert system.debug_dict()["matrix"] == [
-            ["1", "0", "0"],
-            ["0", "1", "0"],
-        ]
+        matrix = band_system(core, 4, 3, all_ones_cells(4), pivots)
+        assert matrix == [(1, 0), (1, 0)]
+        assert dense(matrix) == [[1, 0, 0], [0, 1, 0]]
 
     def test_commutator_matrix(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
         pivots = (rational.one,) * 2
-        system = band_system(core, 4, 3, all_ones_cells(4), pivots)
-        assert system.debug_dict()["matrix"] == [
-            ["1", "-1", "0"],
-            ["0", "1", "-1"],
-        ]
+        matrix = band_system(core, 4, 3, all_ones_cells(4), pivots)
+        assert matrix == [(1, -1), (1, -1)]
+        assert dense(matrix) == [[1, -1, 0], [0, 1, -1]]
 
     def test_top_diagonal_single_row(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
         pivots = (rational.one,) * 2
-        system = band_system(core, 4, 4, all_ones_cells(4), pivots)
-        assert system.rows == 1 and system.cols == 2
-        assert system.coeff(1, 1) == rational.one
+        matrix = band_system(core, 4, 4, all_ones_cells(4), pivots)
+        assert len(matrix) == 1 and len(matrix[0]) == 2
+        assert matrix[0][0] == rational.one
+
+    def test_diagonal_index_range(self, rational):
+        core = parse_poly("x1*x2", rational)
+        pivots = (rational.one,) * 2
+        for i in (0, 2, 5):
+            with pytest.raises(errors.BadIndex):
+                band_system(core, 4, i, all_ones_cells(4), pivots)
 
     def test_wrong_pivots_rejected(self, rational):
         core = parse_poly("x1*x2", rational)
@@ -132,12 +125,13 @@ class TestBandSystem:
             core = random_poly(rng, spec, m).normalize().core
             cells, pivots = witness_scalars(core, n)
             for i in range(m + 1, n + 1):
-                system = band_system(core, n, i, cells, pivots)
-                for k in range(1, system.rows + 1):
-                    for s in range(1, system.cols + 1):
-                        if not k <= s <= k + m - 1:
-                            assert system.coeff(k, s) == 0
-                    assert system.coeff(k, k) == eval_pivot(
+                # One row per target entry on diagonal i, each holding the
+                # m coefficients of columns k..k+m-1, the pivot first.
+                matrix = band_system(core, n, i, cells, pivots)
+                assert len(matrix) == n - i + 1
+                for k, row in enumerate(matrix, start=1):
+                    assert len(row) == m
+                    assert row[0] == eval_pivot(
                         cells, core, pivot_terms(core), k + i - m - 1
                     )
 
@@ -152,8 +146,8 @@ class TestBandSystem:
                 cells, pivots = witness_scalars(core, n)
                 fixed = fixed_arguments(cells, n, spec)
                 for i in range(m + 1, n + 1):
-                    system = band_system(core, n, i, cells, pivots)
-                    assert dense(system) == reference_band_matrix(core, n, i, fixed)
+                    matrix = band_system(core, n, i, cells, pivots)
+                    assert dense(matrix) == reference_band_matrix(core, n, i, fixed)
 
     def test_assembly_evaluates_nothing(self, monkeypatch, gf5):
         # One preimage at m=7, n=13 evaluates the polynomial once, for the
@@ -185,16 +179,25 @@ class TestBandSystem:
 
 class TestSolveBand:
     def test_known_rational_solution(self, rational):
-        system = system_from_rows([[1, -1, 0], [0, 1, -1]], [1, 1], rational)
-        assert solve_band(system) == [2, 1, 0]
+        matrix, rhs = system_from_rows([[1, -1, 0], [0, 1, -1]], [1, 1], rational)
+        assert solve_band(matrix, rhs, rational) == [2, 1, 0]
 
     def test_known_gf2_solution(self, gf2):
-        system = system_from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], gf2)
-        assert solve_band(system) == [0, 1, 0]
+        matrix, rhs = system_from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], gf2)
+        assert solve_band(matrix, rhs, gf2) == [0, 1, 0]
 
     def test_zero_rhs(self, gf3):
-        system = system_from_rows([[1, 2, 0], [0, 2, 1]], [0, 0], gf3)
-        assert not any(solve_band(system))
+        matrix, rhs = system_from_rows([[1, 2, 0], [0, 2, 1]], [0, 0], gf3)
+        assert not any(solve_band(matrix, rhs, gf3))
+
+    def test_rejects_bad_rhs_length_and_zero_pivot(self, gf3):
+        matrix, _rhs = system_from_rows([[1, 2, 0], [0, 2, 1]], [1, 1], gf3)
+        for short in ([], [1], [1, 1, 1]):
+            with pytest.raises(errors.BadLength):
+                solve_band(matrix, short, gf3)
+        matrix, rhs = system_from_rows([[1, 2, 0], [0, 3, 1]], [1, 1], gf3)
+        with pytest.raises(errors.DivisionByZero):
+            solve_band(matrix, rhs, gf3)
 
     @pytest.mark.parametrize("field_text", ["gf:3", "rational"])
     def test_solution_satisfies_system(self, field_text):
@@ -211,8 +214,7 @@ class TestSolveBand:
                 while not spec.element(matrix[k][k]):
                     matrix[k][k] = rng.randint(1, 4)
             rhs = [rng.randint(-3, 3) for _ in range(rows)]
-            system = system_from_rows(matrix, rhs, spec, degree, degree + 1)
-            ys = solve_band(system)
+            ys = solve_band(*system_from_rows(matrix, rhs, spec, degree), spec)
             for k in range(rows):
                 total = sum(matrix[k][s] * ys[s] for s in range(cols))
                 assert spec.reduce(total) == spec.element(rhs[k])
@@ -235,15 +237,15 @@ class TestSolveBand:
                     if rng.random() < 0.25:
                         matrix[k][s] = rng.randint(-4, 4)
             rhs = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in range(rows)]
-            system = system_from_rows(matrix, rhs, spec, degree, degree + 1)
-            coeffs = dense(system)
+            band, raw_rhs = system_from_rows(matrix, rhs, spec, degree)
+            coeffs = dense(band)
             expected = [spec.zero] * cols
             for k in range(rows - 1, -1, -1):
                 acc = spec.element(rhs[k])
                 for s in range(k + 1, cols):
                     acc = spec.reduce(acc - coeffs[k][s] * expected[s])
                 expected[k] = spec.reduce(acc * spec.inv(coeffs[k][k]))
-            assert solve_band(system) == expected
+            assert solve_band(band, raw_rhs, spec) == expected
 
 
 class TestPreimage:
@@ -330,11 +332,12 @@ class TestPreimage:
         solve = solver.solve_band
         shifted = []
 
-        def perturbed(system):
-            ys = solve(system)
+        def perturbed(matrix, rhs, spec_):
+            ys = solve(matrix, rhs, spec_)
             if not shifted:
                 ys[0] = spec.reduce(ys[0] + 1)
-                shifted.append(system.diagonal_index)
+                # diagonal i of the 5 x 5 target has 5 - i + 1 rows
+                shifted.append(6 - len(rhs))
             return ys
 
         monkeypatch.setattr(solver, "solve_band", perturbed)
@@ -360,7 +363,8 @@ class TestPreimage:
         trace = {}
         preimage(f, 4, target, trace=trace)
         assert trace["cells"] == [[], [], [0, 0, 1, 1]]
-        assert [s.diagonal_index for s in trace["systems"]] == [3, 4]
+        assert [i for i, _matrix, _rhs in trace["systems"]] == [3, 4]
+        assert [rhs for _i, _matrix, rhs in trace["systems"]] == [(1, 0), (2,)]
 
     def test_first_slot_splits_by_diagonal(self, gf5):
         # The first argument may be assembled one diagonal at a time:

@@ -5,8 +5,10 @@ import pytest
 
 from utimage import errors
 from utimage.fields import FieldSpec
-from utimage.sampling import random_scalar
-from utimage.triangular import StrictUT, band_decompose
+from utimage.freealg import parse_poly
+from utimage.sampling import random_poly, random_scalar
+from utimage.solver import preimage
+from utimage.triangular import StrictUT
 
 from conftest import mat, random_strict_ut
 
@@ -132,10 +134,22 @@ def diagonal_matrix(n, spec, index, values):
     )
 
 
+def traced_diagonals(f, n, target):
+    """The (index, right-hand side) pairs that ``preimage`` traces while
+    solving for ``target``, one per band system."""
+    trace = {}
+    preimage(f, n, target, trace=trace)
+    return [(index, rhs) for index, _matrix, rhs in trace.get("systems", ())]
+
+
 class TestBandDecompose:
+    """``preimage`` splits the scaled target into its diagonals m+1..n, one
+    band system each, reading every value off the target, zeros included."""
+
     def test_example(self, rational):
+        f = parse_poly("x1*x2", rational)
         b = mat(4, rational, [(1, 3, 1), (2, 4, 1), (1, 4, 1)])
-        parts = band_decompose(b, 2)
+        parts = traced_diagonals(f, 4, b)
         assert [index for index, _ in parts] == [3, 4]
         assert diagonal_matrix(4, rational, *parts[0]) == mat(
             4, rational, [(1, 3, 1), (2, 4, 1)]
@@ -143,40 +157,57 @@ class TestBandDecompose:
         assert diagonal_matrix(4, rational, *parts[1]) == mat(4, rational, [(1, 4, 1)])
 
     def test_superdiagonal(self, rational):
-        b = mat(4, rational, [(1, 2, 1), (2, 3, 1), (3, 4, 1), (1, 3, 5)])
-        index, values = band_decompose(b, 1)[0]
-        assert index == 2
+        # The first diagonal solved is the one just above the zero band.
+        f = parse_poly("x1*x2", rational)
+        b = mat(5, rational, [(1, 3, 1), (2, 4, 1), (3, 5, 1), (1, 4, 5)])
+        index, values = traced_diagonals(f, 5, b)[0]
+        assert index == 3
         assert values == (1, 1, 1)
 
     def test_corner(self, rational):
+        f = parse_poly("x1*x2", rational)
         b = mat(4, rational, [(1, 4, 7), (1, 3, 2)])
-        assert band_decompose(b, 2)[-1] == (4, (7,))
+        assert traced_diagonals(f, 4, b)[-1] == (4, (7,))
 
     def test_index_range(self, rational):
-        # One part per diagonal m + 1..n; a degree m outside 1..n is refused.
+        # One system per diagonal m + 1..n when 2 <= m < n; none for degree
+        # one, which is solved directly, or when m >= n, where only the zero
+        # target is reachable.
         for n in range(2, 7):
-            for m in range(1, n + 1):
-                parts = band_decompose(StrictUT.zero(n, rational), m)
-                assert [index for index, _ in parts] == list(range(m + 1, n + 1))
-            for m in (0, n + 1):
-                with pytest.raises(errors.BadIndex):
-                    band_decompose(StrictUT.zero(n, rational), m)
+            corner = StrictUT.unit(n, rational, 1, n)
+            for m in range(1, n + 2):
+                f = parse_poly("*".join(f"x{j}" for j in range(1, m + 1)), rational)
+                target = corner if m < n else StrictUT.zero(n, rational)
+                expected = list(range(m + 1, n + 1)) if 2 <= m < n else []
+                parts = traced_diagonals(f, n, target)
+                assert [index for index, _ in parts] == expected
 
     def test_diagonal_lengths(self, rational):
-        # Diagonal i of an n x n matrix holds n - i + 1 values.
-        for n in range(2, 7):
-            for m in range(1, n + 1):
-                for index, values in band_decompose(StrictUT.zero(n, rational), m):
-                    assert len(values) == n - index + 1
+        # Diagonal i of an n x n matrix holds n - i + 1 values, one per row
+        # of its system.
+        for n in range(3, 7):
+            for m in range(2, n):
+                f = parse_poly("*".join(f"x{j}" for j in range(1, m + 1)), rational)
+                trace = {}
+                preimage(f, n, StrictUT.unit(n, rational, 1, n), trace=trace)
+                for index, matrix, values in trace["systems"]:
+                    assert len(values) == len(matrix) == n - index + 1
 
     def test_zero_matrix(self, rational):
-        parts = band_decompose(StrictUT.zero(4, rational), 2)
-        assert len(parts) == 2
-        assert not any(v for _, values in parts for v in values)
+        # A zero diagonal is still solved, from an all-zero right-hand
+        # side; a zero target is answered before any system is built.
+        f = parse_poly("x1*x2", rational)
+        corner = StrictUT.unit(4, rational, 1, 4)
+        assert traced_diagonals(f, 4, corner) == [(3, (0, 0)), (4, (1,))]
+        assert traced_diagonals(f, 4, StrictUT.zero(4, rational)) == []
 
     def test_rejects_band_violation(self, rational):
-        with pytest.raises(errors.NotInBand):
-            band_decompose(StrictUT.unit(3, rational, 1, 2), 2)
+        # The band check runs once, before any system is assembled.
+        f = parse_poly("x1*x2", rational)
+        trace = {}
+        with pytest.raises(errors.TargetNotInImage):
+            preimage(f, 4, mat(4, rational, [(1, 4, 1), (2, 3, 1)]), trace=trace)
+        assert "normalized" in trace and "systems" not in trace
 
     @pytest.mark.parametrize("field_text", ["gf:2", "rational"])
     def test_reassembly(self, field_text):
@@ -185,16 +216,19 @@ class TestBandDecompose:
         for _ in range(20):
             n = rng.randint(3, 7)
             m = rng.randint(2, n - 1)
+            f = random_poly(rng, spec, m)
             pairs = [
                 (p, q, random_scalar(rng, spec))
                 for p in range(1, n)
                 for q in range(p + m, n + 1)
             ]
             b = StrictUT.from_entries(n, spec, pairs)
+            trace = {}
+            preimage(f, n, b, trace=trace)
             total = StrictUT.zero(n, spec)
-            for index, values in band_decompose(b, m):
+            for index, _matrix, values in trace.get("systems", ()):
                 total = total + diagonal_matrix(n, spec, index, values)
-            assert total == b
+            assert total == b.scaled(spec.inv(trace["normalized"].scale))
 
 
 class TestJson:
