@@ -32,6 +32,7 @@ PRIME_CAP = 1 << 31
 _RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _RESIDUE_TEXT = re.compile(r"\d+\Z")
 _GF_SPEC = re.compile(r"gf:(\d+)\Z")
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
 def is_prime(p: int) -> bool:
@@ -110,11 +111,11 @@ class FieldSpec:
 
     @property
     def zero(self):
-        return Fraction(0) if self.is_rational else 0
+        return _Q_ZERO if self.p is None else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.is_rational else 1
+        return _Q_ONE if self.p is None else 1
 
     def reduce(self, value):
         """A raw sum or product in canonical form: its residue mod p."""
@@ -124,8 +125,14 @@ class FieldSpec:
         """The canonical raw value of an int, a Fraction or text.
 
         Anything else, a bool or a float included, is a ParseError: a
-        float is not exact, and a bool is not a number.
+        float is not exact, and a bool is not a number.  A value that is
+        already canonical comes back as it is.
         """
+        if self.p is None:
+            if type(value) is Fraction:
+                return value
+        elif type(value) is int and 0 <= value < self.p:
+            return value
         if isinstance(value, str):
             return self.parse(value)
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):

@@ -5,12 +5,14 @@ A multilinear polynomial of degree m is a sum over permutations s of
 polynomial is stored as a map from permutations to nonzero raw field
 values.
 
-Text grammar (whitespace insignificant, leading '-' permitted)::
+Text grammar, read one term per regular-expression match (blanks allowed
+between any two tokens)::
 
-    poly   := term (('+' | '-') term)*
+    poly   := [sign] term (sign term)*
     term   := [coeff '*'] factor ('*' factor)*
     factor := 'x' uint
-    coeff  := element text of the ambient field
+    coeff  := [sign] uint ['/' uint]    over Q; a bare uint over GF(p)
+    sign   := '+' | '-'
 
 Every monomial must contain each of x1..xm exactly once for one common m.
 """
@@ -39,29 +41,32 @@ class Permutation:
             raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
         self.images = images
 
-    @property
-    def degree(self) -> int:
-        return len(self.images)
+    @classmethod
+    def _of(cls, images: tuple) -> "Permutation":
+        # For images already known to be a permutation of 1..m: no check.
+        sigma = cls.__new__(cls)
+        sigma.images = images
+        return sigma
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
+        return Permutation._of(tuple([self.images[j - 1] for j in other.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images, start=1):
             inv[j - 1] = i
-        return Permutation(inv)
+        return Permutation._of(tuple(inv))
 
     def fixes(self, j: int) -> bool:
         return self.images[j - 1] == j
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
-        return cls(range(1, m + 1))
+        return cls._of(tuple(range(1, m + 1)))
 
     @classmethod
     def transposition(cls, m: int, a: int, b: int) -> "Permutation":
@@ -118,8 +123,10 @@ class MultilinearPoly:
             raise ValueError(f"degree must be at least 1, got {m}")
         cleaned = {}
         for sigma, value in coeffs.items():
-            if sigma.degree != m:
-                raise ValueError(f"{sigma} has degree {sigma.degree}, expected {m}")
+            if len(sigma.images) != m:
+                raise errors.InconsistentDegree(
+                    f"monomial of degree {len(sigma.images)} in a degree-{m} polynomial"
+                )
             value = spec.element(value)
             if value:
                 cleaned[sigma] = value
@@ -140,10 +147,11 @@ class MultilinearPoly:
     def evaluate(self, args: Sequence[StrictUT]) -> StrictUT:
         """Evaluate at a tuple of m strictly upper triangular matrices.
 
-        Each term is a chain of sparse products on raw values.  Over Q they
-        run on integers: each argument and the coefficients are scaled by
-        the lcm of their denominators, and as every monomial holds each
-        argument once, one division per entry undoes the scaling exactly.
+        Each term is a chain of sparse products on exact Python ints.  Over
+        Q each argument and the coefficients are scaled by the lcm of their
+        denominators, and as every monomial holds each argument once, one
+        division per entry undoes the scaling exactly.  Nothing is reduced
+        mod p, nor freed of zeros, until the terms are summed.
         """
         if len(args) != self.m:
             raise errors.DimensionMismatch(
@@ -174,13 +182,13 @@ class MultilinearPoly:
             for var in images[1:]:
                 if not prod:
                     break
-                prod = sparse_product(prod, rows[var - 1], p)
+                prod = sparse_product(prod, rows[var - 1])
             for key, v in prod.items():
                 total[key] = total.get(key, 0) + coeff * v
         if p is None:
             entries = {key: Fraction(v, scale) for key, v in total.items() if v}
         else:
-            entries = {key: v % p for key, v in total.items() if v % p}
+            entries = {key: r for key, v in total.items() if (r := v % p)}
         return StrictUT(n, self.spec, entries)
 
     def normalize(self) -> NormalizedPoly:
@@ -196,8 +204,9 @@ class MultilinearPoly:
         scale = self.coeffs[sigma0]
         relabel = sigma0.inverse()
         inverse = self.spec.inv(scale)
+        reduce = self.spec.reduce
         core = {
-            relabel.compose(sigma): self.spec.reduce(coeff * inverse)
+            relabel.compose(sigma): reduce(coeff * inverse)
             for sigma, coeff in self.coeffs.items()
         }
         return NormalizedPoly(MultilinearPoly(self.m, self.spec, core), relabel, scale)
@@ -234,23 +243,13 @@ class MultilinearPoly:
         return f"MultilinearPoly({self.to_text()!r}, {self.spec})"
 
 
-# One findall pass: tokens after optional blanks, then any unmatched rest.
-_TOKEN = re.compile(r"\s*(?:x(\d+)|(\d+)|([*+/-]))|(\s*\S.*)", re.S)
-_SIGNS = (("op", "+"), ("op", "-"))
-
-
-def _tokenize(text: str) -> list:
-    tokens = []
-    for var, num, op, rest in _TOKEN.findall(text):
-        if rest:
-            raise errors.ParseError(f"unexpected character at {rest!r}")
-        if var:
-            tokens.append(("var", parse_int(var)))
-        elif num:
-            tokens.append(("num", num))
-        else:
-            tokens.append(("op", op))
-    return tokens
+# One term: sign, coefficient with a sign of its own, monomial.  Each blank
+# run precedes a token, so a failed match backtracks over it only once.
+_TERM = re.compile(
+    r"(?:\s*([+-]))?(?:(?:\s*([+-]))?\s*(\d+)(?:\s*/\s*(\d+))?\s*\*)?"
+    r"\s*(x\d+(?:\s*\*\s*x\d+)*)\s*"
+)
+_DIGITS = re.compile(r"\d+")
 
 
 def _multilinear_fault(variables: list[int]) -> str:
@@ -278,62 +277,30 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
     yield the zero polynomial (empty coefficient map); callers that need a
     nonzero polynomial must check ``is_zero`` themselves.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    if not text or text.isspace():
         raise errors.ParseError("empty polynomial")
-    if tokens[0] not in _SIGNS:
-        tokens.insert(0, ("op", "+"))  # so every term follows a sign
-    tokens.append((None, None))  # end marker: every read of it ends the parse
-    pos = 0
-    monomials: list[tuple[object, list[int]]] = []
-    while tokens[pos][0] is not None:
-        kind, value = tokens[pos]
-        if (kind, value) not in _SIGNS:
-            raise errors.ParseError(f"unexpected token {value!r}")
-        coeff = 1 if value == "+" else -1
-        pos += 1
-        # Rational scalar text carries its sign on the numerator, so a term
-        # may open with a signed coefficient like -2/3.
-        if spec.is_rational and tokens[pos] in _SIGNS and tokens[pos + 1][0] == "num":
-            if tokens[pos][1] == "-":
-                coeff = -coeff
-            pos += 1
-        if tokens[pos][0] == "num":
-            digits = tokens[pos][1]
-            pos += 1
-            if tokens[pos] == ("op", "/"):
-                if not spec.is_rational:
-                    raise errors.ParseError("'/' in a prime-field coefficient")
-                kind, denom = tokens[pos + 1]
-                if kind != "num":
-                    raise errors.ParseError("expected digits after '/'")
-                digits = f"{digits}/{denom}"
-                pos += 2
-            coeff = coeff * spec.parse(digits)
-            if tokens[pos] != ("op", "*"):
-                raise errors.ParseError("expected '*' after a coefficient")
-            pos += 1
-        variables = []
-        while True:
-            kind, value = tokens[pos]
-            pos += 1
-            if kind != "var":
-                raise errors.ParseError("expected a variable like x1")
-            variables.append(value)
-            if tokens[pos] != ("op", "*"):
-                break
-            pos += 1
-        monomials.append((coeff, variables))
-
-    degree = len(monomials[0][1])
     raw: dict[tuple, object] = {}
-    for coeff, variables in monomials:
-        if sorted(variables) != list(range(1, len(variables) + 1)):
-            raise errors.NotMultilinear(_multilinear_fault(variables))
-        if len(variables) != degree:
-            raise errors.InconsistentDegree(
-                f"monomial of degree {len(variables)} in a degree-{degree} polynomial"
-            )
-        key = tuple(variables)
+    pos = 0
+    while pos < len(text):
+        match = _TERM.match(text, pos)
+        if match is None or (pos and match[1] is None):
+            raise errors.ParseError(f"expected a signed term at {text[pos:pos + 40]!r}")
+        sign, inner, num, den, monomial = match.groups()
+        coeff = -1 if sign == "-" else 1
+        if num is not None:
+            # Rational text carries its sign on the numerator, so over Q a
+            # term may open with a signed coefficient like -2/3.
+            if not spec.is_rational and (inner or den is not None):
+                raise errors.ParseError(f"a GF({spec.p}) coefficient is a bare residue")
+            coeff *= spec.parse(num if den is None else f"{num}/{den}")
+            if inner == "-":
+                coeff = -coeff
+        key = tuple(map(parse_int, _DIGITS.findall(monomial)))
         raw[key] = raw.get(key, 0) + coeff
-    return MultilinearPoly(degree, spec, {Permutation(k): v for k, v in raw.items()})
+        pos = match.end()
+    coeffs = {}
+    for key, value in raw.items():
+        if sorted(key) != list(range(1, len(key) + 1)):
+            raise errors.NotMultilinear(_multilinear_fault(key))
+        coeffs[Permutation._of(key)] = value
+    return MultilinearPoly(len(next(iter(raw))), spec, coeffs)

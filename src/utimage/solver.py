@@ -21,23 +21,29 @@ s = k+j-1, j = 1..m, where
 in a monomial with x_1 at position j, the j - 1 factors before it step
 from row k to row s, x_1 jumps i - m diagonals, and the m - j factors
 after it step on to column k+i-1.  Each product is c_sigma when all its
-cells are 1 and zero otherwise, and the cells are zero at slot 1.
-Assembling one diagonal therefore costs O(rows * |supp| * m) cell reads
-and additions of raw field values (ints mod p, or Fractions), with no
-polynomial evaluation; j = 1 gives the pivot sums.  A system is plain
-data: its band rows, a list whose entry k - 1 is the tuple coeff(k, k),
-..., coeff(k, k+m-1), and its right-hand side, the target's diagonal i
-read straight off the scaled target, zeros included.  ``preimage``
-assembles and solves one diagonal at a time, by back-substitution with
-the free tail set to zero, and the per-diagonal solutions add up to the
-first argument of the witness.  The witness is
+cells are 1 and zero otherwise, and the cells are zero at slot 1; j = 1
+gives the pivot sums.  The cells before x_1 do not depend on i, and those
+after it only shift with i, so ``term_masks`` reads each term's cells
+once per solve, in O(n * |supp| * m), into two int bitmasks over the
+rows, and ``band_system`` assembles a diagonal from them in
+O(rows * |supp|) int operations, with no polynomial evaluation.  A system
+is plain data: its band rows, a list whose entry k - 1 is the tuple
+coeff(k, k), ..., coeff(k, k+m-1), and its right-hand side, the target's
+diagonal i read straight off the scaled target, zeros included.
+``preimage`` assembles and solves one diagonal at a time, by
+back-substitution with the free tail set to zero, and the per-diagonal
+solutions add up to the first argument of the witness.  The witness is
 then re-evaluated against the target with sparse matrix products, a check
 that shares nothing with the closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 from . import errors
 from .fields import FieldSpec, value_text
@@ -82,47 +88,60 @@ def image_description(f: MultilinearPoly, n: int) -> ImageClass:
     return ImageClass.band(f.m, n)
 
 
+def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> tuple[int, list]:
+    """The support compiled for ``band_system`` from the 0/1 ``cells`` of
+    ``witness_scalars``: the lcm L of the coefficients' denominators (1
+    over GF(p)) and (j - 1, before, after, c_sigma * L) per term sigma with
+    x_1 at position j.  Bit k - 1 of ``before`` (``after``) is set when the
+    cells T(k+t-1, sigma(t)), t < j (t > j), all read 1; on diagonal i,
+    row k reads ``after`` at bit k + i - m - 2.
+    """
+    p = core.spec.p
+    scale = 1 if p else math.lcm(*(c.denominator for c in core.coeffs.values()))
+    masks = [int("".join(map(str, reversed(row))) or "0", 2) for row in cells]
+    terms = []
+    for sigma, coeff in core.coeffs.items():
+        j = sigma.images.index(1)
+        shifted = [masks[var] >> t for t, var in enumerate(sigma.images, start=1)]
+        # -1 stands for every row, before any factor rules one out.
+        before = reduce(and_, shifted[:j], -1)
+        after = reduce(and_, shifted[j + 1 :], -1)
+        if before and after:
+            value = coeff if p else coeff.numerator * (scale // coeff.denominator)
+            terms.append((j, before, after, value))
+    return scale, terms
+
+
 def band_system(
-    core: MultilinearPoly,
-    n: int,
-    i: int,
-    cells: list[list[int]],
-    pivots: tuple,
+    core: MultilinearPoly, n: int, i: int, masks: tuple[int, list], pivots: tuple
 ) -> list[tuple]:
     """Assemble the band rows for target diagonal ``i`` (entries (k, k+i-1)).
 
-    ``cells`` and ``pivots`` are what ``witness_scalars`` returns: the 0/1
-    cell rows of the fixed arguments and the raw pivot sums.  Row k - 1 of
-    the result holds the m coefficients of equation k at the unknowns
-    s = k..k+m-1, the pivot first; every other coefficient is zero.  The
-    coefficients come from the closed form in the module docstring.  Each
-    support term sigma adds its coefficient to the column j = sigma^-1(1)
-    of every row whose m - 1 cells all read 1, so one diagonal costs
-    O(rows * |supp| * m) cell reads and no matrix products.  Every row's
-    diagonal coefficient is checked against the independently computed
-    pivot, so a bookkeeping slip fails loudly here instead of corrupting a
-    witness.
+    ``masks`` is ``term_masks(core, cells)`` and ``pivots`` the raw pivot
+    sums for the cells ``witness_scalars`` chose.  Row k - 1 holds the m
+    coefficients of equation k at the unknowns s = k..k+m-1, the pivot
+    first.  Each term adds its coefficient to column sigma^-1(1) of the
+    rows set in ``before & (after >> (i - m - 1))``; over Q, numerators
+    over L.  Every row's pivot is checked against the independent pivot
+    sum, so a bookkeeping slip fails loudly instead of corrupting a witness.
     """
     m = core.m
     if not m + 1 <= i <= n:
         raise errors.BadIndex(f"diagonal index {i} outside {m + 1}..{n}")
     spec = core.spec
-    rows = n - i + 1
-    columns = [[spec.zero] * rows for _ in range(m)]
-    for sigma, coeff in core.coeffs.items():
-        j = sigma.images.index(1) + 1
-        # Per factor: its variable's cells and its slot in row 1, which is
-        # t before x_1 and t + i - m - 1 after x_1's jump of i - m diagonals.
-        factors = [
-            (cells[var], t if t < j else t + i - m - 1)
-            for t, var in enumerate(sigma.images, start=1)
-            if t != j
-        ]
-        column = columns[j - 1]
-        for k in range(rows):
-            if all(cell[first + k] for cell, first in factors):
-                column[k] += coeff
-    if spec.p is not None:
+    scale, terms = masks
+    rows, shift = n - i + 1, i - m - 1
+    columns = [[0] * rows for _ in range(m)]
+    for j, before, after, coeff in terms:
+        bits = before & (after >> shift) & ((1 << rows) - 1)
+        column = columns[j]
+        while bits:
+            low = bits & -bits
+            column[low.bit_length() - 1] += coeff
+            bits ^= low
+    if spec.p is None:
+        columns = [[Fraction(v, scale) if v else spec.zero for v in c] for c in columns]
+    else:
         columns = [[v % spec.p for v in column] for column in columns]
     matrix = list(zip(*columns))
     for k, row in enumerate(matrix, start=1):
@@ -215,6 +234,7 @@ def preimage(
         witness = (scaled_target,)
     else:
         cells, pivots = witness_scalars(norm.core, n)
+        masks = term_masks(norm.core, cells)
         one = f.spec.one
         fixed_args = [
             StrictUT(n, f.spec, {(slot, slot + 1): one for slot in range(n) if row[slot]})
@@ -222,18 +242,17 @@ def preimage(
         ]
         entries, zero = scaled_target.entries, f.spec.zero
         first_entries = {}
-        systems = []
+        if trace is not None:
+            trace.update(cells=cells, systems=[])
         for i in range(m + 1, n + 1):
             rhs = tuple(entries.get((k, k + i - 1), zero) for k in range(1, n - i + 2))
-            matrix = band_system(norm.core, n, i, cells, pivots)
+            matrix = band_system(norm.core, n, i, masks, pivots)
             ys = solve_band(matrix, rhs, f.spec)
             first_entries.update(
                 ((s, s + i - m), y) for s, y in enumerate(ys, start=1) if y
             )
-            systems.append((i, matrix, rhs))
-        if trace is not None:
-            trace["cells"] = cells
-            trace["systems"] = systems
+            if trace is not None:  # untraced, each diagonal's rows die here
+                trace["systems"].append((i, matrix, rhs))
         witness = norm.transfer([StrictUT(n, f.spec, first_entries)] + fixed_args)
     if f.evaluate(witness) != target:
         raise errors.PostconditionViolation(

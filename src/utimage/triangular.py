@@ -30,17 +30,15 @@ def by_row(entries: dict) -> dict[int, list[tuple]]:
     return rows
 
 
-def sparse_product(left: dict, right_rows: dict, p: int | None) -> dict:
+def sparse_product(left: dict, right_rows: dict) -> dict:
     """Entries of left * right, with right indexed by ``by_row``: exact
-    sums of raw products, reduced mod p when p is given, zeros dropped."""
+    sums of raw products, neither reduced mod p nor freed of zeros."""
     acc: dict = {}
     for (row, mid), a in left.items():
         for col, b in right_rows.get(mid, ()):
             key = (row, col)
             acc[key] = acc.get(key, 0) + a * b
-    if p is not None:
-        return {key: v % p for key, v in acc.items() if v % p}
-    return {key: v for key, v in acc.items() if v}
+    return acc
 
 
 class StrictUT:
@@ -113,7 +111,9 @@ class StrictUT:
 
     def __mul__(self, other: "StrictUT") -> "StrictUT":
         self._check_compat(other)
-        entries = sparse_product(self.entries, by_row(other.entries), self.spec.p)
+        reduce = self.spec.reduce
+        product = sparse_product(self.entries, by_row(other.entries))
+        entries = {key: r for key, v in product.items() if (r := reduce(v))}
         return StrictUT(self.n, self.spec, entries)
 
     def scaled(self, c) -> "StrictUT":
@@ -174,10 +174,11 @@ class StrictUT:
             if not isinstance(item, dict):
                 raise errors.ParseError(f"matrix entry must be an object, got {item!r}")
             try:
-                row, col = item["row"], item["col"]
-                value = spec.parse(item["value"])
-            except (KeyError, TypeError) as exc:
+                row, col, value = item["row"], item["col"], item["value"]
+            except KeyError as exc:
                 raise errors.ParseError(f"bad matrix entry {item!r}") from exc
+            if not isinstance(value, str):
+                raise errors.ParseError(f"bad matrix entry {item!r}")
             if not (_is_json_int(row) and _is_json_int(col)):
                 raise errors.ParseError(
                     f"entry coordinates must be integers, got {item!r}"

@@ -12,12 +12,13 @@ pivot sums
     pivot(k) = sum over support terms s with s(1) = 1 of
                coeff(s) * t[k+1, s(2)] * t[k+2, s(3)] * ... * t[k+m-1, s(m)]
 
-is nonzero.  Since the cells are 0/1, a term adds its raw coefficient
-exactly when every cell it reads is 1, and nothing otherwise; sums are
-raw field values (ints mod p, or Fractions), reduced mod p before each
-zero test.  Those sums reappear as the diagonal pivots of the banded
-linear systems the preimage solver back-substitutes, so their nonvanishing
-is exactly what makes every target reachable.
+is nonzero.  Since the cells are 0/1, a term adds its coefficient exactly
+when every cell it reads is 1, and nothing otherwise.  Sums are ints,
+reduced mod p before each zero test; over Q they run on the coefficients
+times the lcm L of their denominators, which changes no zero test, and
+the pivots are divided by L once, at the end.  Those pivots are the
+diagonal pivots of the solver's banded systems, so their nonvanishing is
+exactly what makes every target reachable.
 
 The construction is a staircase of one-variable linear fixes.  Degree 2 is
 immediate (every pivot is one chosen cell).  For degree >= 3, the cells of
@@ -41,22 +42,19 @@ sum runs over a filter of the polynomial's support: the work grows with
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 from . import errors
 from .fields import FieldSpec
 from .freealg import MultilinearPoly, Permutation
-
-
-def _require_normalized(core: MultilinearPoly) -> None:
-    if core.coefficient(Permutation.identity(core.m)) != core.spec.one:
-        raise errors.NotNormalized(
-            "expected coefficient one at the identity permutation"
-        )
+from .oracle import DEFAULT_CAP
 
 
 def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, object]]:
     """The support terms that fix 1, with raw coefficients: the terms every
     pivot sum and staircase filter runs over."""
-    return [(sigma, coeff) for sigma, coeff in core.coeffs.items() if sigma.fixes(1)]
+    return [(sigma, c) for sigma, c in core.coeffs.items() if sigma.images[0] == 1]
 
 
 def _fixing_above(terms, top: int) -> list[tuple[Permutation, object]]:
@@ -64,17 +62,20 @@ def _fixing_above(terms, top: int) -> list[tuple[Permutation, object]]:
     return [
         (sigma, coeff)
         for sigma, coeff in terms
-        if all(sigma.fixes(t) for t in range(top + 1, sigma.degree + 1))
+        if sigma.images[top:] == tuple(range(top + 1, len(sigma.images) + 1))
     ]
 
 
 def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec):
-    """Raw sum, reduced mod p, of the coefficients of the terms sigma whose
+    """Sum, reduced mod p, of the coefficients of the terms sigma whose
     cells ``cells[sigma(t)][k + t - 1]``, t = 2..depth, all read 1."""
-    total = spec.zero
+    total = 0
     for sigma, coeff in terms:
         images = sigma.images
-        if all(cells[images[t - 1]][k + t - 1] for t in range(2, depth + 1)):
+        for t in range(1, depth):
+            if not cells[images[t]][k + t]:
+                break
+        else:
             total += coeff
     return total if spec.p is None else total % spec.p
 
@@ -88,10 +89,13 @@ def base_assignment(core: MultilinearPoly, n: int) -> list[list[int]]:
     way every head sum comes out 1 or c, both nonzero.  The rows of
     variables 4..m are all 0.
     """
-    _require_normalized(core)
+    if core.coefficient(Permutation.identity(core.m)) != core.spec.one:
+        raise errors.NotNormalized("expected coefficient one at the identity permutation")
     m = core.m
     if not 2 <= m < n:
         raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
+    if (m - 1) * n > DEFAULT_CAP:  # priced before the rows are allocated
+        raise errors.CapExceeded(f"{m - 1} x {n} cells exceed the cap {DEFAULT_CAP}")
     cells = [[], []] + [[0] * n for _ in range(m - 1)]
     if m == 2 or not core.coefficient(Permutation.transposition(m, 2, 3)):
         for var in range(2, min(m, 3) + 1):
@@ -108,26 +112,21 @@ def step_remainder(terms, j: int) -> list[tuple[Permutation, object]]:
     return [
         (sigma, coeff)
         for sigma, coeff in _fixing_above(terms, j + 2)
-        if not sigma.fixes(j + 2)
+        if sigma.images[j + 1] != j + 2
     ]
 
 
 def step_extend(
-    cells: list[list[int]],
-    core: MultilinearPoly,
-    terms: list,
-    n: int,
-    j: int,
-    partials: list,
+    cells: list[list[int]], core: MultilinearPoly, terms: list, n: int, j: int, partials: list
 ) -> list:
     """Run staircase step j (2 <= j <= m-2), filling variable j + 2.
 
-    ``terms`` is ``pivot_terms(core)``; ``partials`` holds the nonzero head
-    values from the previous step.
-    The row of variable j + 2 starts all 0, so remainder sums only ever
-    read defined cells; the case loop overwrites cell (k + j + 1, j + 2)
-    for k = 1..n-m in increasing order with whichever probe value in
-    {1, 0} keeps the extended head nonzero.  Returns the new head values.
+    ``terms`` is ``pivot_terms(core)``, or its coefficients scaled to ints;
+    ``partials`` holds the nonzero head values from the previous step.  The
+    row of variable j + 2 starts all 0, so remainder sums only ever read
+    defined cells; the case loop overwrites cell (k + j + 1, j + 2) for
+    k = 1..n-m in increasing order with whichever probe value in {1, 0}
+    keeps the extended head nonzero.  Returns the new head values.
     """
     m = core.m
     if not 2 <= j <= m - 2:
@@ -176,6 +175,9 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
     cells = base_assignment(core, n)
     m = core.m
     terms = pivot_terms(core)
+    if core.spec.p is None:
+        scale = math.lcm(*(c.denominator for _, c in terms))
+        terms = [(sigma, c.numerator * (scale // c.denominator)) for sigma, c in terms]
     # Length-2 head sums over the identity and the swap of 2 and 3; for
     # m = 2 the identity alone, whose sum is one cell.
     heads = _fixing_above(terms, 3)
@@ -193,4 +195,6 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
             )
         if not direct:
             raise errors.InternalInvariantViolation(f"zero pivot at equation {k}")
+    if core.spec.p is None:
+        partials = [Fraction(v, scale) for v in partials]
     return cells, tuple(partials)

@@ -441,6 +441,20 @@ class TestSolve:
             captured = capsys.readouterr()
             assert captured.out == "" and captured.err == message
 
+    def test_huge_dimension_is_priced_before_allocating(self, tmp_path, capsys):
+        # A 90-byte target can name any n; the (m - 1) * n cell table is
+        # priced against the cap before a single row is allocated.
+        n = 10**20
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(
+            {"n": n, "field": "gf:5", "entries": [{"row": 1, "col": 5, "value": "3"}]}
+        ))
+        argv = ["solve", "--poly", "x1*x2", "--n", str(n), "--field", "gf:5"]
+        code = cli.main(argv + ["--target", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: 1 x {n} cells exceed the cap 1000000\n"
+
     def test_bad_poly_exits_1(self, tmp_path, gf7_target):
         target_path, _ = gf7_target
         code = cli.main(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -149,7 +150,75 @@ class TestParse:
                 assert parse_poly(f.to_text(), spec) == f
 
 
+GRAMMAR_TOKEN = re.compile(r"x\d+|\d+|[*+/-]")
+BLANKS = ["", "", " ", "  ", "\t", " \n "]
+
+
+class TestGrammarPinned:
+    """The polynomial grammar, independent of how the parser reads it."""
+
+    @pytest.mark.parametrize("field_text", ["rational", "gf:5"])
+    def test_round_trip_with_blanks_and_inner_signs(self, field_text):
+        # Canonical text with random blanks between tokens parses back to
+        # the same polynomial; over Q a '-' before a coefficient may also
+        # be written '+ -', the sign moved onto the coefficient.
+        spec = FieldSpec.from_text(field_text)
+        rng = random.Random("grammar:" + field_text)
+        for _ in range(80):
+            f = random_poly(rng, spec, rng.randint(1, 4))
+            tokens = GRAMMAR_TOKEN.findall(f.to_text())
+            pieces = []
+            for k, token in enumerate(tokens):
+                if (
+                    spec.is_rational
+                    and token == "-"
+                    and tokens[k + 1].isdigit()
+                    and rng.random() < 0.5
+                ):
+                    pieces += ["+", rng.choice(BLANKS), "-"]
+                else:
+                    pieces.append(token)
+                pieces.append(rng.choice(BLANKS))
+            text = rng.choice(BLANKS) + "".join(pieces)
+            assert parse_poly(text, spec) == f, text
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "x1*", "*x1", "x1 x2", "2*", "x1**x2", "x1*x2 +", "y1*y2", "2"]
+        + ["2 3*x1", "x1*2", "1/*x1", "x1*x2+-x2*x1"],
+    )
+    @pytest.mark.parametrize("field_text", ["rational", "gf:5"])
+    def test_rejected_with_one_line(self, text, field_text):
+        with pytest.raises(errors.ParseError) as raised:
+            parse_poly(text, FieldSpec.from_text(field_text))
+        assert str(raised.value) and "\n" not in str(raised.value)
+
+    @pytest.mark.parametrize("text", ["x1*x2 + -2*x2*x1", "1/2*x1*x2"])
+    def test_prime_field_coefficient_is_an_unsigned_residue(self, text, gf5):
+        with pytest.raises(errors.ParseError) as raised:
+            parse_poly(text, gf5)
+        assert str(raised.value) and "\n" not in str(raised.value)
+        parse_poly(text, FieldSpec.rational())
+
+
 class TestEvaluate:
+    def test_chains_reduced_once_match_reduced_products(self):
+        # At p = 2^31 - 1 an unreduced chain of seven factors reaches about
+        # 2^217; reducing once, at the sum, must still give the sum of the
+        # reduced left-to-right products.
+        spec = FieldSpec.gf(2147483647)
+        rng = random.Random("chains")
+        f = random_poly(rng, spec, 7)
+        args = [random_strict_ut(rng, spec, 10) for _ in range(7)]
+        expected = StrictUT.zero(10, spec)
+        for sigma, coeff in f.coeffs.items():
+            prod = args[sigma(1) - 1]
+            for t in range(2, 8):
+                prod = prod * args[sigma(t) - 1]
+            expected = expected + prod.scaled(coeff)
+        assert not expected.is_zero
+        assert f.evaluate(args) == expected
+
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_unit_chain_reaches_corner(self, rational, m):
         # x1...xm at the superdiagonal units multiplies to the top corner.

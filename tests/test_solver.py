@@ -1,13 +1,21 @@
 import json
 import random
+import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 from utimage import cli, errors, solver
 from utimage.fields import FieldSpec
-from utimage.freealg import MultilinearPoly, parse_poly
+from utimage.freealg import MultilinearPoly, Permutation, parse_poly
 from utimage.sampling import random_band_target, random_poly
-from utimage.solver import band_system, image_description, preimage, solve_band
+from utimage.solver import (
+    band_system,
+    image_description,
+    preimage,
+    solve_band,
+    term_masks,
+)
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
@@ -84,21 +92,21 @@ class TestBandSystem:
     def test_plain_product_matrix(self, rational):
         core = parse_poly("x1*x2", rational)
         pivots = (rational.one,) * 2
-        matrix = band_system(core, 4, 3, all_ones_cells(4), pivots)
+        matrix = band_system(core, 4, 3, term_masks(core, all_ones_cells(4)), pivots)
         assert matrix == [(1, 0), (1, 0)]
         assert dense(matrix) == [[1, 0, 0], [0, 1, 0]]
 
     def test_commutator_matrix(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
         pivots = (rational.one,) * 2
-        matrix = band_system(core, 4, 3, all_ones_cells(4), pivots)
+        matrix = band_system(core, 4, 3, term_masks(core, all_ones_cells(4)), pivots)
         assert matrix == [(1, -1), (1, -1)]
         assert dense(matrix) == [[1, -1, 0], [0, 1, -1]]
 
     def test_top_diagonal_single_row(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
         pivots = (rational.one,) * 2
-        matrix = band_system(core, 4, 4, all_ones_cells(4), pivots)
+        matrix = band_system(core, 4, 4, term_masks(core, all_ones_cells(4)), pivots)
         assert len(matrix) == 1 and len(matrix[0]) == 2
         assert matrix[0][0] == rational.one
 
@@ -107,13 +115,13 @@ class TestBandSystem:
         pivots = (rational.one,) * 2
         for i in (0, 2, 5):
             with pytest.raises(errors.BadIndex):
-                band_system(core, 4, i, all_ones_cells(4), pivots)
+                band_system(core, 4, i, term_masks(core, all_ones_cells(4)), pivots)
 
     def test_wrong_pivots_rejected(self, rational):
         core = parse_poly("x1*x2", rational)
         pivots = (rational.element(2), rational.one)
         with pytest.raises(errors.CoefficientMismatch):
-            band_system(core, 4, 3, all_ones_cells(4), pivots)
+            band_system(core, 4, 3, term_masks(core, all_ones_cells(4)), pivots)
 
     @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "rational"])
     def test_band_structure_and_pivots_randomized(self, field_text):
@@ -127,7 +135,7 @@ class TestBandSystem:
             for i in range(m + 1, n + 1):
                 # One row per target entry on diagonal i, each holding the
                 # m coefficients of columns k..k+m-1, the pivot first.
-                matrix = band_system(core, n, i, cells, pivots)
+                matrix = band_system(core, n, i, term_masks(core, cells), pivots)
                 assert len(matrix) == n - i + 1
                 for k, row in enumerate(matrix, start=1):
                     assert len(row) == m
@@ -146,8 +154,28 @@ class TestBandSystem:
                 cells, pivots = witness_scalars(core, n)
                 fixed = fixed_arguments(cells, n, spec)
                 for i in range(m + 1, n + 1):
-                    matrix = band_system(core, n, i, cells, pivots)
+                    matrix = band_system(core, n, i, term_masks(core, cells), pivots)
                     assert dense(matrix) == reference_band_matrix(core, n, i, fixed)
+
+    def test_integer_sums_exact_over_q(self, rational):
+        # m = 7, n = 13 with coefficients over 2, 3, 5 and 7: the numerators
+        # summed over their lcm 210 give exactly the rows that evaluating
+        # the polynomial gives, on every diagonal.
+        rng = random.Random("exact:q")
+        support = sorted(random_poly(rng, rational, 7).coeffs)
+        coeffs = {
+            sigma: Fraction(rng.choice([-4, -1, 1, 3]), (2, 3, 5, 7)[k % 4])
+            for k, sigma in enumerate(support)
+        }
+        coeffs[Permutation.identity(7)] = 1
+        core = MultilinearPoly(7, rational, coeffs)
+        cells, pivots = witness_scalars(core, 13)
+        masks = term_masks(core, cells)
+        assert masks[0] == 210
+        fixed = fixed_arguments(cells, 13, rational)
+        for i in range(8, 14):
+            matrix = band_system(core, 13, i, masks, pivots)
+            assert dense(matrix) == reference_band_matrix(core, 13, i, fixed)
 
     def test_assembly_evaluates_nothing(self, monkeypatch, gf5):
         # One preimage at m=7, n=13 evaluates the polynomial once, for the
@@ -173,7 +201,7 @@ class TestBandSystem:
         cells, pivots = witness_scalars(core, 13)
         monkeypatch.setattr(StrictUT, "__mul__", counted_mul)
         for i in range(8, 14):
-            band_system(core, 13, i, cells, pivots)
+            band_system(core, 13, i, term_masks(core, cells), pivots)
         assert calls == {"evaluate": 1, "mul": 0}
 
 
@@ -356,6 +384,20 @@ class TestPreimage:
         assert captured.err == (
             "internal error (bug): constructed witness does not evaluate to the target\n"
         )
+
+    def test_untraced_solve_keeps_no_band_rows(self, gf5):
+        # Without a trace, each diagonal's rows die once solved, so a
+        # one-entry target at n = 200 never holds the O(n^2) rows of all
+        # 198 diagonals at once.
+        f = parse_poly("x1*x2", gf5)
+        target = mat(200, gf5, [(1, 200, 1)])
+        tracemalloc.start()
+        try:
+            preimage(f, 200, target)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
 
     def test_trace_exposes_internals(self, rational):
         f = parse_poly("x1*x2-x2*x1", rational)
