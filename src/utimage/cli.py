@@ -51,37 +51,23 @@ def _int_value(text: str) -> int:
         ) from None
 
 
-def _dense_system(i: int, matrix: list[tuple], rhs: tuple) -> dict:
-    """The --debug text of one traced system: its band rows widened to the
-    dense rows x cols matrix, "0" off the band, and its right-hand side."""
-    degree = len(matrix[0])
-    cols = len(matrix) + degree - 1
-    return {
-        "diagonal": i,
-        "matrix": [
-            ["0"] * k + [value_text(v) for v in row] + ["0"] * (cols - degree - k)
-            for k, row in enumerate(matrix)
-        ],
-        "rhs": [value_text(v) for v in rhs],
-    }
-
-
 def cmd_solve(args) -> int:
     spec = FieldSpec.from_text(args.field)
     poly = parse_poly(args.poly, spec)
-    with open(args.target) as handle:
-        try:
-            doc = json.load(handle)
-        except (ValueError, RecursionError) as exc:
-            # JSONDecodeError, bad UTF-8, an over-long integer, deep nesting
-            raise errors.ParseError(f"{args.target}: {exc}") from exc
+    with open(args.target, "rb", buffering=0) as handle:  # cheaper than text
+        data = handle.readall()
+    try:
+        doc = json.loads(data.decode())
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, an over-long integer, deep nesting
+        raise errors.ParseError(f"{args.target}: {exc}") from exc
     target = StrictUT.from_json_dict(doc)
     trace: dict | None = {} if args.debug else None
     witness = preimage(poly, args.n, target, trace=trace)
     text = selfcheck.witness_json(args.poly, args.n, spec, target, witness)
     if args.out:
-        with open(args.out, "w") as handle:
-            handle.write(text)
+        with open(args.out, "wb") as handle:
+            handle.write(text.encode())
     else:
         sys.stdout.write(text)
     if args.debug and trace is not None:
@@ -93,7 +79,12 @@ def cmd_solve(args) -> int:
                 for slot in range(2, args.n)
                 for var in range(2, len(cells))
             ]
-            dump["systems"] = [_dense_system(*s) for s in trace["systems"]]
+            # Row k of a system holds the coefficients of unknowns k..k+m-1.
+            dump["systems"] = [
+                {"diagonal": i, "rows": [[value_text(v) for v in row] for row in rows],
+                 "rhs": [value_text(v) for v in rhs]}
+                for i, rows, rhs in trace["systems"]
+            ]
         print(json.dumps(dump, sort_keys=True), file=sys.stderr)
     return 0
 
@@ -215,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     selftest.add_argument("--field", help="restrict trials to one field")
     selftest.set_defaults(func=cmd_selftest)
 
+    parser.commands = sub.choices  # name -> subcommand parser, for main
     return parser
 
 
@@ -238,7 +230,11 @@ def _join_poly_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     try:
         argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
-        args = build_parser().parse_args(argv)
+        parser = build_parser()
+        if argv and argv[0] in parser.commands:  # straight to the command
+            args = parser.commands[argv[0]].parse_args(argv[1:])
+        else:  # no or an unknown command, or a top-level -h
+            args = parser.parse_args(argv)
         return args.func(args)
     except errors.TargetNotInImage as exc:
         print(f"not in image: {exc}", file=sys.stderr)

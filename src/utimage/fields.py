@@ -30,7 +30,6 @@ PRIME = "gf"
 PRIME_CAP = 1 << 31
 
 _RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_RESIDUE_TEXT = re.compile(r"\d+\Z")
 _GF_SPEC = re.compile(r"gf:(\d+)\Z")
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
@@ -162,7 +161,7 @@ class FieldSpec:
                 raise errors.ParseError(f"zero denominator in {text!r}")
             num, _, den = text.partition("/")
             return Fraction(parse_int(num), parse_int(den or "1"))
-        if _RESIDUE_TEXT.match(text) is None:
+        if not text.isdecimal():  # no sign, blank or '_', which int() takes
             raise errors.ParseError(f"bad GF({self.p}) literal {text!r}")
         value = parse_int(text)
         if value >= self.p:

@@ -23,6 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from . import errors
@@ -108,7 +109,7 @@ class NormalizedPoly:
 
     def transfer(self, args: Sequence) -> tuple:
         """Rearrange arguments for ``core`` into arguments for the original."""
-        return tuple(args[self.relabel(j) - 1] for j in range(1, len(args) + 1))
+        return tuple([args[j - 1] for j in self.relabel.images])
 
 
 class MultilinearPoly:
@@ -161,7 +162,7 @@ class MultilinearPoly:
         for a in args:
             if a.n != n:
                 raise errors.DimensionMismatch(f"{a.n} vs {n}")
-            if a.spec != self.spec:
+            if a.spec is not self.spec and a.spec != self.spec:
                 raise errors.FieldMismatch(f"{a.spec} argument in {self.spec} poly")
         p = self.spec.p
         factors = [a.entries for a in args]
@@ -200,13 +201,15 @@ class MultilinearPoly:
         """
         if self.is_zero:
             raise errors.ZeroPolynomial("cannot normalize the zero polynomial")
-        sigma0 = min(self.coeffs)
+        sigma0 = min(self.coeffs, key=attrgetter("images"))
         scale = self.coeffs[sigma0]
         relabel = sigma0.inverse()
         inverse = self.spec.inv(scale)
-        reduce = self.spec.reduce
+        images, p = relabel.images, self.spec.p
         core = {
-            relabel.compose(sigma): reduce(coeff * inverse)
+            Permutation._of(tuple([images[j - 1] for j in sigma.images])): (
+                coeff * inverse if p is None else coeff * inverse % p
+            )
             for sigma, coeff in self.coeffs.items()
         }
         return NormalizedPoly(MultilinearPoly(self.m, self.spec, core), relabel, scale)
@@ -279,6 +282,7 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
     """
     if not text or text.isspace():
         raise errors.ParseError("empty polynomial")
+    p = spec.p
     raw: dict[tuple, object] = {}
     pos = 0
     while pos < len(text):
@@ -286,21 +290,25 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
         if match is None or (pos and match[1] is None):
             raise errors.ParseError(f"expected a signed term at {text[pos:pos + 40]!r}")
         sign, inner, num, den, monomial = match.groups()
-        coeff = -1 if sign == "-" else 1
-        if num is not None:
-            # Rational text carries its sign on the numerator, so over Q a
-            # term may open with a signed coefficient like -2/3.
-            if not spec.is_rational and (inner or den is not None):
-                raise errors.ParseError(f"a GF({spec.p}) coefficient is a bare residue")
-            coeff *= spec.parse(num if den is None else f"{num}/{den}")
-            if inner == "-":
-                coeff = -coeff
-        key = tuple(map(parse_int, _DIGITS.findall(monomial)))
-        raw[key] = raw.get(key, 0) + coeff
+        if num is None:
+            coeff = 1
+        elif p is not None and (inner or den is not None):
+            raise errors.ParseError(f"a GF({p}) coefficient is a bare residue")
+        else:
+            coeff = spec.parse(num if den is None else f"{num}/{den}")
+        # Rational text carries its sign on the numerator, so over Q a term
+        # may open with a signed coefficient like -2/3: two signs cancel.
+        if (sign == "-") != (inner == "-"):
+            coeff = -coeff
+        try:  # int() skips the blanks the grammar allows around '*'
+            key = tuple(map(int, monomial.replace("x", "").split("*")))
+        except ValueError:  # a literal too long for int(): name it
+            key = tuple(map(parse_int, _DIGITS.findall(monomial)))
+        raw[key] = raw[key] + coeff if key in raw else coeff
         pos = match.end()
     coeffs = {}
     for key, value in raw.items():
         if sorted(key) != list(range(1, len(key) + 1)):
             raise errors.NotMultilinear(_multilinear_fault(key))
-        coeffs[Permutation._of(key)] = value
+        coeffs[Permutation._of(key)] = value if p is None else value % p
     return MultilinearPoly(len(next(iter(raw))), spec, coeffs)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from . import errors
-from .fields import FieldSpec, value_text
+from .fields import FieldSpec
 from .freealg import MultilinearPoly, parse_poly
 from .oracle import ImageReport, check_theorem
 from .sampling import random_band_target, random_poly
@@ -75,18 +75,16 @@ def _json_list(items: list[str], indent: str) -> str:
     if not items:
         return "[]"
     inner = indent + "  "
-    return "[\n" + ",\n".join(inner + item for item in items) + f"\n{indent}]"
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
 
 
 def _matrix_json(matrix: StrictUT, indent: str) -> str:
     """``canonical_json``'s text of ``matrix.to_json_dict()`` for an object
     whose closing brace sits at ``indent``."""
     item = indent + "    "
-    entries = matrix.entries
     rows = [
-        f'{{\n{item}  "col": {c},\n{item}  "row": {r},\n'
-        f'{item}  "value": "{value_text(entries[r, c])}"\n{item}}}'
-        for r, c in sorted(entries)
+        f'{{\n{item}  "col": {c},\n{item}  "row": {r},\n{item}  "value": "{v}"\n{item}}}'
+        for (r, c), v in sorted(matrix.entries.items())
     ]
     return (
         f'{{\n{indent}  "entries": {_json_list(rows, indent + "  ")},\n'
@@ -103,8 +101,11 @@ def witness_json(
     Python's int-to-decimal limit raises CapExceeded, as it does there."""
     # The target is written first, so the first value too long to write
     # is the one the document's serialization would meet first.
-    target_text = _matrix_json(target, "  ")
-    witness_text = _json_list([_matrix_json(x, "    ") for x in witness], "  ")
+    try:
+        target_text = _matrix_json(target, "  ")
+        witness_text = _json_list([_matrix_json(x, "    ") for x in witness], "  ")
+    except ValueError as exc:  # past Python's int-to-decimal digit limit
+        raise errors.CapExceeded(f"value too long to write: {exc}") from exc
     return (
         f'{{\n  "field": "{spec.to_text()}",\n  "n": {n},\n'
         f'  "polynomial": {json.dumps(poly_text)},\n'

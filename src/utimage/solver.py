@@ -29,12 +29,14 @@ rows, and ``band_system`` assembles a diagonal from them in
 O(rows * |supp|) int operations, with no polynomial evaluation.  A system
 is plain data: its band rows, a list whose entry k - 1 is the tuple
 coeff(k, k), ..., coeff(k, k+m-1), and its right-hand side, the target's
-diagonal i read straight off the scaled target, zeros included.
-``preimage`` assembles and solves one diagonal at a time, by
-back-substitution with the free tail set to zero, and the per-diagonal
-solutions add up to the first argument of the witness.  The witness is
-then re-evaluated against the target with sparse matrix products, a check
-that shares nothing with the closed form.
+diagonal i, zeros included.  ``preimage`` groups the scaled target's
+entries by diagonal in one pass and assembles and solves only the
+diagonals that hold one, by back-substitution with the free tail set to
+zero: a zero right-hand side solves to zero.  A solve thus costs
+O(nnz + n * |supp| * m) plus O(rows * |supp|) per nonzero diagonal, and
+the per-diagonal solutions add up to the first argument of the witness.
+The witness is then re-evaluated against the target with sparse matrix
+products, a check that shares nothing with the closed form.
 """
 
 from __future__ import annotations
@@ -42,8 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import and_
+from itertools import compress
 
 from . import errors
 from .fields import FieldSpec, value_text
@@ -98,14 +99,23 @@ def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> tuple[int, list
     """
     p = core.spec.p
     scale = 1 if p else math.lcm(*(c.denominator for c in core.coeffs.values()))
-    masks = [int("".join(map(str, reversed(row))) or "0", 2) for row in cells]
+    masks = []
+    for row in cells:
+        mask = 0
+        for slot in compress(range(len(row)), row):
+            mask |= 1 << slot
+        masks.append(mask)
     terms = []
     for sigma, coeff in core.coeffs.items():
-        j = sigma.images.index(1)
-        shifted = [masks[var] >> t for t, var in enumerate(sigma.images, start=1)]
+        images = sigma.images
+        j = images.index(1)
         # -1 stands for every row, before any factor rules one out.
-        before = reduce(and_, shifted[:j], -1)
-        after = reduce(and_, shifted[j + 1 :], -1)
+        before = after = -1
+        for t, var in enumerate(images, start=1):
+            if t <= j:
+                before &= masks[var] >> t
+            elif t > j + 1:
+                after &= masks[var] >> t
         if before and after:
             value = coeff if p else coeff.numerator * (scale // coeff.denominator)
             terms.append((j, before, after, value))
@@ -128,27 +138,26 @@ def band_system(
     m = core.m
     if not m + 1 <= i <= n:
         raise errors.BadIndex(f"diagonal index {i} outside {m + 1}..{n}")
-    spec = core.spec
+    p = core.spec.p
     scale, terms = masks
     rows, shift = n - i + 1, i - m - 1
-    columns = [[0] * rows for _ in range(m)]
+    flat = [0] * (rows * m)
     for j, before, after, coeff in terms:
         bits = before & (after >> shift) & ((1 << rows) - 1)
-        column = columns[j]
         while bits:
             low = bits & -bits
-            column[low.bit_length() - 1] += coeff
+            flat[(low.bit_length() - 1) * m + j] += coeff
             bits ^= low
-    if spec.p is None:
-        columns = [[Fraction(v, scale) if v else spec.zero for v in c] for c in columns]
+    if p is None:  # few distinct sums occur: each becomes a Fraction once
+        values = {v: Fraction(v, scale) for v in set(flat)}
+        flat = [values[v] for v in flat]
     else:
-        columns = [[v % spec.p for v in column] for column in columns]
-    matrix = list(zip(*columns))
+        flat = [v % p for v in flat]
+    matrix = [tuple(flat[k : k + m]) for k in range(0, rows * m, m)]
     for k, row in enumerate(matrix, start=1):
-        if row[0] != pivots[k + i - m - 2]:
+        if row[0] != pivots[k + shift - 1]:
             raise errors.CoefficientMismatch(
-                f"diagonal coefficient of row {k} disagrees with pivot "
-                f"{k + i - m - 1}"
+                f"diagonal coefficient of row {k} disagrees with pivot {k + shift}"
             )
     return matrix
 
@@ -180,7 +189,10 @@ def solve_band(matrix: list[tuple], rhs, spec: FieldSpec) -> list:
                 acc -= row[j] * ys[k + j]
         if not row[0]:
             raise errors.DivisionByZero(f"zero pivot in row {k + 1}")
-        ys[k] = acc / row[0] if p is None else acc * pow(row[0], -1, p) % p
+        if p is None:  # most pivots are 1, and a Fraction division is costly
+            ys[k] = acc if row[0] == 1 else acc / row[0]
+        else:
+            ys[k] = acc * pow(row[0], -1, p) % p
     return ys
 
 
@@ -207,7 +219,7 @@ def preimage(
     the zero band).  The tuple is always re-evaluated against the target
     before being returned; pass a dict as ``trace`` to capture the
     normalized polynomial, the 0/1 cell rows and one (i, band rows,
-    right-hand side) tuple per target diagonal i = m+1..n.
+    right-hand side) tuple per solved diagonal i, in increasing i.
     """
     if f.is_zero:
         raise errors.ZeroPolynomial("no preimages for the zero polynomial")
@@ -237,22 +249,26 @@ def preimage(
         masks = term_masks(norm.core, cells)
         one = f.spec.one
         fixed_args = [
-            StrictUT(n, f.spec, {(slot, slot + 1): one for slot in range(n) if row[slot]})
+            StrictUT(n, f.spec, {(slot, slot + 1): one for slot in compress(range(n), row)})
             for row in cells[2:]
         ]
-        entries, zero = scaled_target.entries, f.spec.zero
+        diagonals: dict[int, dict] = {}  # i -> {k: entry (k, k+i-1)}
+        for (row, col), value in scaled_target.entries.items():
+            diagonals.setdefault(col - row + 1, {})[row] = value
         first_entries = {}
         if trace is not None:
             trace.update(cells=cells, systems=[])
-        for i in range(m + 1, n + 1):
-            rhs = tuple(entries.get((k, k + i - 1), zero) for k in range(1, n - i + 2))
+        for i in sorted(diagonals):  # a zero diagonal would solve to zero
+            rhs = [f.spec.zero] * (n - i + 1)
+            for k, value in diagonals[i].items():
+                rhs[k - 1] = value
             matrix = band_system(norm.core, n, i, masks, pivots)
             ys = solve_band(matrix, rhs, f.spec)
-            first_entries.update(
-                ((s, s + i - m), y) for s, y in enumerate(ys, start=1) if y
-            )
+            for s, y in enumerate(ys, start=1):
+                if y:
+                    first_entries[s, s + i - m] = y
             if trace is not None:  # untraced, each diagonal's rows die here
-                trace["systems"].append((i, matrix, rhs))
+                trace["systems"].append((i, matrix, tuple(rhs)))
         witness = norm.transfer([StrictUT(n, f.spec, first_entries)] + fixed_args)
     if f.evaluate(witness) != target:
         raise errors.PostconditionViolation(

@@ -122,7 +122,8 @@ class StrictUT:
         if not c:
             return StrictUT(self.n, self.spec, {})
         # A field has no zero divisors, so no entry becomes zero.
-        entries = {k: self.spec.reduce(v * c) for k, v in self.entries.items()}
+        p = self.spec.p
+        entries = {k: v * c if p is None else v * c % p for k, v in self.entries.items()}
         return StrictUT(self.n, self.spec, entries)
 
     def band_member(self, t: int) -> bool:

@@ -59,11 +59,10 @@ def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, object]]:
 
 def _fixing_above(terms, top: int) -> list[tuple[Permutation, object]]:
     """The terms among ``terms`` that fix every position above ``top``."""
-    return [
-        (sigma, coeff)
-        for sigma, coeff in terms
-        if sigma.images[top:] == tuple(range(top + 1, len(sigma.images) + 1))
-    ]
+    if not terms:
+        return []
+    tail = tuple(range(top + 1, len(terms[0][0].images) + 1))
+    return [(sigma, coeff) for sigma, coeff in terms if sigma.images[top:] == tail]
 
 
 def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec):
@@ -141,7 +140,7 @@ def step_extend(
             raise errors.InternalInvariantViolation(
                 f"zero head value at step {j}, equation {k}"
             )
-        rem = _term_sum(remainder_terms, cells, k, var, spec)
+        rem = _term_sum(remainder_terms, cells, k, var, spec) if remainder_terms else 0
         # Probe 1 first, fall back to 0; one of head + rem, rem is nonzero
         # because head is not.
         value = head + rem if spec.p is None else (head + rem) % spec.p

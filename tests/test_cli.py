@@ -522,7 +522,8 @@ class TestSolve:
     def test_debug_dump_golden(self, tmp_path, capsys):
         # At slot 5 the staircase takes the 0 probe for x4: the probe 1
         # would cancel the head over GF(2).  The cells are listed in (slot,
-        # variable) order, then the band systems as dense text.
+        # variable) order, then each band system's rows: row k holds the
+        # coefficients of unknowns k..k+m-1.
         gf2 = FieldSpec.gf(2)
         target = mat(6, gf2, [(1, 5, 1), (2, 6, 1), (1, 6, 1)])
         code = cli.main(
@@ -553,15 +554,15 @@ class TestSolve:
         )
         assert capsys.readouterr().err == (
             f'{{"assignment": [{assignment}], "systems": ['
-            '{"diagonal": 5, "matrix": [["1", "0", "0", "0", "0"], '
-            '["0", "1", "0", "0", "0"]], "rhs": ["1", "1"]}, '
-            '{"diagonal": 6, "matrix": [["1", "0", "0", "0"]], "rhs": ["1"]}]}\n'
+            '{"diagonal": 5, "rhs": ["1", "1"], '
+            '"rows": [["1", "0", "0", "0"], ["1", "0", "0", "0"]]}, '
+            '{"diagonal": 6, "rhs": ["1"], "rows": [["1", "0", "0", "0"]]}]}\n'
         )
 
     def test_debug_dump_rational_golden(self, tmp_path, capsys):
         # The normalized core is x1*x2 - 1/2*x2*x1 and the target is halved,
-        # so the dump writes Fractions in the matrix and the right-hand
-        # sides; zeros off the band and in the target are written "0".
+        # so the dump writes Fractions in the rows and the right-hand
+        # sides; zeros in the rows and in the target are written "0".
         rational = FieldSpec.rational()
         target = StrictUT.from_entries(4, rational, [(1, 3, "1/2"), (1, 4, -3)])
         code = cli.main(
@@ -584,9 +585,9 @@ class TestSolve:
         assert capsys.readouterr().err == (
             '{"assignment": [{"k": 2, "l": 2, "value": "1"}, '
             '{"k": 3, "l": 2, "value": "1"}], "systems": ['
-            '{"diagonal": 3, "matrix": [["1", "0", "0"], ["0", "1", "-1/2"]], '
-            '"rhs": ["1/4", "0"]}, '
-            '{"diagonal": 4, "matrix": [["1", "0"]], "rhs": ["-3/2"]}]}\n'
+            '{"diagonal": 3, "rhs": ["1/4", "0"], '
+            '"rows": [["1", "0"], ["1", "-1/2"]]}, '
+            '{"diagonal": 4, "rhs": ["-3/2"], "rows": [["1", "0"]]}]}\n'
         )
 
 
@@ -769,6 +770,25 @@ class TestUsage:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+    def test_extra_argument_is_reported_by_its_command(self, capsys):
+        # A command's own parser reads everything after the command name.
+        code = cli.main(["image", "--poly", "x1*x2", "--n", "3", "extra"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: utimage image: unrecognized arguments: extra\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_missing_or_unknown_command_is_reported_at_top_level(self, capsys, argv, message):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: utimage: {message}")
 
     @pytest.mark.parametrize(
         "poly, expected",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from utimage import cli, errors, solver
+from utimage import cli, errors, selfcheck, solver
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, Permutation, parse_poly
 from utimage.sampling import random_band_target, random_poly
@@ -385,6 +386,22 @@ class TestPreimage:
             "internal error (bug): constructed witness does not evaluate to the target\n"
         )
 
+    def test_deep_witness_bytes_pinned(self):
+        # 30 seeded degree-7 solves, n = 9..13 over GF(5), GF(7) and Q:
+        # the witness documents, as ``solve`` writes them, hash to a fixed
+        # digest, so no change to the solver's internals may move a byte.
+        texts = []
+        for index in range(30):
+            spec = FieldSpec.from_text(("gf:5", "gf:7", "rational")[index % 3])
+            rng = random.Random(f"deep-witness:{index}")
+            n = 9 + index % 5
+            f = random_poly(rng, spec, 7)
+            target = random_band_target(rng, spec, n, 7)
+            witness = preimage(f, n, target)
+            texts.append(selfcheck.witness_json(f.to_text(), n, spec, target, witness))
+        digest = hashlib.sha256("".join(texts).encode()).hexdigest()
+        assert digest == "17196adf62f843f30308ec9fafd670af58fa65620d92281facbfd078915f0b70"
+
     def test_untraced_solve_keeps_no_band_rows(self, gf5):
         # Without a trace, each diagonal's rows die once solved, so a
         # one-entry target at n = 200 never holds the O(n^2) rows of all
@@ -398,6 +415,18 @@ class TestPreimage:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 2**20
+
+    def test_one_entry_target_solves_one_diagonal(self, gf5):
+        # Only the diagonal holding the entry is assembled and solved, so a
+        # single corner entry at n = 3200 costs one one-row system.
+        f = parse_poly("x1*x2", gf5)
+        target = mat(3200, gf5, [(1, 3200, 1)])
+        trace = {}
+        witness = preimage(f, 3200, target, trace=trace)
+        assert [(i, len(rows), rhs) for i, rows, rhs in trace["systems"]] == [
+            (3200, 1, (1,))
+        ]
+        assert f.evaluate(list(witness)) == target
 
     def test_trace_exposes_internals(self, rational):
         f = parse_poly("x1*x2-x2*x1", rational)

@@ -6,7 +6,7 @@ import pytest
 from utimage import errors
 from utimage.fields import FieldSpec
 from utimage.freealg import parse_poly
-from utimage.sampling import random_poly, random_scalar
+from utimage.sampling import random_band_target, random_poly, random_scalar
 from utimage.solver import preimage
 from utimage.triangular import StrictUT
 
@@ -143,8 +143,9 @@ def traced_diagonals(f, n, target):
 
 
 class TestBandDecompose:
-    """``preimage`` splits the scaled target into its diagonals m+1..n, one
-    band system each, reading every value off the target, zeros included."""
+    """``preimage`` splits the scaled target into its diagonals m+1..n and
+    builds one band system for each diagonal that holds an entry, reading
+    every value of it off the target, zeros included."""
 
     def test_example(self, rational):
         f = parse_poly("x1*x2", rational)
@@ -170,17 +171,22 @@ class TestBandDecompose:
         assert traced_diagonals(f, 4, b)[-1] == (4, (7,))
 
     def test_index_range(self, rational):
-        # One system per diagonal m + 1..n when 2 <= m < n; none for degree
-        # one, which is solved directly, or when m >= n, where only the zero
-        # target is reachable.
+        # One system per diagonal of m + 1..n that holds a nonzero target
+        # entry, in increasing order; none for degree one, which is solved
+        # directly, or when m >= n, where only the zero target is reachable.
+        rng = random.Random("index-range")
         for n in range(2, 7):
-            corner = StrictUT.unit(n, rational, 1, n)
             for m in range(1, n + 2):
                 f = parse_poly("*".join(f"x{j}" for j in range(1, m + 1)), rational)
-                target = corner if m < n else StrictUT.zero(n, rational)
-                expected = list(range(m + 1, n + 1)) if 2 <= m < n else []
-                parts = traced_diagonals(f, n, target)
-                assert [index for index, _ in parts] == expected
+                targets = [StrictUT.zero(n, rational)]
+                if m < n:
+                    targets += [StrictUT.unit(n, rational, 1, n)]
+                    targets += [random_band_target(rng, rational, n, m) for _ in range(4)]
+                for target in targets:
+                    held = sorted({col - row + 1 for row, col in target.entries})
+                    expected = held if 2 <= m < n else []
+                    parts = traced_diagonals(f, n, target)
+                    assert [index for index, _ in parts] == expected
 
     def test_diagonal_lengths(self, rational):
         # Diagonal i of an n x n matrix holds n - i + 1 values, one per row
@@ -194,11 +200,12 @@ class TestBandDecompose:
                     assert len(values) == len(matrix) == n - index + 1
 
     def test_zero_matrix(self, rational):
-        # A zero diagonal is still solved, from an all-zero right-hand
-        # side; a zero target is answered before any system is built.
+        # A zero diagonal is not solved: its right-hand side and its
+        # solution are all zero.  A zero target is answered before any
+        # system is built.
         f = parse_poly("x1*x2", rational)
         corner = StrictUT.unit(4, rational, 1, 4)
-        assert traced_diagonals(f, 4, corner) == [(3, (0, 0)), (4, (1,))]
+        assert traced_diagonals(f, 4, corner) == [(4, (1,))]
         assert traced_diagonals(f, 4, StrictUT.zero(4, rational)) == []
 
     def test_rejects_band_violation(self, rational):
