@@ -231,7 +231,7 @@ def main(argv=None) -> int:
     try:
         argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
         parser = build_parser()
-        if argv and argv[0] in parser.commands:  # straight to the command
+        if argv and argv[0] in parser.commands:  # skip the top-level pass
             args = parser.commands[argv[0]].parse_args(argv[1:])
         else:  # no or an unknown command, or a top-level -h
             args = parser.parse_args(argv)
