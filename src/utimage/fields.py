@@ -23,7 +23,6 @@ from fractions import Fraction
 from . import errors
 
 RATIONAL = "rational"
-PRIME = "gf"
 
 # Trial division is plenty for the moduli this library targets; refuse
 # anything where it would not be.
@@ -69,14 +68,13 @@ def value_text(value) -> str:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The ground field: either the rationals or GF(p) for a prime p."""
+    """The ground field: GF(p) for a prime p, or the rationals when p is None."""
 
-    kind: str
     p: int | None = None
 
     @classmethod
     def rational(cls) -> "FieldSpec":
-        return cls(RATIONAL)
+        return cls()
 
     @classmethod
     def gf(cls, p: int) -> "FieldSpec":
@@ -86,7 +84,7 @@ class FieldSpec:
             raise errors.MalformedSpec(f"modulus must be at least 2, got {p}")
         if not is_prime(p):
             raise errors.NotPrime(f"{p} is not prime")
-        return cls(PRIME, p)
+        return cls(p)
 
     @classmethod
     def from_text(cls, text: str) -> "FieldSpec":
@@ -99,14 +97,14 @@ class FieldSpec:
         return cls.gf(parse_int(match.group(1)))
 
     def to_text(self) -> str:
-        return RATIONAL if self.kind == RATIONAL else f"gf:{self.p}"
+        return RATIONAL if self.p is None else f"gf:{self.p}"
 
     def __str__(self) -> str:
         return self.to_text()
 
     @property
     def is_rational(self) -> bool:
-        return self.kind == RATIONAL
+        return self.p is None
 
     @property
     def zero(self):

@@ -20,23 +20,26 @@ the pivots are divided by L once, at the end.  Those pivots are the
 diagonal pivots of the solver's banded systems, so their nonvanishing is
 exactly what makes every target reachable.
 
-The construction is a staircase of one-variable linear fixes.  Degree 2 is
-immediate (every pivot is one chosen cell).  For degree >= 3, the cells of
-variables 2 and 3 are set so that every length-2 head sum
+The construction is a staircase of one-variable linear fixes, run in
+one function over one pass of the support.  Each pivot term is sorted
+once by its largest moved position: the identity and the swap of 2 and
+3 feed the length-2 head sums
 
-    head(k) = t[k+1, 2] * t[k+2, 3] + coeff(swap 2,3) * t[k+1, 3] * t[k+2, 2]
+    head(k) = t[k+1, 2] * t[k+2, 3] + coeff(swap 2,3) * t[k+1, 3] * t[k+2, 2],
 
-is nonzero: all ones when coeff(swap 2,3) is zero, an alternating 0/1
-pattern otherwise.  Each later step j = 2..m-2 brings in variable j + 2:
-for each k, pivot contributions that involve only variables up to j + 2
-split as head * t[k+j+1, j+2] + remainder, where the remainder collects
-the support terms fixing 1 and everything above j + 2 but moving j + 2.
-Because the head is nonzero, one of the probe values 1, 0 for the new cell
-keeps the extended head nonzero; cells never constrained by the staircase
-stay 0.
+and every other term enters at its top position.  The cells of variables
+2 and 3 are set so that every head sum is nonzero: all ones when
+coeff(swap 2,3) is zero, an alternating 0/1 pattern otherwise (degree 2
+has the identity alone, and every pivot is one chosen cell).  Each later
+variable var = 4..m extends the heads: for each k, the pivot
+contributions that involve only variables up to var split as
+head * t[k+var-1, var] + remainder, where the remainder sums the terms
+entering at var.  Because the head is nonzero, one of the probe values
+1, 0 for the new cell keeps the extended head nonzero; cells never
+constrained by the staircase stay 0.
 
 Terms with a zero coefficient add nothing to any of these sums, so every
-sum runs over a filter of the polynomial's support: the work grows with
+sum runs over a part of the polynomial's support: the work grows with
 |supp|, m and n, never with m!.
 """
 
@@ -53,16 +56,8 @@ from .oracle import DEFAULT_CAP
 
 def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, object]]:
     """The support terms that fix 1, with raw coefficients: the terms every
-    pivot sum and staircase filter runs over."""
+    pivot sum runs over."""
     return [(sigma, c) for sigma, c in core.coeffs.items() if sigma.images[0] == 1]
-
-
-def _fixing_above(terms, top: int) -> list[tuple[Permutation, object]]:
-    """The terms among ``terms`` that fix every position above ``top``."""
-    if not terms:
-        return []
-    tail = tuple(range(top + 1, len(terms[0][0].images) + 1))
-    return [(sigma, coeff) for sigma, coeff in terms if sigma.images[top:] == tail]
 
 
 def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec):
@@ -79,86 +74,12 @@ def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec
     return total if spec.p is None else total % spec.p
 
 
-def base_assignment(core: MultilinearPoly, n: int) -> list[list[int]]:
-    """The cell rows with variables 2 and 3 (just 2 when m = 2) filled.
-
-    For m >= 3 the pattern depends on the coefficient c at the swap of
-    positions 2 and 3: all ones when c = 0, otherwise slot k gets
-    (0, 1) for odd k and (1, 0) for even k in variables (2, 3).  Either
-    way every head sum comes out 1 or c, both nonzero.  The rows of
-    variables 4..m are all 0.
-    """
-    if core.coefficient(Permutation.identity(core.m)) != core.spec.one:
-        raise errors.NotNormalized("expected coefficient one at the identity permutation")
-    m = core.m
-    if not 2 <= m < n:
-        raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
-    if (m - 1) * n > DEFAULT_CAP:  # priced before the rows are allocated
-        raise errors.CapExceeded(f"{m - 1} x {n} cells exceed the cap {DEFAULT_CAP}")
-    cells = [[], []] + [[0] * n for _ in range(m - 1)]
-    if m == 2 or not core.coefficient(Permutation.transposition(m, 2, 3)):
-        for var in range(2, min(m, 3) + 1):
-            cells[var][2:] = [1] * (n - 2)
-    else:
-        for slot in range(2, n):
-            cells[2][slot], cells[3][slot] = (0, 1) if slot % 2 == 1 else (1, 0)
-    return cells
-
-
-def step_remainder(terms, j: int) -> list[tuple[Permutation, object]]:
-    """The ``pivot_terms`` entering at staircase step j: they fix every
-    position above j + 2, but move j + 2."""
-    return [
-        (sigma, coeff)
-        for sigma, coeff in _fixing_above(terms, j + 2)
-        if sigma.images[j + 1] != j + 2
-    ]
-
-
-def step_extend(
-    cells: list[list[int]], core: MultilinearPoly, terms: list, n: int, j: int, partials: list
-) -> list:
-    """Run staircase step j (2 <= j <= m-2), filling variable j + 2.
-
-    ``terms`` is ``pivot_terms(core)``, or its coefficients scaled to ints;
-    ``partials`` holds the nonzero head values from the previous step.  The
-    row of variable j + 2 starts all 0, so remainder sums only ever read
-    defined cells; the case loop overwrites cell (k + j + 1, j + 2) for
-    k = 1..n-m in increasing order with whichever probe value in {1, 0}
-    keeps the extended head nonzero.  Returns the new head values.
-    """
-    m = core.m
-    if not 2 <= j <= m - 2:
-        raise errors.BadIndex(f"step {j} outside 2..{m - 2}")
-    spec = core.spec
-    var = j + 2
-    remainder_terms = step_remainder(terms, j)
-    out = []
-    for k in range(1, n - m + 1):
-        head = partials[k - 1]
-        if not head:
-            raise errors.InternalInvariantViolation(
-                f"zero head value at step {j}, equation {k}"
-            )
-        rem = _term_sum(remainder_terms, cells, k, var, spec) if remainder_terms else 0
-        # Probe 1 first, fall back to 0; one of head + rem, rem is nonzero
-        # because head is not.
-        value = head + rem if spec.p is None else (head + rem) % spec.p
-        choice = 1
-        if not value:
-            choice = 0
-            value = rem
-        cells[var][k + j + 1] = choice
-        out.append(value)
-    return out
-
-
 def eval_pivot(cells: list[list[int]], core: MultilinearPoly, terms: list, k: int):
     """Pivot sum of equation k computed directly from the cells.
 
     This is a flat sum over ``terms = pivot_terms(core)``, with no
     staircase bookkeeping, so it doubles as an independent check on the
-    incremental values recorded by the steps.
+    head values the staircase extends one variable at a time.
     """
     return _term_sum(terms, cells, k, core.m, core.spec)
 
@@ -166,25 +87,54 @@ def eval_pivot(cells: list[list[int]], core: MultilinearPoly, terms: list, k: in
 def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tuple]:
     """Choose every cell and return the rows with the n - m pivot values.
 
-    Runs the base assignment, then steps j = 2..m-2 (none for m in
-    {2, 3}), and re-verifies every pivot by direct summation before
+    Fills variables 2 and 3 with the base pattern, then each variable
+    4..m in turn, and re-verifies every pivot by direct summation before
     returning; a mismatch or a zero pivot means an implementation bug,
     never bad input.
     """
-    cells = base_assignment(core, n)
-    m = core.m
+    m, spec = core.m, core.spec
+    if core.coefficient(Permutation.identity(m)) != spec.one:
+        raise errors.NotNormalized("expected coefficient one at the identity permutation")
+    if not 2 <= m < n:
+        raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
+    if (m - 1) * n > DEFAULT_CAP:  # priced before the rows are allocated
+        raise errors.CapExceeded(f"{m - 1} x {n} cells exceed the cap {DEFAULT_CAP}")
     terms = pivot_terms(core)
-    if core.spec.p is None:
+    if spec.p is None:
         scale = math.lcm(*(c.denominator for _, c in terms))
         terms = [(sigma, c.numerator * (scale // c.denominator)) for sigma, c in terms]
-    # Length-2 head sums over the identity and the swap of 2 and 3; for
-    # m = 2 the identity alone, whose sum is one cell.
-    heads = _fixing_above(terms, 3)
-    partials = [
-        _term_sum(heads, cells, k, min(m, 3), core.spec) for k in range(1, n - m + 1)
-    ]
-    for j in range(2, m - 1):
-        partials = step_extend(cells, core, terms, n, j, partials)
+    # entering[var] holds the terms whose largest moved position is var;
+    # the head terms (identity, swap of 2 and 3) sit at min(m, 3).
+    entering = [[] for _ in range(m + 1)]
+    for sigma, coeff in terms:
+        top = m
+        while top > 3 and sigma.images[top - 1] == top:
+            top -= 1
+        entering[top].append((sigma, coeff))
+    # Base pattern: every head sum comes out 1 or coeff(swap 2,3).
+    cells = [[], []] + [[0] * n for _ in range(m - 1)]
+    if m == 2 or not core.coefficient(Permutation.transposition(m, 2, 3)):
+        for var in range(2, min(m, 3) + 1):
+            cells[var][2:] = [1] * (n - 2)
+    else:
+        for slot in range(2, n):
+            cells[2][slot], cells[3][slot] = (0, 1) if slot % 2 == 1 else (1, 0)
+    heads = entering[min(m, 3)]
+    partials = [_term_sum(heads, cells, k, min(m, 3), spec) for k in range(1, n - m + 1)]
+    for var in range(4, m + 1):
+        for k in range(1, n - m + 1):
+            head = partials[k - 1]
+            if not head:
+                raise errors.InternalInvariantViolation(
+                    f"zero head value at variable {var}, equation {k}"
+                )
+            rem = _term_sum(entering[var], cells, k, var, spec) if entering[var] else 0
+            # Probe 1 first, fall back to 0; one of head + rem, rem is
+            # nonzero because head is not.  Row var is still 0 from slot
+            # k + var - 1 on, so the remainder reads only chosen cells.
+            value = spec.reduce(head + rem)
+            cells[var][k + var - 1] = 1 if value else 0
+            partials[k - 1] = value if value else rem
     for k in range(1, n - m + 1):
         direct = eval_pivot(cells, core, terms, k)
         if direct != partials[k - 1]:
@@ -194,6 +144,6 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
             )
         if not direct:
             raise errors.InternalInvariantViolation(f"zero pivot at equation {k}")
-    if core.spec.p is None:
+    if spec.p is None:
         partials = [Fraction(v, scale) for v in partials]
     return cells, tuple(partials)

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import utimage
 from utimage import cli
 from utimage.fields import FieldSpec
 from utimage.triangular import StrictUT
@@ -223,10 +226,13 @@ class TestSolve:
             "assert f.evaluate(witness) == target\n"
             "print('ok')\n"
         )
+        # The child imports the same utimage package this suite imported.
+        env = {**os.environ, "PYTHONPATH": str(Path(utimage.__file__).parent.parent)}
         proc = subprocess.run(
             [sys.executable, "-c", script, str(out)],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0 and proc.stdout.strip() == "ok"
 

@@ -1,19 +1,15 @@
+import hashlib
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 
-from utimage import errors
+from utimage import errors, witness
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, Permutation, parse_poly
-from utimage.witness import (
-    base_assignment,
-    eval_pivot,
-    step_extend,
-    pivot_terms,
-    step_remainder,
-    witness_scalars,
-)
+from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
 from conftest import fixed_arguments, mat, random_pivot_coeffs
 
@@ -25,17 +21,24 @@ def poly_from(coeff_map, m, spec):
 class TestStepRemainder:
     @pytest.mark.parametrize("m", [4, 5, 6])
     def test_steps_partition_the_support_fixing_first(self, rational, m):
-        # With all of S_m in the support, the head terms (identity and the
-        # swap of 2 and 3) plus the terms entering at each step cover the
-        # terms fixing 1 exactly once, and carry their own coefficients.
-        group = [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
-        core = MultilinearPoly(m, rational, {s: i + 1 for i, s in enumerate(group)})
-        seen = [Permutation.identity(m), Permutation.transposition(m, 2, 3)]
-        for j in range(2, m - 1):
-            for sigma, coeff in step_remainder(pivot_terms(core), j):
-                assert coeff == core.coefficient(sigma)
-                seen.append(sigma)
-        assert sorted(seen) == [s for s in group if s.fixes(1)]
+        # With every permutation fixing 1 in the support, each at its own
+        # coefficient, the head terms (identity and the swap of 2 and 3)
+        # and the terms entering at each variable 4..m must cover the
+        # pivot terms exactly once: a term dropped or counted twice moves
+        # some pivot off its direct sum ``eval_pivot``.
+        fixing_one = [(1,) + tail for tail in itertools.permutations(range(2, m + 1))]
+        for n in (m + 1, m + 3, 2 * m + 2):
+            for offset in range(1, 4):
+                # distinct coefficients: 1 at the identity, 3 and up elsewhere
+                coeffs = {images: i + offset + 1 for i, images in enumerate(fixing_one)}
+                coeffs[tuple(range(1, m + 1))] = 1
+                core = poly_from(coeffs, m, rational)
+                cells, pivots = witness_scalars(core, n)
+                terms = pivot_terms(core)
+                assert len(terms) == len(fixing_one)
+                assert pivots == tuple(
+                    eval_pivot(cells, core, terms, k) for k in range(1, n - m + 1)
+                )
 
 
 class TestAssignmentTable:
@@ -71,14 +74,17 @@ class TestAssignmentTable:
 
 
 class TestBaseAssignment:
+    """At m = 2 and 3 no variable follows the base pattern, so the cells
+    ``witness_scalars`` returns are the base pattern itself."""
+
     def test_degree_two_all_ones(self, rational):
         core = poly_from({(1, 2): 1}, 2, rational)
-        cells = base_assignment(core, 4)
+        cells, _pivots = witness_scalars(core, 4)
         assert cells[2] == [0, 0, 1, 1]
 
     def test_degree_three_without_swap(self, rational):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 0}, 3, rational)
-        cells = base_assignment(core, 5)
+        cells, _pivots = witness_scalars(core, 5)
         assert cells[2] == cells[3] == [0, 0, 1, 1, 1]
         # every head sum is 1
         for k in (1, 2):
@@ -86,7 +92,7 @@ class TestBaseAssignment:
 
     def test_degree_three_with_swap_gf2(self, gf2):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 1}, 3, gf2)
-        cells = base_assignment(core, 5)
+        cells, _pivots = witness_scalars(core, 5)
         # odd slots (0, 1), even slots (1, 0) in variables (2, 3)
         assert cells[2] == [0, 0, 1, 0, 1]
         assert cells[3] == [0, 0, 0, 1, 0]
@@ -95,7 +101,7 @@ class TestBaseAssignment:
 
     def test_head_sums_are_one_or_swap_coeff(self, gf5):
         core = poly_from({(1, 2, 3): 1, (1, 3, 2): 3}, 3, gf5)
-        cells = base_assignment(core, 7)
+        cells, _pivots = witness_scalars(core, 7)
         terms = pivot_terms(core)
         values = {eval_pivot(cells, core, terms, k) for k in range(1, 5)}
         assert values <= {1, 3}
@@ -103,23 +109,21 @@ class TestBaseAssignment:
     def test_requires_normalized(self, rational):
         core = poly_from({(1, 2): 2}, 2, rational)
         with pytest.raises(errors.NotNormalized):
-            base_assignment(core, 4)
+            witness_scalars(core, 4)
 
 
 class TestStepExtend:
     def test_degenerate_remainder_keeps_partials(self, rational):
         # Support only on {identity, swap of 2 and 3}: every remainder sum
-        # is empty, so the probe value 1 is always chosen.
+        # is empty, so the probe value 1 is always chosen and every pivot
+        # is its head sum.
         core = poly_from({(1, 2, 3, 4, 5): 1, (1, 3, 2, 4, 5): 2}, 5, rational)
         n = 8
-        cells = base_assignment(core, n)
-        heads = [eval_head(cells, core, k) for k in range(1, n - 4)]
-        out = heads
-        for j in (2, 3):
-            out = step_extend(cells, core, pivot_terms(core), n, j, out)
-            assert out == heads
+        cells, pivots = witness_scalars(core, n)
+        assert pivots == tuple(eval_head(cells, core, k) for k in range(1, n - 4))
+        for var in (4, 5):
             for k in range(1, n - 4):
-                assert cells[j + 2][k + j + 1] == 1
+                assert cells[var][k + var - 1] == 1
 
     def test_gf2_fallback_to_zero_probe(self, gf2):
         # Degree 4 over GF(2) with an extra monomial moving position 4:
@@ -131,20 +135,13 @@ class TestStepExtend:
         assert cells[4] == [0, 0, 0, 0, 1, 0]
         assert pivots == (1, 1)
 
-    def test_step_bounds(self, rational):
+    def test_zero_partial_is_a_bug_signal(self, monkeypatch, rational):
+        # A zero head sum cannot come from the base pattern; if one did,
+        # the next variable's probe could not recover, so it is refused.
+        monkeypatch.setattr(witness, "_term_sum", lambda *args: 0)
         core = poly_from({(1, 2, 3, 4): 1}, 4, rational)
-        cells = base_assignment(core, 6)
-        one = rational.one
-        with pytest.raises(errors.BadIndex):
-            step_extend(cells, core, pivot_terms(core), 6, 3, [one, one])
-
-    def test_zero_partial_is_a_bug_signal(self, rational):
-        core = poly_from({(1, 2, 3, 4): 1}, 4, rational)
-        cells = base_assignment(core, 6)
-        with pytest.raises(errors.InternalInvariantViolation):
-            step_extend(
-                cells, core, pivot_terms(core), 6, 2, [rational.zero, rational.one]
-            )
+        with pytest.raises(errors.InternalInvariantViolation, match="zero head value"):
+            witness_scalars(core, 6)
 
 
 def eval_head(cells, core, k):
@@ -194,7 +191,9 @@ class TestWitnessScalars:
 
     def test_builds_no_symmetric_group(self, monkeypatch, gf5):
         # Every sum ranges over the support, so four terms at m = 8 must not
-        # cost anything near the 8! permutations of S_8.
+        # cost anything near the 8! permutations of S_8.  Every way of
+        # building a Permutation, the unchecked ``_of`` included, sets its
+        # one slot ``images``, so the slot's writes are what is counted.
         core = poly_from(
             {
                 (1, 2, 3, 4, 5, 6, 7, 8): 1,
@@ -206,13 +205,17 @@ class TestWitnessScalars:
             gf5,
         )
         built = []
-        original_init = Permutation.__init__
+        slot = Permutation.__dict__["images"]
 
-        def counting_init(self, images):
-            built.append(images)
-            original_init(self, images)
+        class CountingSlot:
+            def __get__(self, sigma, owner=None):
+                return slot.__get__(sigma, owner)
 
-        monkeypatch.setattr(Permutation, "__init__", counting_init)
+            def __set__(self, sigma, images):
+                built.append(images)
+                slot.__set__(sigma, images)
+
+        monkeypatch.setattr(Permutation, "images", CountingSlot())
         _cells, pivots = witness_scalars(core, 11)
         assert len(pivots) == 3
         assert len(built) < 100
@@ -256,6 +259,47 @@ class TestWitnessScalars:
                 for depth in range(1, m - 1):
                     assert eval_staircase(cells, core, k, depth)
                 assert eval_staircase(cells, core, k, m - 2) == pivots[k - 1]
+
+
+def selection_cases():
+    """A seeded grid of normalized polynomials and dimensions: every field,
+    m = 2..8 with a few random permutations fixing 1 in the support, and
+    m = 4..6 with every permutation fixing 1 in it."""
+    for field_text in ("gf:2", "gf:3", "gf:5", "gf:7", "rational"):
+        spec = FieldSpec.from_text(field_text)
+        rng = random.Random("selection:" + field_text)
+
+        def coeff():
+            if spec.p is None:
+                return Fraction(rng.choice([-5, -3, -2, -1, 1, 2, 3, 4]), rng.randint(1, 6))
+            return rng.randrange(1, spec.p)
+
+        for m in range(2, 9):
+            fixing_one = [(1,) + tail for tail in itertools.permutations(range(2, m + 1))]
+            supports = [
+                rng.sample(fixing_one[1:], min(len(fixing_one) - 1, rng.randint(0, 8)))
+                for _ in range(3)
+            ]
+            if 4 <= m <= 6:
+                supports.append(fixing_one[1:])
+            for support in supports:
+                coeffs = {Permutation(images): coeff() for images in support}
+                coeffs[Permutation.identity(m)] = spec.one
+                core = MultilinearPoly(m, spec, coeffs)
+                for n in (m + 1, m + 2, m + 4, 2 * m + 3):
+                    yield core, n
+
+
+def test_selection_bytes_pinned():
+    # The cells and pivots chosen over 480 seeded cases hash to a fixed
+    # digest, so no change to selection's internals may move a byte.
+    digest = hashlib.sha256()
+    for core, n in selection_cases():
+        cells, pivots = witness_scalars(core, n)
+        digest.update(json.dumps([cells, [str(v) for v in pivots]]).encode())
+    assert digest.hexdigest() == (
+        "16c9300889c0fa4903830e829fa82c62c92ce53681ecd964ad294f6e2c73b6e1"
+    )
 
 
 class TestProbeCompleteness:
