@@ -106,7 +106,7 @@ def cmd_image(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = FieldSpec.from_text(args.field)
-    if spec.is_rational:
+    if spec.p is None:
         print("error: verify needs a prime field like gf:2", file=sys.stderr)
         return 1
     poly = parse_poly(args.poly, spec)

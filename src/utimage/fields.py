@@ -103,10 +103,6 @@ class FieldSpec:
         return self.to_text()
 
     @property
-    def is_rational(self) -> bool:
-        return self.p is None
-
-    @property
     def zero(self):
         return _Q_ZERO if self.p is None else 0
 
@@ -136,7 +132,7 @@ class FieldSpec:
             raise errors.ParseError(
                 f"{type(value).__name__} {value!r} is not an exact field element"
             )
-        if self.is_rational:
+        if self.p is None:
             return Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
@@ -152,7 +148,7 @@ class FieldSpec:
 
     def parse(self, text: str):
         """Parse the canonical text encoding of one element of this field."""
-        if self.is_rational:
+        if self.p is None:
             if _RATIONAL_TEXT.match(text) is None:
                 raise errors.ParseError(f"bad rational literal {text!r}")
             if "/" in text and text.split("/", 1)[1].lstrip("0") == "":

@@ -23,51 +23,42 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import errors
 from .fields import FieldSpec, parse_int, value_text
 from .triangular import StrictUT, by_row, sparse_product
 
 
-class Permutation:
-    """A bijection of {1..m}, stored as the tuple of images of 1..m."""
+class Permutation(tuple):
+    """A bijection of {1..m}: the tuple of images of 1..m, so it hashes,
+    compares and sorts as that tuple; ``sigma(i)`` reads one image."""
 
-    __slots__ = ("images",)
+    __slots__ = ()
 
-    def __init__(self, images: Sequence[int]):
+    def __new__(cls, images: Sequence[int]):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
-        self.images = images
+        return tuple.__new__(cls, images)
 
     @classmethod
-    def _of(cls, images: tuple) -> "Permutation":
+    def _of(cls, images: Iterable[int]) -> "Permutation":
         # For images already known to be a permutation of 1..m: no check.
-        sigma = cls.__new__(cls)
-        sigma.images = images
-        return sigma
+        return tuple.__new__(cls, images)
 
     def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self.compose(other))(i) = self(other(i))."""
-        return Permutation._of(tuple([self.images[j - 1] for j in other.images]))
+        return self[i - 1]
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images, start=1):
+        inv = [0] * len(self)
+        for i, j in enumerate(self, start=1):
             inv[j - 1] = i
-        return Permutation._of(tuple(inv))
-
-    def fixes(self, j: int) -> bool:
-        return self.images[j - 1] == j
+        return Permutation._of(inv)
 
     @classmethod
     def identity(cls, m: int) -> "Permutation":
-        return cls._of(tuple(range(1, m + 1)))
+        return cls._of(range(1, m + 1))
 
     @classmethod
     def transposition(cls, m: int, a: int, b: int) -> "Permutation":
@@ -75,19 +66,8 @@ class Permutation:
         images[a - 1], images[b - 1] = b, a
         return cls(images)
 
-    def __eq__(self, other):
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
     def __repr__(self):
-        return f"Permutation({list(self.images)})"
+        return f"Permutation({list(self)})"
 
 
 @dataclass(frozen=True)
@@ -109,7 +89,7 @@ class NormalizedPoly:
 
     def transfer(self, args: Sequence) -> tuple:
         """Rearrange arguments for ``core`` into arguments for the original."""
-        return tuple([args[j - 1] for j in self.relabel.images])
+        return tuple([args[j - 1] for j in self.relabel])
 
 
 class MultilinearPoly:
@@ -124,9 +104,9 @@ class MultilinearPoly:
             raise ValueError(f"degree must be at least 1, got {m}")
         cleaned = {}
         for sigma, value in coeffs.items():
-            if len(sigma.images) != m:
+            if len(sigma) != m:
                 raise errors.InconsistentDegree(
-                    f"monomial of degree {len(sigma.images)} in a degree-{m} polynomial"
+                    f"monomial of degree {len(sigma)} in a degree-{m} polynomial"
                 )
             value = spec.element(value)
             if value:
@@ -141,9 +121,6 @@ class MultilinearPoly:
 
     def coefficient(self, sigma: Permutation):
         return self.coeffs.get(sigma, self.spec.zero)
-
-    def support(self) -> list[Permutation]:
-        return sorted(self.coeffs)
 
     def evaluate(self, args: Sequence[StrictUT]) -> StrictUT:
         """Evaluate at a tuple of m strictly upper triangular matrices.
@@ -166,21 +143,21 @@ class MultilinearPoly:
                 raise errors.FieldMismatch(f"{a.spec} argument in {self.spec} poly")
         p = self.spec.p
         factors = [a.entries for a in args]
-        coeffs = [(sigma.images, c) for sigma, c in self.coeffs.items()]
+        coeffs = self.coeffs.items()
         if p is None:
             scales = [math.lcm(*(v.denominator for v in f.values())) for f in factors]
             factors = [
                 {key: v.numerator * (scale // v.denominator) for key, v in f.items()}
                 for f, scale in zip(factors, scales)
             ]
-            scale = math.lcm(*(c.denominator for _, c in coeffs))
-            coeffs = [(images, c.numerator * (scale // c.denominator)) for images, c in coeffs]
+            scale = math.lcm(*(c.denominator for c in self.coeffs.values()))
+            coeffs = [(sigma, c.numerator * (scale // c.denominator)) for sigma, c in coeffs]
             scale *= math.prod(scales)
         rows = [by_row(f) for f in factors]
         total: dict = {}
-        for images, coeff in coeffs:
-            prod = factors[images[0] - 1]
-            for var in images[1:]:
+        for sigma, coeff in coeffs:
+            prod = factors[sigma[0] - 1]
+            for var in sigma[1:]:
                 if not prod:
                     break
                 prod = sparse_product(prod, rows[var - 1])
@@ -201,13 +178,13 @@ class MultilinearPoly:
         """
         if self.is_zero:
             raise errors.ZeroPolynomial("cannot normalize the zero polynomial")
-        sigma0 = min(self.coeffs, key=attrgetter("images"))
+        sigma0 = min(self.coeffs)
         scale = self.coeffs[sigma0]
         relabel = sigma0.inverse()
         inverse = self.spec.inv(scale)
-        images, p = relabel.images, self.spec.p
+        p = self.spec.p
         core = {
-            Permutation._of(tuple([images[j - 1] for j in sigma.images])): (
+            Permutation._of([relabel[j - 1] for j in sigma]): (
                 coeff * inverse if p is None else coeff * inverse % p
             )
             for sigma, coeff in self.coeffs.items()
@@ -228,10 +205,10 @@ class MultilinearPoly:
         if self.is_zero:
             return "0"
         pieces = []
-        for sigma in self.support():
+        for sigma in sorted(self.coeffs):
             coeff = self.coeffs[sigma]
             mono = "*".join(f"x{sigma(t)}" for t in range(1, self.m + 1))
-            if self.spec.is_rational and coeff < 0:
+            if self.spec.p is None and coeff < 0:
                 sign, body = "-", -coeff
             else:
                 sign, body = "+", coeff

@@ -94,10 +94,11 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
     m = f.m
     coord_index = {c: i for i, c in enumerate(coords)}
     all_coords = strict_coords(n)
+    support = sorted(f.coeffs.items())
     grouped = []
     for out_pos, (p, q) in enumerate(all_coords):
         terms = []
-        for sigma, coeff in sorted(f.coeffs.items()):
+        for sigma, coeff in support:
             for inner in itertools.combinations(range(p + 1, q), m - 1):
                 chain = (p, *inner, q)
                 uses = [0] * m
@@ -107,7 +108,7 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
                     if link not in coord_index:
                         ok = False
                         break
-                    uses[sigma(t + 1) - 1] = coord_index[link]
+                    uses[sigma[t] - 1] = coord_index[link]
                 if ok:
                     terms.append((coeff, tuple(uses)))
         if terms:

@@ -18,7 +18,7 @@ from .triangular import StrictUT
 
 def random_scalar(rng: random.Random, spec: FieldSpec, nonzero: bool = False):
     """A random raw value of ``spec``, optionally nonzero."""
-    if spec.is_rational:
+    if spec.p is None:
         while True:
             value = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
             if not (nonzero and value == 0):

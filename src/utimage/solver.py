@@ -62,14 +62,6 @@ class ImageClass:
     level: int | None = None
     dimension: int = 0
 
-    @classmethod
-    def zero(cls) -> "ImageClass":
-        return cls("zero")
-
-    @classmethod
-    def band(cls, m: int, n: int) -> "ImageClass":
-        return cls("band", m - 1, (n - m) * (n - m + 1) // 2)
-
     @property
     def is_zero(self) -> bool:
         return self.kind == "zero"
@@ -85,8 +77,8 @@ def image_description(f: MultilinearPoly, n: int) -> ImageClass:
     if n < 2:
         raise errors.BadIndex(f"dimension {n} below 2")
     if f.is_zero or f.m >= n:
-        return ImageClass.zero()
-    return ImageClass.band(f.m, n)
+        return ImageClass("zero")
+    return ImageClass("band", f.m - 1, (n - f.m) * (n - f.m + 1) // 2)
 
 
 def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> tuple[int, list]:
@@ -107,11 +99,10 @@ def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> tuple[int, list
         masks.append(mask)
     terms = []
     for sigma, coeff in core.coeffs.items():
-        images = sigma.images
-        j = images.index(1)
+        j = sigma.index(1)
         # -1 stands for every row, before any factor rules one out.
         before = after = -1
-        for t, var in enumerate(images, start=1):
+        for t, var in enumerate(sigma, start=1):
             if t <= j:
                 before &= masks[var] >> t
             elif t > j + 1:
@@ -217,9 +208,9 @@ def preimage(
     the target is not n x n over f's field, and TargetNotInImage when the
     target is unreachable (nonzero while m >= n, or with entries inside
     the zero band).  The tuple is always re-evaluated against the target
-    before being returned; pass a dict as ``trace`` to capture the
-    normalized polynomial, the 0/1 cell rows and one (i, band rows,
-    right-hand side) tuple per solved diagonal i, in increasing i.
+    before being returned; pass a dict as ``trace`` to capture the 0/1
+    cell rows and one (i, band rows, right-hand side) tuple per solved
+    diagonal i, in increasing i.
     """
     if f.is_zero:
         raise errors.ZeroPolynomial("no preimages for the zero polynomial")
@@ -228,9 +219,6 @@ def preimage(
     if target.spec != f.spec:
         raise errors.FieldMismatch(f"{target.spec} target for {f.spec} polynomial")
     m = f.m
-    norm = f.normalize()
-    if trace is not None:
-        trace["normalized"] = norm
     if m >= n:
         if not target.is_zero:
             raise errors.TargetNotInImage(
@@ -240,6 +228,7 @@ def preimage(
     _check_band_target(target, m)
     if target.is_zero:
         return (StrictUT.zero(n, f.spec),) * m
+    norm = f.normalize()
     scaled_target = target.scaled(f.spec.inv(norm.scale))
     if m == 1:
         # Degree one is direct: f = scale * x1.

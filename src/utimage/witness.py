@@ -51,13 +51,15 @@ from fractions import Fraction
 from . import errors
 from .fields import FieldSpec
 from .freealg import MultilinearPoly, Permutation
-from .oracle import DEFAULT_CAP
+
+# The cell table holds (m - 1) * n cells; larger tables are refused.
+CELL_CAP = 1_000_000
 
 
 def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, object]]:
     """The support terms that fix 1, with raw coefficients: the terms every
     pivot sum runs over."""
-    return [(sigma, c) for sigma, c in core.coeffs.items() if sigma.images[0] == 1]
+    return [(sigma, c) for sigma, c in core.coeffs.items() if sigma[0] == 1]
 
 
 def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec):
@@ -65,9 +67,8 @@ def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec
     cells ``cells[sigma(t)][k + t - 1]``, t = 2..depth, all read 1."""
     total = 0
     for sigma, coeff in terms:
-        images = sigma.images
         for t in range(1, depth):
-            if not cells[images[t]][k + t]:
+            if not cells[sigma[t]][k + t]:
                 break
         else:
             total += coeff
@@ -97,8 +98,8 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
         raise errors.NotNormalized("expected coefficient one at the identity permutation")
     if not 2 <= m < n:
         raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
-    if (m - 1) * n > DEFAULT_CAP:  # priced before the rows are allocated
-        raise errors.CapExceeded(f"{m - 1} x {n} cells exceed the cap {DEFAULT_CAP}")
+    if (m - 1) * n > CELL_CAP:  # priced before the rows are allocated
+        raise errors.CapExceeded(f"{m - 1} x {n} cells exceed the cap {CELL_CAP}")
     terms = pivot_terms(core)
     if spec.p is None:
         scale = math.lcm(*(c.denominator for _, c in terms))
@@ -108,7 +109,7 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
     entering = [[] for _ in range(m + 1)]
     for sigma, coeff in terms:
         top = m
-        while top > 3 and sigma.images[top - 1] == top:
+        while top > 3 and sigma[top - 1] == top:
             top -= 1
         entering[top].append((sigma, coeff))
     # Base pattern: every head sum comes out 1 or coeff(swap 2,3).

@@ -140,7 +140,7 @@ def test_criterion_4_pivot_selection_suite():
 
 def replays(outcomes):
     """Replay each passing round trip from its seeded case, capturing the
-    trace; yields (trace, witness JSON).  Failed round trips are
+    trace; yields (polynomial, trace, witness JSON).  Failed round trips are
     criterion 3's."""
     for field_text, runs in outcomes.items():
         spec = FieldSpec.from_text(field_text)
@@ -151,16 +151,16 @@ def replays(outcomes):
             assert (n, f.to_text()) == (outcome.n, outcome.poly_text)
             trace = {}
             witness = preimage(f, n, target, trace=trace)
-            yield trace, witness_json(outcome.poly_text, n, spec, target, witness)
+            yield f, trace, witness_json(outcome.poly_text, n, spec, target, witness)
 
 
 def test_criterion_5_band_system_structure(round_trip_runs):
     outcomes, _elapsed = round_trip_runs
     systems_checked = violations = 0
-    for trace, _text in replays(outcomes):
+    for f, trace, _text in replays(outcomes):
         if "systems" not in trace:
             continue
-        core = trace["normalized"].core
+        core = f.normalize().core
         cells = trace["cells"]
         terms = pivot_terms(core)
         m = core.m
@@ -216,8 +216,8 @@ def test_criterion_7_determinism(round_trip_runs, theorem_grid_run):
         field_text: run_round_trips(SEED, field_text, TRIALS_PER_FIELD)
         for field_text in TRIAL_FIELDS
     }
-    first = "".join(text for _trace, text in replays(outcomes))
-    second = "".join(text for _trace, text in replays(rerun))
+    first = "".join(text for _f, _trace, text in replays(outcomes))
+    second = "".join(text for _f, _trace, text in replays(rerun))
     ok = rerun == outcomes and first == second and len(first) > 0
 
     def untimed(rows):

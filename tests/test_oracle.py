@@ -1,8 +1,6 @@
-import ast
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -13,7 +11,7 @@ from utimage.oracle import _compile_terms, check_theorem, strict_coords
 from utimage.selfcheck import IDENTITY_GRID, THEOREM_GRID
 from utimage.triangular import StrictUT
 
-from conftest import all_matrices, image_bruteforce, packed_key
+from conftest import all_matrices, image_bruteforce, module_imports, packed_key
 
 
 def naive_image_keys(f, n, q):
@@ -432,20 +430,7 @@ def test_oracle_imports_nothing_from_the_solver():
     # The prediction verify checks must not come from the code it checks,
     # so the oracle reads only errors, fields and polynomials from the
     # package: not the solver, and not the matrices the solver builds.
-    tree = ast.parse(Path(oracle.__file__).read_text())
-    imported = set()
-    package = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update(alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imported.add(module)
-            imported.update(f"{module}.{alias.name}" for alias in node.names)
-            if node.level:
-                package.update(
-                    [node.module] if node.module else [a.name for a in node.names]
-                )
+    imported, package = module_imports(oracle)
     assert imported
     assert not [name for name in imported if "solver" in name.split(".")]
     assert package == {"errors", "fields", "freealg"}

@@ -14,7 +14,7 @@ FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "rational"]
 
 def raw_values(spec):
     """Nonzero raw values of ``spec``; over Q signed, with denominators."""
-    if spec.is_rational:
+    if spec.p is None:
         return st.builds(
             Fraction, st.integers(-10**30, 10**30), st.integers(1, 10**6)
         ).filter(bool)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from utimage import cli, errors, selfcheck, solver
+from utimage import cli, errors, selfcheck, solver, witness
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, Permutation, parse_poly
 from utimage.sampling import random_band_target, random_poly
@@ -20,7 +20,7 @@ from utimage.solver import (
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import fixed_arguments, mat
+from conftest import fixed_arguments, mat, module_imports
 
 
 def all_ones_cells(n):
@@ -458,3 +458,19 @@ class TestPreimage:
             total = total + piece
             summed = summed + f.evaluate([piece] + fixed)
         assert f.evaluate([total] + fixed) == summed
+
+
+@pytest.mark.parametrize(
+    "module, package",
+    [
+        (witness, {"errors", "fields", "freealg"}),
+        (solver, {"errors", "fields", "freealg", "triangular", "witness"}),
+    ],
+)
+def test_solver_imports_nothing_from_the_oracle(module, package):
+    # The oracle checks what the solver builds, so the solver half must not
+    # lean on it, not even for a constant.
+    imported, relative = module_imports(module)
+    assert imported
+    assert not [name for name in imported if "oracle" in name.split(".")]
+    assert relative == package
