@@ -73,10 +73,6 @@ class FieldSpec:
     p: int | None = None
 
     @classmethod
-    def rational(cls) -> "FieldSpec":
-        return cls()
-
-    @classmethod
     def gf(cls, p: int) -> "FieldSpec":
         if p >= PRIME_CAP:
             raise errors.MalformedSpec(f"modulus {p} exceeds the supported cap 2^31")
@@ -90,7 +86,7 @@ class FieldSpec:
     def from_text(cls, text: str) -> "FieldSpec":
         """Parse "rational" or "gf:<p>"."""
         if text == RATIONAL:
-            return cls.rational()
+            return cls()
         match = _GF_SPEC.match(text)
         if match is None:
             raise errors.MalformedSpec(f"unrecognized field {text!r}")

@@ -23,7 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import errors
 from .fields import FieldSpec, parse_int, value_text
@@ -32,20 +32,10 @@ from .triangular import StrictUT, by_row, sparse_product
 
 class Permutation(tuple):
     """A bijection of {1..m}: the tuple of images of 1..m, so it hashes,
-    compares and sorts as that tuple; ``sigma(i)`` reads one image."""
+    compares and sorts as that tuple; ``sigma(i)`` reads one image.  It
+    checks nothing: ``MultilinearPoly`` checks the keys it stores."""
 
     __slots__ = ()
-
-    def __new__(cls, images: Sequence[int]):
-        images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
-        return tuple.__new__(cls, images)
-
-    @classmethod
-    def _of(cls, images: Iterable[int]) -> "Permutation":
-        # For images already known to be a permutation of 1..m: no check.
-        return tuple.__new__(cls, images)
 
     def __call__(self, i: int) -> int:
         return self[i - 1]
@@ -54,17 +44,7 @@ class Permutation(tuple):
         inv = [0] * len(self)
         for i, j in enumerate(self, start=1):
             inv[j - 1] = i
-        return Permutation._of(inv)
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls._of(range(1, m + 1))
-
-    @classmethod
-    def transposition(cls, m: int, a: int, b: int) -> "Permutation":
-        images = list(range(1, m + 1))
-        images[a - 1], images[b - 1] = b, a
-        return cls(images)
+        return Permutation(inv)
 
     def __repr__(self):
         return f"Permutation({list(self)})"
@@ -97,20 +77,28 @@ class MultilinearPoly:
 
     __slots__ = ("m", "spec", "coeffs")
 
-    def __init__(self, m: int, spec: FieldSpec, coeffs: Mapping[Permutation, object]):
-        # Each coefficient is an int, Fraction or text, canonicalised by
-        # ``spec.element``; zero coefficients are dropped.
+    def __init__(self, m: int, spec: FieldSpec, coeffs: Mapping[Sequence[int], object]):
+        # Each key is a sequence of images, stored as a Permutation; each
+        # coefficient is an int, Fraction or text, canonicalised by
+        # ``spec.element``; zero coefficients are dropped.  Every key is
+        # checked to be a permutation of 1..len(key) before any is checked
+        # for degree m, so a text's first fault is the one reported.
         if m < 1:
             raise ValueError(f"degree must be at least 1, got {m}")
+        identity = list(range(1, m + 1))
+        for key in coeffs:
+            images = sorted(key)
+            if images != identity and images != list(range(1, len(key) + 1)):
+                raise errors.NotMultilinear(_multilinear_fault(key))
         cleaned = {}
-        for sigma, value in coeffs.items():
-            if len(sigma) != m:
+        for key, value in coeffs.items():
+            if len(key) != m:
                 raise errors.InconsistentDegree(
-                    f"monomial of degree {len(sigma)} in a degree-{m} polynomial"
+                    f"monomial of degree {len(key)} in a degree-{m} polynomial"
                 )
             value = spec.element(value)
             if value:
-                cleaned[sigma] = value
+                cleaned[Permutation(key)] = value
         self.m = m
         self.spec = spec
         self.coeffs = cleaned
@@ -118,9 +106,6 @@ class MultilinearPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, sigma: Permutation):
-        return self.coeffs.get(sigma, self.spec.zero)
 
     def evaluate(self, args: Sequence[StrictUT]) -> StrictUT:
         """Evaluate at a tuple of m strictly upper triangular matrices.
@@ -184,7 +169,7 @@ class MultilinearPoly:
         inverse = self.spec.inv(scale)
         p = self.spec.p
         core = {
-            Permutation._of([relabel[j - 1] for j in sigma]): (
+            tuple([relabel[j - 1] for j in sigma]): (
                 coeff * inverse if p is None else coeff * inverse % p
             )
             for sigma, coeff in self.coeffs.items()
@@ -207,7 +192,7 @@ class MultilinearPoly:
         pieces = []
         for sigma in sorted(self.coeffs):
             coeff = self.coeffs[sigma]
-            mono = "*".join(f"x{sigma(t)}" for t in range(1, self.m + 1))
+            mono = "*".join(f"x{v}" for v in sigma)
             if self.spec.p is None and coeff < 0:
                 sign, body = "-", -coeff
             else:
@@ -283,9 +268,4 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
             key = tuple(map(parse_int, _DIGITS.findall(monomial)))
         raw[key] = raw[key] + coeff if key in raw else coeff
         pos = match.end()
-    coeffs = {}
-    for key, value in raw.items():
-        if sorted(key) != list(range(1, len(key) + 1)):
-            raise errors.NotMultilinear(_multilinear_fault(key))
-        coeffs[Permutation._of(key)] = value if p is None else value % p
-    return MultilinearPoly(len(next(iter(raw))), spec, coeffs)
+    return MultilinearPoly(len(next(iter(raw))), spec, raw)

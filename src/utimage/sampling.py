@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from .fields import FieldSpec
-from .freealg import MultilinearPoly, Permutation
+from .freealg import MultilinearPoly
 from .triangular import StrictUT
 
 
@@ -36,7 +36,7 @@ def random_poly(rng: random.Random, spec: FieldSpec, m: int) -> MultilinearPoly:
     keep = min(1.0, 12 / math.factorial(m))
     while True:
         coeffs = {
-            Permutation(images): random_scalar(rng, spec, nonzero=True)
+            images: random_scalar(rng, spec, nonzero=True)
             for images in itertools.permutations(range(1, m + 1))
             if rng.random() < keep
         }

@@ -224,10 +224,10 @@ def preimage(
             raise errors.TargetNotInImage(
                 f"degree {m} >= dimension {n}: every value is zero"
             )
-        return (StrictUT.zero(n, f.spec),) * m
+        return (StrictUT(n, f.spec, {}),) * m
     _check_band_target(target, m)
     if target.is_zero:
-        return (StrictUT.zero(n, f.spec),) * m
+        return (StrictUT(n, f.spec, {}),) * m
     norm = f.normalize()
     scaled_target = target.scaled(f.spec.inv(norm.scale))
     if m == 1:

@@ -2,11 +2,11 @@
 
 Matrices are stored sparsely as a map from 1-based (row, col) coordinates
 with col > row to nonzero raw field values (ints in [0, p) or Fractions),
-absent meaning zero; products and sums run on them with ``FieldSpec``'s
-arithmetic.  ``from_entries`` canonicalises untrusted values with
-``FieldSpec.element``; the plain constructor trusts its entries.  The band
-subspace at level t is the set of matrices
-whose (p, q) entry vanishes whenever q - p <= t, so level 0 is the whole
+absent meaning zero; ``sparse_product`` multiplies them exactly and
+leaves the reduction to its caller.  ``from_entries`` canonicalises
+untrusted values with ``FieldSpec.element``; the plain constructor trusts
+its entries.  The band subspace at level t is the set of matrices whose
+(p, q) entry vanishes whenever q - p <= t, so level 0 is the whole
 strictly upper triangular algebra.
 
 A product of n strictly upper triangular n x n matrices is always zero
@@ -79,15 +79,6 @@ class StrictUT:
             acc[key] = spec.reduce(acc[key] + value) if key in acc else value
         return cls(n, spec, {key: v for key, v in acc.items() if v})
 
-    @classmethod
-    def zero(cls, n: int, spec: FieldSpec) -> "StrictUT":
-        return cls.from_entries(n, spec, ())
-
-    @classmethod
-    def unit(cls, n: int, spec: FieldSpec, row: int, col: int) -> "StrictUT":
-        """The matrix with a single 1 at (row, col)."""
-        return cls.from_entries(n, spec, [(row, col, spec.one)])
-
     def get(self, row: int, col: int):
         """The raw value at (row, col), zero when absent."""
         return self.entries.get((row, col), self.spec.zero)
@@ -95,26 +86,6 @@ class StrictUT:
     @property
     def is_zero(self) -> bool:
         return not self.entries
-
-    def _check_compat(self, other: "StrictUT") -> None:
-        if self.n != other.n:
-            raise errors.DimensionMismatch(f"{self.n} vs {other.n}")
-        if self.spec != other.spec:
-            raise errors.FieldMismatch(f"{self.spec} vs {other.spec}")
-
-    def __add__(self, other: "StrictUT") -> "StrictUT":
-        self._check_compat(other)
-        acc = dict(self.entries)
-        for key, value in other.entries.items():
-            acc[key] = self.spec.reduce(acc[key] + value) if key in acc else value
-        return StrictUT(self.n, self.spec, {key: v for key, v in acc.items() if v})
-
-    def __mul__(self, other: "StrictUT") -> "StrictUT":
-        self._check_compat(other)
-        reduce = self.spec.reduce
-        product = sparse_product(self.entries, by_row(other.entries))
-        entries = {key: r for key, v in product.items() if (r := reduce(v))}
-        return StrictUT(self.n, self.spec, entries)
 
     def scaled(self, c) -> "StrictUT":
         """The matrix times ``c``, an int, Fraction or text of this field."""

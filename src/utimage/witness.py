@@ -94,7 +94,7 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
     never bad input.
     """
     m, spec = core.m, core.spec
-    if core.coefficient(Permutation.identity(m)) != spec.one:
+    if core.coeffs.get(tuple(range(1, m + 1))) != spec.one:
         raise errors.NotNormalized("expected coefficient one at the identity permutation")
     if not 2 <= m < n:
         raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
@@ -114,7 +114,7 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
         entering[top].append((sigma, coeff))
     # Base pattern: every head sum comes out 1 or coeff(swap 2,3).
     cells = [[], []] + [[0] * n for _ in range(m - 1)]
-    if m == 2 or not core.coefficient(Permutation.transposition(m, 2, 3)):
+    if m == 2 or not core.coeffs.get((1, 3, 2, *range(4, m + 1))):
         for var in range(2, min(m, 3) + 1):
             cells[var][2:] = [1] * (n - 2)
     else:

@@ -6,7 +6,7 @@ import pytest
 
 from utimage import oracle
 from utimage.fields import FieldSpec
-from utimage.freealg import MultilinearPoly, Permutation
+from utimage.freealg import MultilinearPoly
 from utimage.sampling import random_band_target, random_scalar
 from utimage.triangular import StrictUT
 
@@ -32,7 +32,7 @@ def module_imports(module):
 
 @pytest.fixture
 def rational():
-    return FieldSpec.rational()
+    return FieldSpec()
 
 
 @pytest.fixture
@@ -67,6 +67,12 @@ def row_reduce_calls(monkeypatch):
 def mat(n, spec, triples):
     """StrictUT from (row, col, int_value) triples."""
     return StrictUT.from_entries(n, spec, triples)
+
+
+def triples(matrix):
+    """The (row, col, value) triples of a matrix's entries: ``mat`` sums
+    duplicate coordinates, so it adds matrices given their triples."""
+    return [(row, col, value) for (row, col), value in matrix.entries.items()]
 
 
 def fixed_arguments(cells, n, spec):
@@ -117,15 +123,13 @@ def random_pivot_coeffs(rng, spec, m, force_swap23=False):
     """Coefficients supported on permutations fixing 1, with identity
     coefficient one; optionally force a nonzero coefficient at the swap of
     positions 2 and 3."""
-    identity = Permutation.identity(m)
+    identity = tuple(range(1, m + 1))
     coeffs = {identity: spec.one}
-    for images in itertools.permutations(range(1, m + 1)):
+    for images in itertools.permutations(identity):
         if images[0] != 1 or images == identity:
             continue
         if rng.random() < 0.5:
-            coeffs[Permutation(images)] = random_scalar(rng, spec, nonzero=True)
+            coeffs[images] = random_scalar(rng, spec, nonzero=True)
     if force_swap23 and m >= 3:
-        coeffs[Permutation.transposition(m, 2, 3)] = random_scalar(
-            rng, spec, nonzero=True
-        )
+        coeffs[(1, 3, 2, *identity[3:])] = random_scalar(rng, spec, nonzero=True)
     return MultilinearPoly(m, spec, coeffs)

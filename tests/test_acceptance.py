@@ -22,10 +22,9 @@ from utimage.selfcheck import (
     witness_json,
 )
 from utimage.solver import image_description, preimage, solve_band
-from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import image_bruteforce, packed_key, random_pivot_coeffs
+from conftest import image_bruteforce, mat, packed_key, random_pivot_coeffs
 
 SEED = 1789
 TRIALS_PER_FIELD = 100
@@ -110,7 +109,7 @@ def test_criterion_3_round_trip_preimages(round_trip_runs):
 
 
 def test_criterion_4_pivot_selection_suite():
-    fields = [FieldSpec.gf(2), FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec.rational()]
+    fields = [FieldSpec.gf(2), FieldSpec.gf(3), FieldSpec.gf(5), FieldSpec()]
     started = time.perf_counter()
     vectors = forced = checked = 0
     ok = True
@@ -189,20 +188,20 @@ def test_criterion_6_known_values():
     ok = True
     # the unit-chain substitution reaches the top corner for every degree
     for m in range(2, 7):
-        for spec in (FieldSpec.rational(), FieldSpec.gf(2)):
+        for spec in (FieldSpec(), FieldSpec.gf(2)):
             f = parse_poly("*".join(f"x{j}" for j in range(1, m + 1)), spec)
-            args = [StrictUT.unit(m + 1, spec, j, j + 1) for j in range(1, m + 1)]
-            ok = ok and f.evaluate(args) == StrictUT.unit(m + 1, spec, 1, m + 1)
+            args = [mat(m + 1, spec, [(j, j + 1, 1)]) for j in range(1, m + 1)]
+            ok = ok and f.evaluate(args) == mat(m + 1, spec, [(1, m + 1, 1)])
     # commutator image on 3 x 3 matrices over GF(2) is {0, corner}
     gf2 = FieldSpec.gf(2)
     image = image_bruteforce(parse_poly("x1*x2-x2*x1", gf2), 3, 2)
     ok = ok and image == (
-        packed_key(StrictUT.zero(3, gf2), 2),
-        packed_key(StrictUT.unit(3, gf2, 1, 3), 2),
+        packed_key(mat(3, gf2, []), 2),
+        packed_key(mat(3, gf2, [(1, 3, 1)]), 2),
     )
     # back-substitution on the fixed 2 x 3 system; row k holds raw values
     # at columns k..k+1
-    rational = FieldSpec.rational()
+    rational = FieldSpec()
     one, minus_one = rational.one, -rational.one
     rows_q = [(one, minus_one), (one, minus_one)]
     ok = ok and solve_band(rows_q, [one, one], rational) == [2, 1, 0]

@@ -305,7 +305,7 @@ class TestSolve:
 
     def test_identity_case_zero_target(self, tmp_path, capsys):
         spec = FieldSpec.gf(2)
-        target_path = write_matrix(tmp_path / "zero.json", StrictUT.zero(3, spec))
+        target_path = write_matrix(tmp_path / "zero.json", mat(3, spec, []))
         code = cli.main(
             [
                 "solve",
@@ -569,7 +569,7 @@ class TestSolve:
         # The normalized core is x1*x2 - 1/2*x2*x1 and the target is halved,
         # so the dump writes Fractions in the rows and the right-hand
         # sides; zeros in the rows and in the target are written "0".
-        rational = FieldSpec.rational()
+        rational = FieldSpec()
         target = StrictUT.from_entries(4, rational, [(1, 3, "1/2"), (1, 4, -3)])
         code = cli.main(
             [

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from utimage import errors
 from utimage.fields import PRIME_CAP, FieldSpec, is_prime, value_text
-from utimage.freealg import MultilinearPoly, Permutation
+from utimage.freealg import MultilinearPoly, parse_poly
+from utimage.solver import preimage
 from utimage.triangular import StrictUT
+
+from conftest import mat
 
 # 2^31 - 1 is prime: the largest modulus below PRIME_CAP = 2^31.
 LARGEST_PRIME = PRIME_CAP - 1
@@ -20,7 +23,7 @@ fractions_st = st.fractions(
 
 
 def test_field_from_text():
-    assert FieldSpec.from_text("rational") == FieldSpec.rational()
+    assert FieldSpec.from_text("rational") == FieldSpec()
     assert FieldSpec.from_text("gf:2") == FieldSpec.gf(2)
     assert FieldSpec.from_text("gf:7919").p == 7919
 
@@ -82,10 +85,11 @@ def test_division_by_zero(rational, gf5):
 
 def test_field_mismatch(rational, gf2):
     # Raw values carry no field; the containers do, and refuse to mix.
+    f = parse_poly("x1*x2", rational)
     with pytest.raises(errors.FieldMismatch):
-        StrictUT.unit(3, rational, 1, 2) + StrictUT.unit(3, gf2, 1, 2)
+        f.evaluate([mat(3, rational, [(1, 2, 1)]), mat(3, gf2, [(2, 3, 1)])])
     with pytest.raises(errors.FieldMismatch):
-        StrictUT.unit(3, rational, 1, 2) * StrictUT.unit(3, gf2, 2, 3)
+        preimage(f, 3, mat(3, gf2, [(1, 3, 1)]))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -114,7 +118,7 @@ def test_field_axioms_exhaustive(p):
 
 @given(fractions_st, fractions_st, fractions_st)
 def test_field_axioms_rational(x, y, z):
-    spec = FieldSpec.rational()
+    spec = FieldSpec()
     a, b, c = spec.element(x), spec.element(y), spec.element(z)
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
@@ -125,7 +129,7 @@ def test_field_axioms_rational(x, y, z):
 
 @given(fractions_st)
 def test_rational_text_round_trip(x):
-    spec = FieldSpec.rational()
+    spec = FieldSpec()
     a = spec.element(x)
     assert spec.parse(value_text(a)) == a
 
@@ -200,6 +204,6 @@ def test_element_rejects_non_exact_values(value, rational, gf5):
         with pytest.raises(errors.ParseError):
             StrictUT.from_entries(3, spec, [(1, 2, value)])
         with pytest.raises(errors.ParseError):
-            StrictUT.unit(3, spec, 1, 2).scaled(value)
+            mat(3, spec, [(1, 2, 1)]).scaled(value)
         with pytest.raises(errors.ParseError):
-            MultilinearPoly(2, spec, {Permutation([1, 2]): value})
+            MultilinearPoly(2, spec, {(1, 2): value})

@@ -6,12 +6,11 @@ import pytest
 
 from utimage import cli, errors, oracle
 from utimage.fields import FieldSpec
-from utimage.freealg import MultilinearPoly, Permutation, parse_poly
+from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.oracle import _compile_terms, check_theorem, strict_coords
 from utimage.selfcheck import IDENTITY_GRID, THEOREM_GRID
-from utimage.triangular import StrictUT
 
-from conftest import all_matrices, image_bruteforce, module_imports, packed_key
+from conftest import all_matrices, image_bruteforce, mat, module_imports, packed_key
 
 
 def naive_image_keys(f, n, q):
@@ -70,8 +69,7 @@ def random_support_cases(max_tuples=70_000):
         support = rng.sample(perms, rng.randint(1, len(perms)))
         spec = FieldSpec.gf(q)
         coeffs = {
-            Permutation(list(perm)): spec.element(rng.randrange(1, q))
-            for perm in support
+            perm: spec.element(rng.randrange(1, q)) for perm in support
         }
         cases.append((MultilinearPoly(m, spec, coeffs), n, q, reduce_bands))
     return cases
@@ -107,7 +105,7 @@ class TestPacking:
 
     def test_packing_order_is_row_major(self, gf2):
         assert strict_coords(3) == [(1, 2), (1, 3), (2, 3)]
-        units = [StrictUT.unit(3, gf2, p, c) for p, c in strict_coords(3)]
+        units = [mat(3, gf2, [(p, c, 1)]) for p, c in strict_coords(3)]
         assert [packed_key(unit, 2) for unit in units] == [4, 2, 1]
 
 
@@ -118,8 +116,8 @@ class TestImageBruteforce:
         assert type(image) is tuple and all(type(key) is int for key in image)
         assert image == tuple(sorted(image))
         assert image == (
-            packed_key(StrictUT.zero(3, gf2), 2),
-            packed_key(StrictUT.unit(3, gf2, 1, 3), 2),
+            packed_key(mat(3, gf2, []), 2),
+            packed_key(mat(3, gf2, [(1, 3, 1)]), 2),
         )
 
     def test_identity_n3(self, gf2):
@@ -129,8 +127,8 @@ class TestImageBruteforce:
     def test_triple_product_n4(self, gf2):
         f = parse_poly("x1*x2*x3", gf2)
         assert image_bruteforce(f, 4, 2) == (
-            packed_key(StrictUT.zero(4, gf2), 2),
-            packed_key(StrictUT.unit(4, gf2, 1, 4), 2),
+            packed_key(mat(4, gf2, []), 2),
+            packed_key(mat(4, gf2, [(1, 4, 1)]), 2),
         )
 
     @pytest.mark.parametrize(
@@ -260,7 +258,7 @@ class TestLinearSlice:
         # key order, and the scan must stop at the first tail whose span is
         # both band matrices.
         f = parse_poly("x1*x2*x3 - x1*x3*x2", gf2)
-        units = [StrictUT.unit(4, gf2, p, c) for p, c in strict_coords(4)]
+        units = [mat(4, gf2, [(p, c, 1)]) for p, c in strict_coords(4)]
         descending = all_matrices(4, 2)[::-1]
         tails = itertools.product(descending, repeat=2)
         for position, (x2, x3) in enumerate(tails, start=1):

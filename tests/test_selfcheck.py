@@ -9,6 +9,8 @@ from utimage.selfcheck import canonical_json, witness_document, witness_json
 from utimage.solver import preimage
 from utimage.triangular import StrictUT
 
+from conftest import mat
+
 FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "rational"]
 
 
@@ -37,7 +39,7 @@ def witness_cases(draw):
     return n, spec, target, witness
 
 
-Q = FieldSpec.rational()
+Q = FieldSpec()
 # A rational case with negative and non-integer values, an empty witness
 # matrix, and polynomial text that JSON must escape.
 ESCAPED_CASE = (
@@ -64,7 +66,7 @@ class TestWitnessJson:
         # m >= n: every value is zero, so the witness is m empty matrices.
         for field_text in FIELDS:
             spec = FieldSpec.from_text(field_text)
-            target = StrictUT.zero(3, spec)
+            target = mat(3, spec, [])
             witness = preimage(parse_poly("x1*x2*x3 - x3*x2*x1", spec), 3, target)
             assert all(x.is_zero for x in witness)
             assert witness_json("x1*x2*x3 - x3*x2*x1", 3, spec, target, witness) == (

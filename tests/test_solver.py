@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from utimage import cli, errors, selfcheck, solver, witness
+from utimage import cli, errors, freealg, selfcheck, solver, witness
 from utimage.fields import FieldSpec
-from utimage.freealg import MultilinearPoly, Permutation, parse_poly
+from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.sampling import random_band_target, random_poly
 from utimage.solver import (
     band_system,
@@ -20,7 +20,7 @@ from utimage.solver import (
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import fixed_arguments, mat, module_imports
+from conftest import fixed_arguments, mat, module_imports, triples
 
 
 def all_ones_cells(n):
@@ -49,7 +49,7 @@ def reference_band_matrix(core, n, i, fixed_args):
     rows, cols = n - i + 1, n - i + m
     matrix = [[core.spec.zero] * cols for _ in range(rows)]
     for s in range(1, cols + 1):
-        basis = StrictUT.unit(n, core.spec, s, s + i - m)
+        basis = mat(n, core.spec, [(s, s + i - m, 1)])
         value = core.evaluate([basis] + fixed_args)
         for p, q in value.entries:
             assert q - p == i - 1 and p <= rows
@@ -168,7 +168,7 @@ class TestBandSystem:
             sigma: Fraction(rng.choice([-4, -1, 1, 3]), (2, 3, 5, 7)[k % 4])
             for k, sigma in enumerate(support)
         }
-        coeffs[Permutation.identity(7)] = 1
+        coeffs[(1, 2, 3, 4, 5, 6, 7)] = 1
         core = MultilinearPoly(7, rational, coeffs)
         cells, pivots = witness_scalars(core, 13)
         masks = term_masks(core, cells)
@@ -185,22 +185,22 @@ class TestBandSystem:
         f = random_poly(rng, gf5, 7)
         target = random_band_target(rng, gf5, 13, 7)
         calls = {"evaluate": 0, "mul": 0}
-        evaluate, mul = MultilinearPoly.evaluate, StrictUT.__mul__
+        evaluate, mul = MultilinearPoly.evaluate, freealg.sparse_product
 
         def counted_evaluate(self, args):
             calls["evaluate"] += 1
             return evaluate(self, args)
 
-        def counted_mul(self, other):
+        def counted_mul(left, right_rows):
             calls["mul"] += 1
-            return mul(self, other)
+            return mul(left, right_rows)
 
         monkeypatch.setattr(MultilinearPoly, "evaluate", counted_evaluate)
         preimage(f, 13, target)
         assert calls["evaluate"] == 1
         core = f.normalize().core
         cells, pivots = witness_scalars(core, 13)
-        monkeypatch.setattr(StrictUT, "__mul__", counted_mul)
+        monkeypatch.setattr(freealg, "sparse_product", counted_mul)
         for i in range(8, 14):
             band_system(core, 13, i, term_masks(core, cells), pivots)
         assert calls == {"evaluate": 1, "mul": 0}
@@ -280,43 +280,43 @@ class TestSolveBand:
 class TestPreimage:
     def test_commutator_corner(self, rational):
         f = parse_poly("x1*x2-x2*x1", rational)
-        target = StrictUT.unit(3, rational, 1, 3)
+        target = mat(3, rational, [(1, 3, 1)])
         witness = preimage(f, 3, target)
         assert f.evaluate(list(witness)) == target
 
     def test_band_violation(self, rational):
         f = parse_poly("x1*x2-x2*x1", rational)
         with pytest.raises(errors.TargetNotInImage) as info:
-            preimage(f, 3, StrictUT.unit(3, rational, 1, 2))
+            preimage(f, 3, mat(3, rational, [(1, 2, 1)]))
         assert "(1, 2)" in str(info.value)
 
     def test_identity_case_zero_target(self, rational):
         f = parse_poly("x1*x2-x2*x1", rational)
-        witness = preimage(f, 2, StrictUT.zero(2, rational))
+        witness = preimage(f, 2, mat(2, rational, []))
         assert len(witness) == 2
         assert all(x.is_zero for x in witness)
 
     def test_identity_case_nonzero_target(self, rational):
         f = parse_poly("x1*x2*x3", rational)
         with pytest.raises(errors.TargetNotInImage):
-            preimage(f, 3, StrictUT.unit(3, rational, 1, 3))
+            preimage(f, 3, mat(3, rational, [(1, 3, 1)]))
 
     def test_zero_target_shortcut(self, gf5):
         f = parse_poly("x1*x2", gf5)
-        witness = preimage(f, 4, StrictUT.zero(4, gf5))
+        witness = preimage(f, 4, mat(4, gf5, []))
         assert all(x.is_zero for x in witness)
 
     def test_zero_polynomial_rejected(self, rational):
         f = parse_poly("x1*x2-x1*x2", rational)
         with pytest.raises(errors.ZeroPolynomial):
-            preimage(f, 3, StrictUT.zero(3, rational))
+            preimage(f, 3, mat(3, rational, []))
 
     def test_dimension_and_field_checks(self, rational, gf2):
         f = parse_poly("x1*x2", rational)
         with pytest.raises(errors.DimensionMismatch):
-            preimage(f, 3, StrictUT.zero(4, rational))
+            preimage(f, 3, mat(4, rational, []))
         with pytest.raises(errors.FieldMismatch):
-            preimage(f, 3, StrictUT.zero(3, gf2))
+            preimage(f, 3, mat(3, gf2, []))
 
     def test_degree_one(self, rational):
         f = parse_poly("3*x1", rational)
@@ -452,11 +452,10 @@ class TestPreimage:
                 for s in range(1, n - i + 4)
             ]
             pieces.append(StrictUT.from_entries(n, gf5, pairs))
-        total = StrictUT.zero(n, gf5)
-        summed = StrictUT.zero(n, gf5)
-        for piece in pieces:
-            total = total + piece
-            summed = summed + f.evaluate([piece] + fixed)
+        total = mat(n, gf5, [entry for piece in pieces for entry in triples(piece)])
+        summed = mat(n, gf5, [
+            entry for piece in pieces for entry in triples(f.evaluate([piece] + fixed))
+        ])
         assert f.evaluate([total] + fixed) == summed
 
 

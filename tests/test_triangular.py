@@ -10,7 +10,7 @@ from utimage.sampling import random_band_target, random_poly, random_scalar
 from utimage.solver import preimage
 from utimage.triangular import StrictUT
 
-from conftest import mat, random_strict_ut
+from conftest import mat, random_strict_ut, triples
 
 
 class TestConstruction:
@@ -37,40 +37,48 @@ class TestConstruction:
 
     def test_rejects_tiny_dimension(self, rational):
         with pytest.raises(errors.OutOfRange):
-            StrictUT.zero(1, rational)
+            mat(1, rational, [])
 
     def test_field_mismatch(self, rational, gf2):
         # Entries are raw values, canonicalised in the matrix's own field;
         # matrices of two fields never combine.
-        assert StrictUT.from_entries(3, gf2, [(1, 2, 3)]) == StrictUT.unit(3, gf2, 1, 2)
+        assert StrictUT.from_entries(3, gf2, [(1, 2, 3)]) == mat(3, gf2, [(1, 2, 1)])
         with pytest.raises(errors.ParseError):
             StrictUT.from_entries(3, gf2, [(1, 2, Fraction(1, 2))])
         with pytest.raises(errors.FieldMismatch):
-            StrictUT.unit(3, rational, 1, 2) + StrictUT.unit(3, gf2, 1, 2)
+            product(rational).evaluate(
+                [mat(3, rational, [(1, 2, 1)]), mat(3, gf2, [(2, 3, 1)])]
+            )
+
+
+def product(spec, factors=2):
+    """The polynomial x1*x2*...*x_factors, whose value is the product of
+    its arguments in order."""
+    return parse_poly("*".join(f"x{j}" for j in range(1, factors + 1)), spec)
 
 
 class TestArithmetic:
     def test_unit_products(self, rational):
-        e12 = StrictUT.unit(3, rational, 1, 2)
-        e23 = StrictUT.unit(3, rational, 2, 3)
-        assert e12 * e23 == StrictUT.unit(3, rational, 1, 3)
-        assert (e23 * e12).is_zero
+        e12 = mat(3, rational, [(1, 2, 1)])
+        e23 = mat(3, rational, [(2, 3, 1)])
+        assert product(rational).evaluate([e12, e23]) == mat(3, rational, [(1, 3, 1)])
+        assert product(rational).evaluate([e23, e12]).is_zero
 
     def test_triple_product_vanishes(self, rational):
         a = mat(3, rational, [(1, 2, 1), (2, 3, 1)])
-        assert ((a * a) * a).is_zero
+        assert product(rational, 3).evaluate([a, a, a]).is_zero
 
     def test_add_sub_scale(self, gf3):
         a = mat(3, gf3, [(1, 2, 1), (1, 3, 2)])
         b = mat(3, gf3, [(1, 2, 2)])
-        assert a + b == mat(3, gf3, [(1, 3, 2)])
-        assert a + a.scaled(-gf3.one) == StrictUT.zero(3, gf3)
+        assert mat(3, gf3, triples(a) + triples(b)) == mat(3, gf3, [(1, 3, 2)])
+        assert mat(3, gf3, triples(a) + triples(a.scaled(-gf3.one))).is_zero
         assert a.scaled(2) == mat(3, gf3, [(1, 2, 2), (1, 3, 1)])
         assert a.scaled(gf3.zero).is_zero
 
     def test_dimension_mismatch(self, rational):
         with pytest.raises(errors.DimensionMismatch):
-            StrictUT.zero(3, rational) + StrictUT.zero(4, rational)
+            product(rational).evaluate([mat(3, rational, []), mat(4, rational, [])])
 
     @pytest.mark.parametrize("field_text", ["gf:2", "gf:3", "rational"])
     @pytest.mark.parametrize("n", [2, 3, 5])
@@ -78,10 +86,8 @@ class TestArithmetic:
         spec = FieldSpec.from_text(field_text)
         rng = random.Random(f"nil:{field_text}:{n}")
         for _ in range(10):
-            prod = random_strict_ut(rng, spec, n)
-            for _ in range(n - 1):
-                prod = prod * random_strict_ut(rng, spec, n)
-            assert prod.is_zero
+            factors = [random_strict_ut(rng, spec, n) for _ in range(n)]
+            assert product(spec, n).evaluate(factors).is_zero
 
     def test_band_shift_under_product(self, gf5):
         # Band levels add (plus one) under multiplication.
@@ -109,20 +115,20 @@ class TestArithmetic:
                 ],
             )
             assert a.band_member(ta) and b.band_member(tb)
-            assert (a * b).band_member(min(ta + tb + 1, n - 1))
+            assert product(gf5).evaluate([a, b]).band_member(min(ta + tb + 1, n - 1))
 
 
 class TestBandMember:
     def test_examples(self, rational):
-        e13 = StrictUT.unit(3, rational, 1, 3)
-        e12 = StrictUT.unit(3, rational, 1, 2)
+        e13 = mat(3, rational, [(1, 3, 1)])
+        e12 = mat(3, rational, [(1, 2, 1)])
         assert e13.band_member(1)
         assert not e12.band_member(1)
-        assert StrictUT.zero(3, rational).band_member(2)
+        assert mat(3, rational, []).band_member(2)
 
     def test_level_bounds(self, rational):
         with pytest.raises(errors.BadIndex):
-            StrictUT.zero(3, rational).band_member(3)
+            mat(3, rational, []).band_member(3)
 
 
 def diagonal_matrix(n, spec, index, values):
@@ -178,9 +184,9 @@ class TestBandDecompose:
         for n in range(2, 7):
             for m in range(1, n + 2):
                 f = parse_poly("*".join(f"x{j}" for j in range(1, m + 1)), rational)
-                targets = [StrictUT.zero(n, rational)]
+                targets = [mat(n, rational, [])]
                 if m < n:
-                    targets += [StrictUT.unit(n, rational, 1, n)]
+                    targets += [mat(n, rational, [(1, n, 1)])]
                     targets += [random_band_target(rng, rational, n, m) for _ in range(4)]
                 for target in targets:
                     held = sorted({col - row + 1 for row, col in target.entries})
@@ -195,7 +201,7 @@ class TestBandDecompose:
             for m in range(2, n):
                 f = parse_poly("*".join(f"x{j}" for j in range(1, m + 1)), rational)
                 trace = {}
-                preimage(f, n, StrictUT.unit(n, rational, 1, n), trace=trace)
+                preimage(f, n, mat(n, rational, [(1, n, 1)]), trace=trace)
                 for index, matrix, values in trace["systems"]:
                     assert len(values) == len(matrix) == n - index + 1
 
@@ -204,9 +210,9 @@ class TestBandDecompose:
         # solution are all zero.  A zero target is answered before any
         # system is built.
         f = parse_poly("x1*x2", rational)
-        corner = StrictUT.unit(4, rational, 1, 4)
+        corner = mat(4, rational, [(1, 4, 1)])
         assert traced_diagonals(f, 4, corner) == [(4, (1,))]
-        assert traced_diagonals(f, 4, StrictUT.zero(4, rational)) == []
+        assert traced_diagonals(f, 4, mat(4, rational, [])) == []
 
     def test_rejects_band_violation(self, rational):
         # The band check runs once, before any system is assembled.
@@ -232,9 +238,11 @@ class TestBandDecompose:
             b = StrictUT.from_entries(n, spec, pairs)
             trace = {}
             preimage(f, n, b, trace=trace)
-            total = StrictUT.zero(n, spec)
-            for index, _matrix, values in trace.get("systems", ()):
-                total = total + diagonal_matrix(n, spec, index, values)
+            total = mat(n, spec, [
+                (k, k + index - 1, v)
+                for index, _matrix, values in trace.get("systems", ())
+                for k, v in enumerate(values, start=1)
+            ])
             assert total == b.scaled(spec.inv(f.normalize().scale))
 
 

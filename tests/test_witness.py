@@ -9,14 +9,10 @@ import pytest
 
 from utimage import errors, witness
 from utimage.fields import FieldSpec
-from utimage.freealg import MultilinearPoly, Permutation, parse_poly
+from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
 from conftest import fixed_arguments, mat, random_pivot_coeffs
-
-
-def poly_from(coeff_map, m, spec):
-    return MultilinearPoly(m, spec, {Permutation(k): v for k, v in coeff_map.items()})
 
 
 class TestStepRemainder:
@@ -33,7 +29,7 @@ class TestStepRemainder:
                 # distinct coefficients: 1 at the identity, 3 and up elsewhere
                 coeffs = {images: i + offset + 1 for i, images in enumerate(fixing_one)}
                 coeffs[tuple(range(1, m + 1))] = 1
-                core = poly_from(coeffs, m, rational)
+                core = MultilinearPoly(m, rational, coeffs)
                 cells, pivots = witness_scalars(core, n)
                 terms = pivot_terms(core)
                 assert len(terms) == len(fixing_one)
@@ -48,7 +44,7 @@ class TestAssignmentTable:
     def test_diagonal_matrix_skips_first_slot(self, rational):
         # The rows have one cell per slot 0..n-1; slot 1 is left at 0, so
         # no fixed argument has an entry at (1, 2).
-        core = poly_from({(1, 2): 1}, 2, rational)
+        core = MultilinearPoly(2, rational, {(1, 2): 1})
         cells, _pivots = witness_scalars(core, 4)
         assert cells[2] == [0, 0, 1, 1]
         (d,) = fixed_arguments(cells, 4, rational)
@@ -79,12 +75,12 @@ class TestBaseAssignment:
     ``witness_scalars`` returns are the base pattern itself."""
 
     def test_degree_two_all_ones(self, rational):
-        core = poly_from({(1, 2): 1}, 2, rational)
+        core = MultilinearPoly(2, rational, {(1, 2): 1})
         cells, _pivots = witness_scalars(core, 4)
         assert cells[2] == [0, 0, 1, 1]
 
     def test_degree_three_without_swap(self, rational):
-        core = poly_from({(1, 2, 3): 1, (1, 3, 2): 0}, 3, rational)
+        core = MultilinearPoly(3, rational, {(1, 2, 3): 1, (1, 3, 2): 0})
         cells, _pivots = witness_scalars(core, 5)
         assert cells[2] == cells[3] == [0, 0, 1, 1, 1]
         # every head sum is 1
@@ -92,7 +88,7 @@ class TestBaseAssignment:
             assert eval_pivot(cells, core, pivot_terms(core), k) == 1
 
     def test_degree_three_with_swap_gf2(self, gf2):
-        core = poly_from({(1, 2, 3): 1, (1, 3, 2): 1}, 3, gf2)
+        core = MultilinearPoly(3, gf2, {(1, 2, 3): 1, (1, 3, 2): 1})
         cells, _pivots = witness_scalars(core, 5)
         # odd slots (0, 1), even slots (1, 0) in variables (2, 3)
         assert cells[2] == [0, 0, 1, 0, 1]
@@ -101,14 +97,14 @@ class TestBaseAssignment:
         assert [eval_pivot(cells, core, terms, k) for k in (1, 2)] == [1, 1]
 
     def test_head_sums_are_one_or_swap_coeff(self, gf5):
-        core = poly_from({(1, 2, 3): 1, (1, 3, 2): 3}, 3, gf5)
+        core = MultilinearPoly(3, gf5, {(1, 2, 3): 1, (1, 3, 2): 3})
         cells, _pivots = witness_scalars(core, 7)
         terms = pivot_terms(core)
         values = {eval_pivot(cells, core, terms, k) for k in range(1, 5)}
         assert values <= {1, 3}
 
     def test_requires_normalized(self, rational):
-        core = poly_from({(1, 2): 2}, 2, rational)
+        core = MultilinearPoly(2, rational, {(1, 2): 2})
         with pytest.raises(errors.NotNormalized):
             witness_scalars(core, 4)
 
@@ -118,7 +114,7 @@ class TestStepExtend:
         # Support only on {identity, swap of 2 and 3}: every remainder sum
         # is empty, so the probe value 1 is always chosen and every pivot
         # is its head sum.
-        core = poly_from({(1, 2, 3, 4, 5): 1, (1, 3, 2, 4, 5): 2}, 5, rational)
+        core = MultilinearPoly(5, rational, {(1, 2, 3, 4, 5): 1, (1, 3, 2, 4, 5): 2})
         n = 8
         cells, pivots = witness_scalars(core, n)
         assert pivots == tuple(eval_head(cells, core, k) for k in range(1, n - 4))
@@ -130,7 +126,7 @@ class TestStepExtend:
         # Degree 4 over GF(2) with an extra monomial moving position 4:
         # at the second equation the probe 1 would cancel the head, so the
         # staircase must fall back to 0.  Values computed by hand.
-        core = poly_from({(1, 2, 3, 4): 1, (1, 2, 4, 3): 1}, 4, gf2)
+        core = MultilinearPoly(4, gf2, {(1, 2, 3, 4): 1, (1, 2, 4, 3): 1})
         n = 6
         cells, pivots = witness_scalars(core, n)
         assert cells[4] == [0, 0, 0, 0, 1, 0]
@@ -140,14 +136,14 @@ class TestStepExtend:
         # A zero head sum cannot come from the base pattern; if one did,
         # the next variable's probe could not recover, so it is refused.
         monkeypatch.setattr(witness, "_term_sum", lambda *args: 0)
-        core = poly_from({(1, 2, 3, 4): 1}, 4, rational)
+        core = MultilinearPoly(4, rational, {(1, 2, 3, 4): 1})
         with pytest.raises(errors.InternalInvariantViolation, match="zero head value"):
             witness_scalars(core, 6)
 
 
 def eval_head(cells, core, k):
     """Length-2 head sum computed directly, for test-side comparisons."""
-    swap = core.coefficient(Permutation.transposition(core.m, 2, 3))
+    swap = core.coeffs.get((1, 3, 2, *range(4, core.m + 1)), core.spec.zero)
     value = cells[2][k + 1] * cells[3][k + 2] + swap * cells[3][k + 1] * cells[2][k + 2]
     return core.spec.reduce(value)
 
@@ -174,12 +170,12 @@ def eval_staircase(cells, core, k, depth):
 
 class TestWitnessScalars:
     def test_degree_two_pivots_all_one(self, gf3):
-        core = poly_from({(1, 2): 1}, 2, gf3)
+        core = MultilinearPoly(2, gf3, {(1, 2): 1})
         _cells, pivots = witness_scalars(core, 5)
         assert pivots == (1, 1, 1)
 
     def test_degree_three_swap_gf2(self, gf2):
-        core = poly_from({(1, 2, 3): 1, (1, 3, 2): 1}, 3, gf2)
+        core = MultilinearPoly(3, gf2, {(1, 2, 3): 1, (1, 3, 2): 1})
         _cells, pivots = witness_scalars(core, 5)
         assert pivots == (1, 1)
 
@@ -195,15 +191,15 @@ class TestWitnessScalars:
         # cost anything near the 8! = 40,320 permutations of S_8.  The
         # Python lines run are counted, whatever builds the elements: about
         # 500 run here, and any Python loop over S_8 adds 40,000 or more.
-        core = poly_from(
+        core = MultilinearPoly(
+            8,
+            gf5,
             {
                 (1, 2, 3, 4, 5, 6, 7, 8): 1,
                 (1, 3, 2, 4, 5, 6, 7, 8): 2,
                 (1, 2, 3, 5, 4, 6, 7, 8): 3,
                 (1, 2, 3, 4, 5, 6, 8, 7): 4,
             },
-            8,
-            gf5,
         )
         lines = 0
 
@@ -222,7 +218,7 @@ class TestWitnessScalars:
         assert lines < 4000
 
     def test_requires_degree_below_dimension(self, rational):
-        core = poly_from({(1, 2): 1}, 2, rational)
+        core = MultilinearPoly(2, rational, {(1, 2): 1})
         with pytest.raises(errors.BadIndex):
             witness_scalars(core, 2)
 
@@ -284,8 +280,8 @@ def selection_cases():
             if 4 <= m <= 6:
                 supports.append(fixing_one[1:])
             for support in supports:
-                coeffs = {Permutation(images): coeff() for images in support}
-                coeffs[Permutation.identity(m)] = spec.one
+                coeffs = {images: coeff() for images in support}
+                coeffs[tuple(range(1, m + 1))] = spec.one
                 core = MultilinearPoly(m, spec, coeffs)
                 for n in (m + 1, m + 2, m + 4, 2 * m + 3):
                     yield core, n
