@@ -93,14 +93,14 @@ def cmd_image(args) -> int:
     spec = FieldSpec.from_text(args.field)
     poly = parse_poly(args.poly, spec)
     described = image_description(poly, args.n)
+    line = described.describe()  # refuses a dimension too long to write
     if args.json:
         doc = {"class": described.kind}
         if not described.is_zero:
             doc["level"] = described.level
             doc["dimension"] = described.dimension
-        print(json.dumps(doc, sort_keys=True))
-    else:
-        print(described.describe())
+        line = json.dumps(doc, sort_keys=True)
+    print(line)
     return 0
 
 
@@ -160,10 +160,97 @@ def cmd_selftest(args) -> int:
     return 0
 
 
+# Each command's help, function and options, declared once: ``build_parser``
+# hands every option's keywords to ``add_argument`` as they are, and
+# ``read_argv`` models exactly these keywords: required, type, default,
+# action="store_true" and help.
+COMMANDS = {
+    "solve": ("construct a witness for a target matrix", cmd_solve, {
+        "poly": {"required": True, "help": "polynomial text, e.g. 'x1*x2-x2*x1'"},
+        "n": {"type": _int_value, "required": True, "help": "matrix dimension"},
+        "field": {"required": True, "help": "'rational' or 'gf:<p>'"},
+        "target": {"required": True, "help": "path to the target matrix JSON"},
+        "out": {"help": "path for the witness JSON (default stdout)"},
+        "debug": {"action": "store_true", "help": "dump the chosen 0/1 cells and band systems to stderr"},
+    }),
+    "image": ("classify the image", cmd_image, {
+        "poly": {"required": True},
+        "n": {"type": _int_value, "required": True},
+        "field": {"default": "rational"},
+        "json": {"action": "store_true"},
+    }),
+    "verify": ("brute-force check over a prime field", cmd_verify, {
+        "poly": {"required": True},
+        "n": {"type": _int_value, "required": True},
+        "field": {"required": True, "help": "prime field, e.g. gf:2"},
+        "cap": {"type": _int_value, "default": DEFAULT_CAP, "help": "max tail tuples X_2..X_m to scan, counted as q^(max(m-1,1)*c) for c scanned entries per matrix"},
+        "reduce": {"action": "store_true", "help": "scan only entries that can occur in a degree-m product"},
+        "out": {"help": "path for the report JSON (default stdout)"},
+    }),
+    "selftest": ("fixed grid plus seeded round trips", cmd_selftest, {
+        "trials": {"type": _int_value, "default": 100},
+        "seed": {"type": _int_value, "default": 0},
+        "field": {"help": "restrict trials to one field"},
+    }),
+}
+
+
+def read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace the command's parser would return for a well-formed
+    ``argv``, or None for anything else.
+
+    Well-formed is a known command followed only by that command's
+    ``--name value`` or ``--name=value`` options, each flag bare, and
+    every required option given.  Help, a value that starts with '-'
+    or that the option's type refuses, and every other token make
+    ``main`` hand the argv to argparse, so its messages and exit codes
+    stay its own.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _help, func, options = COMMANDS[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        name, joined, value = token.partition("=")
+        dest = name[2:]
+        keywords = options.get(dest) if name.startswith("--") else None
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            if joined:
+                return None
+            value = True
+        else:
+            if not joined:
+                value = next(tokens, "-")  # a missing value reads as "-"
+                if value.startswith("-"):
+                    return None
+            elif value == "--":  # argparse drops it and stores []
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+        given[dest] = value
+    args = argparse.Namespace(func=func)
+    for dest, keywords in options.items():
+        if dest in given:
+            setattr(args, dest, given[dest])
+        elif keywords.get("required"):
+            return None
+        else:
+            flag = keywords.get("action") == "store_true"
+            setattr(args, dest, keywords.get("default", False if flag else None))
+    return args
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every
-    ``main`` call in the process: parsing leaves it unchanged."""
+    """The command-line parser, built from ``COMMANDS`` on first use and
+    shared by every ``main`` call in the process: parsing leaves it
+    unchanged.  ``main`` needs it only for help and usage errors."""
     # No parser takes abbreviations, so _join_poly_values sees every --poly.
     parser = _Parser(
         prog="utimage",
@@ -174,38 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="construct a witness for a target matrix", allow_abbrev=False)
-    solve.add_argument("--poly", required=True, help="polynomial text, e.g. 'x1*x2-x2*x1'")
-    solve.add_argument("--n", type=_int_value, required=True, help="matrix dimension")
-    solve.add_argument("--field", required=True, help="'rational' or 'gf:<p>'")
-    solve.add_argument("--target", required=True, help="path to the target matrix JSON")
-    solve.add_argument("--out", help="path for the witness JSON (default stdout)")
-    solve.add_argument("--debug", action="store_true", help="dump the chosen 0/1 cells and band systems to stderr")
-    solve.set_defaults(func=cmd_solve)
-
-    image = sub.add_parser("image", help="classify the image", allow_abbrev=False)
-    image.add_argument("--poly", required=True)
-    image.add_argument("--n", type=_int_value, required=True)
-    image.add_argument("--field", default="rational")
-    image.add_argument("--json", action="store_true")
-    image.set_defaults(func=cmd_image)
-
-    verify = sub.add_parser("verify", help="brute-force check over a prime field", allow_abbrev=False)
-    verify.add_argument("--poly", required=True)
-    verify.add_argument("--n", type=_int_value, required=True)
-    verify.add_argument("--field", required=True, help="prime field, e.g. gf:2")
-    verify.add_argument("--cap", type=_int_value, default=DEFAULT_CAP, help="max tail tuples X_2..X_m to scan, counted as q^(max(m-1,1)*c) for c scanned entries per matrix")
-    verify.add_argument("--reduce", action="store_true", help="scan only entries that can occur in a degree-m product")
-    verify.add_argument("--out", help="path for the report JSON (default stdout)")
-    verify.set_defaults(func=cmd_verify)
-
-    selftest = sub.add_parser("selftest", help="fixed grid plus seeded round trips", allow_abbrev=False)
-    selftest.add_argument("--trials", type=_int_value, default=100)
-    selftest.add_argument("--seed", type=_int_value, default=0)
-    selftest.add_argument("--field", help="restrict trials to one field")
-    selftest.set_defaults(func=cmd_selftest)
-
+    for command, (help_text, func, options) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for dest, keywords in options.items():
+            command_parser.add_argument(f"--{dest}", **keywords)
+        command_parser.set_defaults(func=func)
     parser.commands = sub.choices  # name -> subcommand parser, for main
     return parser
 
@@ -230,11 +290,13 @@ def _join_poly_values(argv: list[str]) -> list[str]:
 def main(argv=None) -> int:
     try:
         argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
-        parser = build_parser()
-        if argv and argv[0] in parser.commands:  # skip the top-level pass
-            args = parser.commands[argv[0]].parse_args(argv[1:])
-        else:  # no or an unknown command, or a top-level -h
-            args = parser.parse_args(argv)
+        args = read_argv(argv)
+        if args is None:  # not well-formed: argparse reads it or reports why
+            parser = build_parser()
+            if argv and argv[0] in parser.commands:  # skip the top-level pass
+                args = parser.commands[argv[0]].parse_args(argv[1:])
+            else:  # no or an unknown command, or a top-level -h
+                args = parser.parse_args(argv)
         return args.func(args)
     except errors.TargetNotInImage as exc:
         print(f"not in image: {exc}", file=sys.stderr)

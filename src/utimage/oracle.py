@@ -46,6 +46,7 @@ Three performance levers, all exact:
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -80,7 +81,14 @@ def _check_cap(q: int, exponent: int, cap: int) -> None:
         limit += 1
         power *= q
     if exponent > limit:
-        raise errors.CapExceeded(f"{q}^{exponent} tail tuples exceed the cap {cap}")
+        try:
+            tuples = f"{q}^{exponent}"
+        except ValueError:  # past Python's int-to-decimal digit limit
+            # the digit count, or one less, then corrected
+            digits = int(exponent.bit_length() * math.log10(2))
+            digits += 10**digits <= exponent
+            tuples = f"{q}^({digits}-digit exponent)"
+        raise errors.CapExceeded(f"{tuples} tail tuples exceed the cap {cap}")
 
 
 def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):

@@ -69,7 +69,7 @@ class ImageClass:
     def describe(self) -> str:
         if self.is_zero:
             return "Zero"
-        return f"Band({self.level}), dim {self.dimension}"
+        return f"Band({self.level}), dim {value_text(self.dimension)}"
 
 
 def image_description(f: MultilinearPoly, n: int) -> ImageClass:

@@ -856,6 +856,24 @@ class TestUsage:
         assert len(lines[-1]) < 200
         assert "5000 characters" in lines[-1]
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_image_dimension_too_long_to_write_exits_1(self, capsys, as_json):
+        # n has 2,200 digits, so the band dimension has about 4,400: past
+        # Python's int-to-decimal limit in both output forms.
+        argv = ["image", "--poly", "x1", "--n", "9" * 2200]
+        code = cli.main(argv + (["--json"] if as_json else []))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: value too long to write: ")
+
+    def test_verify_cap_names_an_over_long_exponent_by_its_digits(self, capsys):
+        code = cli.main(["verify", "--poly", "x1*x2", "--n", "9" * 2200, "--field", "gf:2"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: 2^(4400-digit exponent) tail tuples exceed the cap 1000000\n"
+        )
+
     def test_repeated_main_calls_share_nothing(self, gf7_target, capsys):
         # The parser is built once per process; no flag may carry over.
         target_path, _ = gf7_target
@@ -877,3 +895,44 @@ class TestUsage:
             cli.main(["verify", "--help"])
         assert exc.value.code == 0
         assert "--threads" not in capsys.readouterr().out
+
+
+class TestReader:
+    def test_well_formed_calls_never_build_the_parser(self, gf7_target, tmp_path):
+        # A fresh process, so no earlier test has built the parser.
+        target_path, _ = gf7_target
+        calls = [
+            ["solve", "--poly", "x1*x2-x2*x1", "--n", "5", "--field", "gf:7",
+             "--target", target_path, "--out", str(tmp_path / "w.json")],
+            ["verify", "--poly=-x1*x2", "--n=3", "--field", "gf:2", "--reduce",
+             "--out", str(tmp_path / "r.json")],
+            ["image", "--poly", "x1*x2", "--n", "4", "--json"],
+            ["selftest", "--trials", "0", "--field", "gf:2"],
+        ]
+        script = (
+            "import json, sys\n"
+            "from utimage import cli\n"
+            "sizes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    sizes.append(cli.build_parser.cache_info().currsize)\n"
+            "print(json.dumps(sizes), file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(utimage.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stderr) == [0, 0, 0, 0]
+
+    def test_table_uses_only_the_keywords_the_reader_models(self):
+        # A choices= or nargs= would make the reader and argparse disagree.
+        for _help, _func, options in cli.COMMANDS.values():
+            for keywords in options.values():
+                assert set(keywords) <= {"required", "type", "default", "action", "help"}
+                assert keywords.get("action", "store_true") == "store_true"
+                # argparse would pass a text default through the type
+                assert not ("type" in keywords and isinstance(keywords.get("default"), str))

@@ -7,10 +7,10 @@ import io
 import itertools
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from utimage import cli
+from utimage import cli, errors
 
 FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "rational", "gf:4", "gf:0", "gf:", "q"]
 FIELD = st.one_of(st.sampled_from(FIELDS[:5]), st.sampled_from(FIELDS))
@@ -102,7 +102,9 @@ def target_document(draw, n, field):
 
 
 LARGE_N = st.one_of(
-    st.integers(-1, 6), st.sampled_from([121, 300, 10**6]), st.integers(-(10**6), 10**6)
+    st.integers(-1, 6),
+    st.sampled_from([121, 300, 10**6, 10**2200]),
+    st.integers(-(10**6), 10**6),
 )
 
 FUZZ = settings(
@@ -173,3 +175,64 @@ def test_solve_any_input(tmp_path_factory, data, poly, n, field):
     assert_documented(code, err)
     if code == 0:
         assert json.loads(out)["verified"] is True
+
+
+# Tokens for the reader: every command, every option bare and joined to a
+# value by '=', help, and values argparse reads, refuses or mistakes for
+# options.
+OPTIONS = sorted({f"--{dest}" for _h, _f, options in cli.COMMANDS.values() for dest in options})
+VALUES = ["", "5", " 7", "-3", "-x1*x2", "abc", "--", "1" * 5000, "a=b"]
+TOKEN = st.one_of(
+    st.sampled_from(list(cli.COMMANDS) + OPTIONS + ["-h", "--help"] + VALUES),
+    st.builds("{}={}".format, st.sampled_from(OPTIONS), st.sampled_from(VALUES)),
+)
+
+
+@st.composite
+def argv_tokens(draw):
+    """A command, or any token, then most often each of that command's
+    required options and sometimes each other one, with a value in either
+    form, and sometimes other tokens, in any order."""
+    command = draw(st.one_of(st.sampled_from(list(cli.COMMANDS)), TOKEN))
+    _help, _func, options = cli.COMMANDS.get(command, ("", None, {}))
+    pieces = []
+    for dest, keywords in options.items():
+        if not draw(st.sampled_from([True] * 7 + [False] if keywords.get("required") else [False, True])):
+            continue
+        # An int half the time, so that many argvs are well-formed.
+        value = draw(st.one_of(st.sampled_from(VALUES[1:3]), st.sampled_from(VALUES)))
+        forms = [[f"--{dest}", value], [f"--{dest}={value}"]]
+        if keywords.get("action") == "store_true":
+            forms = [[f"--{dest}"]] * 2 + forms
+        pieces.append(draw(st.sampled_from(forms)))
+    if draw(st.sampled_from([False, False, True])):
+        pieces.append(draw(st.lists(TOKEN, min_size=1, max_size=2)))
+    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+IMAGE = ["image", "--poly", "x1", "--n", "5"]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=argv_tokens())
+@example(argv=IMAGE + ["--field", "-x1*x2"])  # argparse wants a value
+@example(argv=IMAGE + ["--field", "--"])
+@example(argv=IMAGE + ["--field=--"])  # argparse drops the '--' and stores []
+@example(argv=IMAGE + ["--json=5"])  # a flag takes no value
+@example(argv=IMAGE + ["-h"])
+@example(argv=IMAGE[:3])  # --n is required
+def test_reader_agrees_with_argparse(argv):
+    # main joins --poly values first, on both paths.
+    argv = cli._join_poly_values(argv)
+    read = cli.read_argv(argv)
+    parser = cli.build_parser()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if argv and argv[0] in parser.commands:
+                parsed = parser.commands[argv[0]].parse_args(argv[1:])
+            else:
+                parsed = parser.parse_args(argv)
+    except (errors.ParseError, SystemExit):
+        assert read is None
+    else:
+        assert read is None or read == parsed
