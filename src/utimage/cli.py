@@ -21,7 +21,6 @@ import sys
 from . import errors, selfcheck
 from .fields import FieldSpec, value_text
 from .freealg import parse_poly
-from .oracle import DEFAULT_CAP, check_theorem
 from .solver import image_description, preimage
 from .triangular import StrictUT
 
@@ -49,6 +48,15 @@ def _int_value(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"invalid integer value ({len(text)} characters)"
         ) from None
+
+
+def check_theorem(f, n, q, cap=None, reduce_bands=False):
+    """``oracle.check_theorem``, importing the oracle on the first call so
+    that only ``verify`` loads it; a cap of None is the oracle's default."""
+    from . import oracle
+
+    cap = oracle.DEFAULT_CAP if cap is None else cap
+    return oracle.check_theorem(f, n, q, cap=cap, reduce_bands=reduce_bands)
 
 
 def cmd_solve(args) -> int:
@@ -123,6 +131,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import sampling
+
     if args.trials < 0:
         raise errors.ParseError(f"--trials must be at least 0, got {args.trials}")
     if args.field:
@@ -130,10 +140,15 @@ def cmd_selftest(args) -> int:
         # the text as given, which seeds them.
         FieldSpec.from_text(args.field)
     failures = []
-    fields = [args.field] if args.field else list(selfcheck.TRIAL_FIELDS)
+    fields = [args.field] if args.field else sampling.TRIAL_FIELDS
+    if args.trials * len(fields) > sampling.ROUND_TRIP_CAP:
+        raise errors.CapExceeded(
+            f"{args.trials} trials on {len(fields)} field(s) exceed the cap "
+            f"{sampling.ROUND_TRIP_CAP} round trips"
+        )
 
-    grid_rows = selfcheck.run_grid()
-    grid_rows += selfcheck.run_grid(grid=selfcheck.IDENTITY_GRID)
+    grid_rows = sampling.run_grid()
+    grid_rows += sampling.run_grid(grid=sampling.IDENTITY_GRID)
     for poly_text, n, q, report in grid_rows:
         status = "pass" if report.matches else "FAIL"
         print(
@@ -144,14 +159,12 @@ def cmd_selftest(args) -> int:
             failures.append(f"grid poly={poly_text!r} n={n} q={q}")
 
     for field_text in fields:
-        outcomes = selfcheck.run_round_trips(args.seed, field_text, args.trials)
-        good = sum(1 for o in outcomes if o.ok)
-        print(f"round-trip {field_text}: {good}/{len(outcomes)} pass")
-        for outcome in outcomes:
-            if not outcome.ok:
-                line = f"seed={args.seed} {outcome.reproduction_line()}"
-                print(f"  FAIL {line}")
-                failures.append(line)
+        passed, failed = sampling.run_round_trips(args.seed, field_text, args.trials)
+        print(f"round-trip {field_text}: {passed}/{args.trials} pass")
+        for _index, reproduction in failed:
+            line = f"seed={args.seed} {reproduction}"
+            print(f"  FAIL {line}")
+            failures.append(line)
 
     if failures:
         print(f"selftest: {len(failures)} failure(s)")
@@ -183,7 +196,7 @@ COMMANDS = {
         "poly": {"required": True},
         "n": {"type": _int_value, "required": True},
         "field": {"required": True, "help": "prime field, e.g. gf:2"},
-        "cap": {"type": _int_value, "default": DEFAULT_CAP, "help": "max tail tuples X_2..X_m to scan, counted as q^(max(m-1,1)*c) for c scanned entries per matrix"},
+        "cap": {"type": _int_value, "help": "max tail tuples X_2..X_m to scan, counted as q^(max(m-1,1)*c) for c scanned entries per matrix"},
         "reduce": {"action": "store_true", "help": "scan only entries that can occur in a degree-m product"},
         "out": {"help": "path for the report JSON (default stdout)"},
     }),
@@ -294,9 +307,16 @@ def main(argv=None) -> int:
         if args is None:  # not well-formed: argparse reads it or reports why
             parser = build_parser()
             if argv and argv[0] in parser.commands:  # skip the top-level pass
-                args = parser.commands[argv[0]].parse_args(argv[1:])
+                command = argv[0]
+                args = parser.commands[command].parse_args(argv[1:])
             else:  # no or an unknown command, or a top-level -h
                 args = parser.parse_args(argv)
+                command = args.command
+            for name, value in vars(args).items():
+                if isinstance(value, list):  # argparse stores [] for '--name=--'
+                    raise errors.ParseError(
+                        f"utimage {command}: argument --{name}: expected one argument"
+                    )
         return args.func(args)
     except errors.TargetNotInImage as exc:
         print(f"not in image: {exc}", file=sys.stderr)

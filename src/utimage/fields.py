@@ -17,7 +17,6 @@ Text encodings, used verbatim in JSON files and CLI output:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import errors
@@ -66,11 +65,36 @@ def value_text(value) -> str:
         raise errors.CapExceeded(f"value too long to write: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class FieldSpec:
-    """The ground field: GF(p) for a prime p, or the rationals when p is None."""
+    """The ground field: GF(p) for a prime p, or the rationals when p is None.
 
-    p: int | None = None
+    Immutable, and equal and hashed by ``p``.
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, p: int | None = None):
+        object.__setattr__(self, "p", p)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __repr__(self):
+        return f"FieldSpec(p={self.p!r})"
+
+    def __reduce__(self):  # copy and pickle, which would assign p
+        return FieldSpec, (self.p,)
 
     @classmethod
     def gf(cls, p: int) -> "FieldSpec":

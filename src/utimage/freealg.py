@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from . import errors
 from .fields import FieldSpec, parse_int, value_text
@@ -50,7 +49,6 @@ class Permutation(tuple):
         return f"Permutation({list(self)})"
 
 
-@dataclass(frozen=True)
 class NormalizedPoly:
     """A polynomial rewritten to have coefficient one at the identity.
 
@@ -63,9 +61,12 @@ class NormalizedPoly:
     whenever b_j = a_{relabel(j)}.
     """
 
-    core: "MultilinearPoly"
-    relabel: Permutation
-    scale: object
+    __slots__ = ("core", "relabel", "scale")
+
+    def __init__(self, core: MultilinearPoly, relabel: Permutation, scale):
+        self.core = core
+        self.relabel = relabel
+        self.scale = scale
 
     def transfer(self, args: Sequence) -> tuple:
         """Rearrange arguments for ``core`` into arguments for the original."""

@@ -48,7 +48,6 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
 
 from . import errors
 from .fields import FieldSpec
@@ -214,28 +213,19 @@ def _supported_keys(positions: tuple[int, ...], n: int, q: int) -> tuple[int, ..
     )
 
 
-@dataclass(frozen=True)
-class _ScannedImage:
-    """The image a scan found.
-
-    ``positions`` are the packed positions, increasing, of the entries an
-    m-link chain can reach; every value is supported on them.  ``keys`` is
-    None when a slice reached full rank, so the image is every matrix
-    supported on ``positions``; otherwise it is the image's sorted keys.
-    """
-
-    positions: tuple[int, ...]
-    keys: tuple[int, ...] | None
-
-
 def _image_keys(
     f: MultilinearPoly,
     n: int,
     q: int,
     cap: int,
     reduce_bands: bool,
-) -> tuple[_ScannedImage, int]:
-    """Scan the tuple space; returns (image, evaluation count).
+) -> tuple[tuple, int]:
+    """Scan the tuple space; returns ((positions, keys), evaluation count).
+
+    ``positions`` are the packed positions, increasing, of the entries an
+    m-link chain can reach; every value is supported on them.  ``keys`` is
+    None when a slice reached full rank, so the image is every matrix
+    supported on ``positions``; otherwise it is the image's sorted keys.
 
     The count is the q^(m*c) argument tuples whose values the scan
     accounts for; the work is at most q^((m-1)*c) slices, and the cap
@@ -251,7 +241,7 @@ def _image_keys(
         # Nothing is scanned (m >= n with reduce_bands, or n < 2), so every
         # chain is dropped: the image is {0}, full rank on no position, and
         # compiling the chains would cost O(n^3) for nothing.
-        return _ScannedImage((), None), 1
+        return ((), None), 1
     all_coords = strict_coords(n)
     if reduce_bands:
         coords = [(p, c) for p, c in all_coords if c - p <= n - m]
@@ -265,18 +255,21 @@ def _image_keys(
     term_rows = [terms for _out_pos, terms in grouped]
     seen = _scan_slices(count, m, term_rows, weights, q)
     keys = None if seen is None else tuple(sorted(seen))
-    return _ScannedImage(positions, keys), q ** (m * count)
+    return (positions, keys), q ** (m * count)
 
 
-@dataclass(frozen=True)
 class ImageReport:
     """Outcome of one brute-force check against the predicted image."""
 
-    image_size: int
-    expected_size: int
-    matches: bool
-    evaluations: int
-    elapsed_ms: int
+    __slots__ = ("image_size", "expected_size", "matches", "evaluations", "elapsed_ms")
+
+    def __init__(self, image_size: int, expected_size: int, matches: bool,
+                 evaluations: int, elapsed_ms: int):
+        self.image_size = image_size
+        self.expected_size = expected_size
+        self.matches = matches
+        self.evaluations = evaluations
+        self.elapsed_ms = elapsed_ms
 
     def json_dict(self, poly_text: str, n: int, q: int) -> dict:
         return {
@@ -329,14 +322,14 @@ def check_theorem(
     decides it; otherwise the keys are compared.
     """
     started = time.perf_counter()
-    image, evaluations = _image_keys(f, n, q, cap, reduce_bands)
+    (positions, keys), evaluations = _image_keys(f, n, q, cap, reduce_bands)
     free, expected_size = _predicted_keys(f, n, q)
-    if image.keys is None:
-        image_size = q ** len(image.positions)
-        matches = image.positions == free
+    if keys is None:
+        image_size = q ** len(positions)
+        matches = positions == free
     else:
-        image_size = len(image.keys)
-        matches = image.keys == _supported_keys(free, n, q)
+        image_size = len(keys)
+        matches = keys == _supported_keys(free, n, q)
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return ImageReport(
         image_size=image_size,

@@ -42,7 +42,6 @@ products, a check that shares nothing with the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -53,14 +52,16 @@ from .triangular import StrictUT
 from .witness import witness_scalars
 
 
-@dataclass(frozen=True)
 class ImageClass:
     """Image of a polynomial on the strictly upper triangular algebra:
     either {0} or the full band at level m - 1."""
 
-    kind: str  # "zero" | "band"
-    level: int | None = None
-    dimension: int = 0
+    __slots__ = ("kind", "level", "dimension")
+
+    def __init__(self, kind: str, level: int | None = None, dimension: int = 0):
+        self.kind = kind  # "zero" | "band"
+        self.level = level
+        self.dimension = dimension
 
     @property
     def is_zero(self) -> bool:

@@ -16,7 +16,7 @@ why images of degree-m multilinear maps live in the band at level m - 1.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import errors
 from .fields import FieldSpec, value_text

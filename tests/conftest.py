@@ -100,10 +100,10 @@ def image_bruteforce(f, n, q, cap=oracle.DEFAULT_CAP, reduce_bands=False):
     """The exact set of values f attains over GF(q), as sorted packed keys:
     the scan's keys, or every key supported on its positions when a slice
     reached full rank."""
-    image, _ = oracle._image_keys(f, n, q, cap, reduce_bands)
-    if image.keys is None:
-        return oracle._supported_keys(image.positions, n, q)
-    return image.keys
+    (positions, keys), _ = oracle._image_keys(f, n, q, cap, reduce_bands)
+    if keys is None:
+        return oracle._supported_keys(positions, n, q)
+    return keys
 
 
 def packed_key(matrix, q):

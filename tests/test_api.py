@@ -22,8 +22,7 @@ def test_all_is_the_documented_surface():
 
 def public_attributes(cls):
     """The public names a class body defines: every name without a leading
-    underscore, and every dunder method (``dataclass`` writes some of
-    FieldSpec's)."""
+    underscore, and every dunder method."""
     return sorted(
         name
         for name, value in vars(cls).items()
@@ -39,7 +38,7 @@ DOCUMENTED = {
     MultilinearPoly: "m spec coeffs is_zero evaluate normalize to_text __init__ __eq__ __repr__",
     Permutation: "inverse __call__ __repr__",
     FieldSpec: "p gf from_text to_text zero one element parse reduce inv __str__ "
-               "__init__ __eq__ __hash__ __repr__ __setattr__ __delattr__",
+               "__init__ __eq__ __hash__ __repr__ __setattr__ __delattr__ __reduce__",
 }
 
 

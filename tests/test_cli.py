@@ -749,6 +749,30 @@ class TestSelftest:
         assert "FAIL seed=42" in out
         assert "constructed witness does not evaluate to the target" in out
 
+    def test_trials_past_the_cap_are_refused_before_the_grid(self):
+        # A subprocess with a timeout, so that a run that is not priced
+        # fails here instead of holding up the suite.
+        env = {**os.environ, "PYTHONPATH": str(Path(utimage.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "utimage.cli", "selftest", "--trials", str(10**12)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=20,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (
+            "error: 1000000000000 trials on 4 field(s) exceed the cap 250000 round trips\n"
+        )
+
+    def test_cap_counts_round_trips_over_the_fields_run(self, capsys):
+        code = cli.main(["selftest", "--trials", "250001", "--field", "gf:2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (
+            "error: 250001 trials on 1 field(s) exceed the cap 250000 round trips\n"
+        )
+
     @pytest.mark.parametrize("field", ["gf:4", "bogus"])
     def test_bad_field_refused_before_the_grid(self, capsys, field):
         code = cli.main(["selftest", "--trials", "1", "--field", field])
@@ -776,6 +800,21 @@ class TestUsage:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["image", "--poly", "x1", "--n=--"], "image: argument --n"),
+            (["selftest", "--trials=--"], "selftest: argument --trials"),
+            (["verify", "--poly", "x1", "--n", "3", "--field=--"], "verify: argument --field"),
+        ],
+    )
+    def test_dashdash_after_equals_is_a_missing_value(self, capsys, argv, option):
+        # argparse drops a '--' given after '=' and stores [] for the option.
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: utimage {option}: expected one argument\n"
 
     def test_extra_argument_is_reported_by_its_command(self, capsys):
         # A command's own parser reads everything after the command name.
@@ -936,3 +975,40 @@ class TestReader:
                 assert keywords.get("action", "store_true") == "store_true"
                 # argparse would pass a text default through the type
                 assert not ("type" in keywords and isinstance(keywords.get("default"), str))
+
+
+class TestImports:
+    @pytest.mark.parametrize("command", ["solve", "verify", "image"])
+    def test_a_command_loads_only_the_modules_it_runs(self, gf7_target, tmp_path, command):
+        # -S leaves out site, whose hooks may preload modules.  Only which
+        # modules are loaded is checked, not how long loading takes.
+        target_path, _ = gf7_target
+        argv = {
+            "solve": ["solve", "--poly", "x1*x2-x2*x1", "--n", "5", "--field", "gf:7",
+                      "--target", target_path, "--out", str(tmp_path / "w.json")],
+            "verify": ["verify", "--poly", "x1*x2", "--n", "4", "--field", "gf:2",
+                       "--out", str(tmp_path / "r.json")],
+            "image": ["image", "--poly", "x1*x2", "--n", "4"],
+        }[command]
+        script = (
+            "import json, sys\n"
+            "from utimage import cli\n"
+            "assert cli.main(json.loads(sys.argv[1])) == 0\n"
+            "print(json.dumps(sorted(sys.modules)))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(utimage.__file__).parent.parent)}
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, json.dumps(argv)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        assert "utimage.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect", "typing", "random"}
+        unused = {"utimage.sampling"}
+        if command != "verify":
+            unused.add("utimage.oracle")
+        assert not loaded & unused

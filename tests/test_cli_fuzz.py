@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from utimage import cli, errors
 
-FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "rational", "gf:4", "gf:0", "gf:", "q"]
+# "--" as an '=' value: argparse drops it and stores [] for the option.
+FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "rational", "gf:4", "gf:0", "gf:", "q", "--"]
 FIELD = st.one_of(st.sampled_from(FIELDS[:5]), st.sampled_from(FIELDS))
 
 # Well-formed polynomials of degree 1..4 with small signed coefficients,
@@ -105,6 +106,7 @@ LARGE_N = st.one_of(
     st.integers(-1, 6),
     st.sampled_from([121, 300, 10**6, 10**2200]),
     st.integers(-(10**6), 10**6),
+    st.just("--"),
 )
 
 FUZZ = settings(
@@ -137,6 +139,7 @@ def assert_documented(code, err):
 
 @FUZZ
 @given(poly=POLY, n=LARGE_N, field=FIELD, as_json=st.booleans())
+@example(poly="x1", n="--", field="rational", as_json=False)
 def test_image_any_input(poly, n, field, as_json):
     argv = ["image", f"--poly={poly}", f"--n={n}", f"--field={field}"]
     code, _out, err = run(argv + (["--json"] if as_json else []))
@@ -145,6 +148,7 @@ def test_image_any_input(poly, n, field, as_json):
 
 @FUZZ
 @given(poly=POLY, n=LARGE_N, field=FIELD, reduce=st.booleans())
+@example(poly="x1", n=3, field="--", reduce=False)
 def test_verify_any_input(poly, n, field, reduce):
     argv = ["verify", f"--poly={poly}", f"--n={n}", f"--field={field}", "--cap=5000"]
     code, out, err = run(argv + (["--reduce"] if reduce else []))

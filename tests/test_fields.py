@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,6 +28,24 @@ def test_field_from_text():
     assert FieldSpec.from_text("rational") == FieldSpec()
     assert FieldSpec.from_text("gf:2") == FieldSpec.gf(2)
     assert FieldSpec.from_text("gf:7919").p == 7919
+
+
+def test_field_spec_is_an_immutable_value():
+    # Equal and hashed by p, so specs key dicts and compare across parses.
+    assert FieldSpec.gf(5) == FieldSpec(5) != FieldSpec() != "rational"
+    assert len({FieldSpec(), FieldSpec(None), FieldSpec.gf(5), FieldSpec(5)}) == 2
+    assert repr(FieldSpec.gf(5)) == "FieldSpec(p=5)"
+    spec = FieldSpec.gf(5)
+    with pytest.raises(AttributeError):
+        spec.p = 7
+    with pytest.raises(AttributeError):
+        del spec.p
+    with pytest.raises(AttributeError):
+        spec.q = 7
+    assert spec.p == 5
+    f = parse_poly("x1*x2 - x2*x1", spec)
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f and copied.spec == spec
 
 
 def test_field_from_text_rejects_composite():

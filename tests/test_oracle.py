@@ -8,7 +8,7 @@ from utimage import cli, errors, oracle
 from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.oracle import _compile_terms, check_theorem, strict_coords
-from utimage.selfcheck import IDENTITY_GRID, THEOREM_GRID
+from utimage.sampling import IDENTITY_GRID, THEOREM_GRID
 
 from conftest import all_matrices, image_bruteforce, mat, module_imports, packed_key
 
