@@ -10,44 +10,15 @@ internal invariant failure (a bug, please report), 4 verification
 mismatch or self-test failure.
 """
 
-from __future__ import annotations
-
-import argparse
-import functools
 import json
 import re
 import sys
+from types import SimpleNamespace
 
 from . import errors, selfcheck
 from .fields import FieldSpec, value_text
 from .freealg import parse_poly
-from .solver import image_description, preimage
 from .triangular import StrictUT
-
-
-class _Parser(argparse.ArgumentParser):
-    """Turns argparse usage errors into exit code 1.
-
-    argparse exits 2 on a bad command line, but 2 means "not in image"
-    here, so a usage error is raised as a ParseError for ``main`` instead.
-    """
-
-    def error(self, message):
-        raise errors.ParseError(f"{self.prog}: {message}")
-
-
-def _int_value(text: str) -> int:
-    """argparse type for the int options.
-
-    argparse would echo a rejected value whole, so an unreadable one is
-    reported by its length; argparse prefixes the option's name.
-    """
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid integer value ({len(text)} characters)"
-        ) from None
 
 
 def check_theorem(f, n, q, cap=None, reduce_bands=False):
@@ -57,6 +28,20 @@ def check_theorem(f, n, q, cap=None, reduce_bands=False):
 
     cap = oracle.DEFAULT_CAP if cap is None else cap
     return oracle.check_theorem(f, n, q, cap=cap, reduce_bands=reduce_bands)
+
+
+def preimage(f, n, target, trace=None):
+    """``solver.preimage``.  This and ``image_description`` import the
+    solver on the first call, so that ``verify`` never loads it."""
+    from . import solver
+
+    return solver.preimage(f, n, target, trace=trace)
+
+
+def image_description(f, n):
+    from . import solver
+
+    return solver.image_description(f, n)
 
 
 def cmd_solve(args) -> int:
@@ -115,8 +100,7 @@ def cmd_image(args) -> int:
 def cmd_verify(args) -> int:
     spec = FieldSpec.from_text(args.field)
     if spec.p is None:
-        print("error: verify needs a prime field like gf:2", file=sys.stderr)
-        return 1
+        raise errors.ParseError("verify needs a prime field like gf:2")
     poly = parse_poly(args.poly, spec)
     report = check_theorem(
         poly, args.n, spec.p, cap=args.cap, reduce_bands=args.reduce
@@ -173,150 +157,167 @@ def cmd_selftest(args) -> int:
     return 0
 
 
-# Each command's help, function and options, declared once: ``build_parser``
-# hands every option's keywords to ``add_argument`` as they are, and
-# ``read_argv`` models exactly these keywords: required, type, default,
-# action="store_true" and help.
+# Each command's help, function and options, declared once, for read_argv
+# and _write_help.  An option not given is an error when required, else its
+# default or None; a flag not given is False; "int" values are converted.
 COMMANDS = {
     "solve": ("construct a witness for a target matrix", cmd_solve, {
         "poly": {"required": True, "help": "polynomial text, e.g. 'x1*x2-x2*x1'"},
-        "n": {"type": _int_value, "required": True, "help": "matrix dimension"},
+        "n": {"int": True, "required": True, "help": "matrix dimension"},
         "field": {"required": True, "help": "'rational' or 'gf:<p>'"},
         "target": {"required": True, "help": "path to the target matrix JSON"},
         "out": {"help": "path for the witness JSON (default stdout)"},
-        "debug": {"action": "store_true", "help": "dump the chosen 0/1 cells and band systems to stderr"},
+        "debug": {"flag": True, "help": "dump the chosen 0/1 cells and band systems to stderr"},
     }),
     "image": ("classify the image", cmd_image, {
-        "poly": {"required": True},
-        "n": {"type": _int_value, "required": True},
-        "field": {"default": "rational"},
-        "json": {"action": "store_true"},
+        "poly": {"required": True, "help": "polynomial text, e.g. 'x1*x2-x2*x1'"},
+        "n": {"int": True, "required": True, "help": "matrix dimension"},
+        "field": {"default": "rational", "help": "'rational' (default) or 'gf:<p>'"},
+        "json": {"flag": True, "help": "print the class as JSON"},
     }),
     "verify": ("brute-force check over a prime field", cmd_verify, {
-        "poly": {"required": True},
-        "n": {"type": _int_value, "required": True},
+        "poly": {"required": True, "help": "polynomial text, e.g. 'x1*x2-x2*x1'"},
+        "n": {"int": True, "required": True, "help": "matrix dimension"},
         "field": {"required": True, "help": "prime field, e.g. gf:2"},
-        "cap": {"type": _int_value, "help": "max tail tuples X_2..X_m to scan, counted as q^(max(m-1,1)*c) for c scanned entries per matrix"},
-        "reduce": {"action": "store_true", "help": "scan only entries that can occur in a degree-m product"},
+        "cap": {"int": True, "help": "max tail tuples X_2..X_m to scan, counted as q^(max(m-1,1)*c) for c scanned entries per matrix"},
+        "reduce": {"flag": True, "help": "scan only entries that can occur in a degree-m product"},
         "out": {"help": "path for the report JSON (default stdout)"},
     }),
     "selftest": ("fixed grid plus seeded round trips", cmd_selftest, {
-        "trials": {"type": _int_value, "default": 100},
-        "seed": {"type": _int_value, "default": 0},
+        "trials": {"int": True, "default": 100, "help": "round trips per field (default 100)"},
+        "seed": {"int": True, "default": 0, "help": "seed of the round trips (default 0)"},
         "field": {"help": "restrict trials to one field"},
     }),
 }
 
-
-def read_argv(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace the command's parser would return for a well-formed
-    ``argv``, or None for anything else.
-
-    Well-formed is a known command followed only by that command's
-    ``--name value`` or ``--name=value`` options, each flag bare, and
-    every required option given.  Help, a value that starts with '-'
-    or that the option's type refuses, and every other token make
-    ``main`` hand the argv to argparse, so its messages and exit codes
-    stay its own.
-    """
-    if not argv or argv[0] not in COMMANDS:
-        return None
-    _help, func, options = COMMANDS[argv[0]]
-    given = {}
-    tokens = iter(argv[1:])
-    for token in tokens:
-        name, joined, value = token.partition("=")
-        dest = name[2:]
-        keywords = options.get(dest) if name.startswith("--") else None
-        if keywords is None:
-            return None
-        if keywords.get("action") == "store_true":
-            if joined:
-                return None
-            value = True
-        else:
-            if not joined:
-                value = next(tokens, "-")  # a missing value reads as "-"
-                if value.startswith("-"):
-                    return None
-            elif value == "--":  # argparse drops it and stores []
-                return None
-            if "type" in keywords:
-                try:
-                    value = keywords["type"](value)
-                except (argparse.ArgumentTypeError, TypeError, ValueError):
-                    return None
-        given[dest] = value
-    args = argparse.Namespace(func=func)
-    for dest, keywords in options.items():
-        if dest in given:
-            setattr(args, dest, given[dest])
-        elif keywords.get("required"):
-            return None
-        else:
-            flag = keywords.get("action") == "store_true"
-            setattr(args, dest, keywords.get("default", False if flag else None))
-    return args
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built from ``COMMANDS`` on first use and
-    shared by every ``main`` call in the process: parsing leaves it
-    unchanged.  ``main`` needs it only for help and usage errors."""
-    # No parser takes abbreviations, so _join_poly_values sees every --poly.
-    parser = _Parser(
-        prog="utimage",
-        allow_abbrev=False,
-        description=(
-            "Images and preimage witnesses of multilinear polynomials on "
-            "strictly upper triangular matrices, in exact arithmetic."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, func, options) in COMMANDS.items():
-        command_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        for dest, keywords in options.items():
-            command_parser.add_argument(f"--{dest}", **keywords)
-        command_parser.set_defaults(func=func)
-    parser.commands = sub.choices  # name -> subcommand parser, for main
-    return parser
-
-
+# Tokens that read as negative numbers are values, not options.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 # No option starts like a number or a variable, so a token that does is
 # the value of a preceding --poly, such as -x1*x2 or -2/3*x1*x2.
-_POLY_VALUE = re.compile(r"-[0-9x]")
+_POLY_STARTS = {f"-{char}" for char in "0123456789x"}
+_NO_VALUE = object()  # given as --name=--, which reads as no value
 
 
-def _join_poly_values(argv: list[str]) -> list[str]:
-    """Rewrite ``--poly TEXT`` as ``--poly=TEXT`` when TEXT starts with '-',
-    which argparse would otherwise read as an option."""
-    joined: list[str] = []
-    for arg in argv:
-        if joined and joined[-1] == "--poly" and _POLY_VALUE.match(arg):
-            joined[-1] = f"--poly={arg}"
-        else:
-            joined.append(arg)
-    return joined
+def _is_value(token: str, options: dict) -> bool:
+    """Whether ``token`` is a value rather than an option, where
+    ``options`` are the command's (none before the command)."""
+    if token[:1] != "-" or token == "-":
+        return True
+    name = token.partition("=")[0]
+    if name[:2] == "--" and name[2:] in options or name == "--help" or token[:2] == "-h":
+        return False
+    return " " in token or _NEGATIVE_NUMBER.match(token) is not None
+
+
+def read_argv(argv: list[str]) -> SimpleNamespace:
+    """The command's options by name, and ``func``, which runs it.
+
+    ``argv`` is a command, then its ``--name value`` or ``--name=value``
+    options; a flag takes no value and the last of a repeated option wins.
+    Anything else raises a ParseError, a missing or unknown option only
+    once all of ``argv`` is read.  -h or --help gives a ``func`` that
+    writes help, unless an error comes first.
+    """
+    command, prog = None, "utimage"
+    options, given, extras = {}, {}, []
+    dashes = False  # every token after a '--' is a value
+    i, end = 0, len(argv)
+    while i < end:
+        token = argv[i]
+        i += 1
+        if token == "--poly" and i < end and argv[i][:2] in _POLY_STARTS:
+            token = f"--poly={argv[i]}"
+            i += 1
+        name, joined, text = token.partition("=")
+        keywords = None if dashes or name[:2] != "--" else options.get(name[2:])
+        if keywords is None:
+            # The command or a stray value, as is a '--' before the command that tokens follow.
+            if dashes or _is_value(token, options) or token == "--" and command is None and i < end:
+                if command is not None:
+                    extras.append(token)
+                elif token in COMMANDS:
+                    command, prog = token, f"utimage {token}"
+                    _help, func, options = COMMANDS[command]
+                else:
+                    choices = ", ".join(map(repr, COMMANDS))
+                    raise errors.ParseError(
+                        f"utimage: argument command: invalid choice: {token!r} (choose from {choices})"
+                    )
+            elif name == "--help" or token[:2] == "-h":
+                # -h is the only one-letter flag, so -hh, like -h=hh, is help twice.
+                if name == "--help":
+                    ignored = text if joined else None
+                elif token == "-h=":
+                    ignored = ""
+                else:
+                    ignored = (token[3:] if token[2:3] == "=" else token[2:]).lstrip("h") or None
+                if ignored is not None:
+                    raise errors.ParseError(
+                        f"{prog}: argument -h/--help: ignored explicit argument {ignored!r}"
+                    )
+                return SimpleNamespace(func=_write_help, command=command)
+            else:  # an unknown option, or '--'
+                dashes = token == "--"
+                extras.append(token)
+            continue
+        dest = name[2:]
+        if "flag" in keywords:
+            if joined:
+                raise errors.ParseError(f"{prog}: argument --{dest}: ignored explicit argument {text!r}")
+            given[dest] = True
+            continue
+        if not joined:
+            if i == end or argv[i][:1] == "-" and not _is_value(argv[i], options):
+                raise errors.ParseError(f"{prog}: argument --{dest}: expected one argument")
+            text = argv[i]
+            i += 1
+        elif text == "--":
+            given[dest] = _NO_VALUE
+            continue
+        if "int" in keywords:
+            try:
+                text = int(text)
+            except ValueError:  # reported by length, not echoed whole
+                raise errors.ParseError(
+                    f"{prog}: argument --{dest}: invalid integer value ({len(text)} characters)"
+                ) from None
+        given[dest] = text
+    if command is None:
+        raise errors.ParseError("utimage: the following arguments are required: command")
+    missing = [f"--{dest}" for dest in options if dest not in given and "required" in options[dest]]
+    if missing:
+        raise errors.ParseError(f"{prog}: the following arguments are required: {', '.join(missing)}")
+    if extras:  # reported by the top level when it read tokens before the command
+        prog = prog if argv[0] == command else "utimage"
+        raise errors.ParseError(f"{prog}: unrecognized arguments: {' '.join(extras)}")
+    for dest, keywords in options.items():
+        if dest not in given:
+            given[dest] = False if "flag" in keywords else keywords.get("default")
+        elif given[dest] is _NO_VALUE:
+            raise errors.ParseError(f"{prog}: argument --{dest}: expected one argument")
+    return SimpleNamespace(func=func, **given)
+
+
+def _write_help(args) -> int:
+    """Print the usage and options of ``args.command``, or the commands."""
+    if args.command is None:
+        print(f"usage: utimage {{{','.join(COMMANDS)}}} ... [-h]\n\ncommands:")
+        for name, (text, _func, _options) in COMMANDS.items():
+            print(f"  {name:10}{text}")
+        return 0
+    text, _func, options = COMMANDS[args.command]
+    specs = [(f"--{dest}" if "flag" in keywords else f"--{dest} {dest.upper()}", keywords)
+             for dest, keywords in options.items()]
+    usage = " ".join(spec if "required" in keywords else f"[{spec}]" for spec, keywords in specs)
+    print(f"usage: utimage {args.command} {usage} [-h]\n\n{text}\n\noptions:")
+    for spec, keywords in specs:
+        print(f"  {spec:17}{keywords['help']}")
+    return 0
 
 
 def main(argv=None) -> int:
     try:
-        argv = _join_poly_values(sys.argv[1:] if argv is None else list(argv))
-        args = read_argv(argv)
-        if args is None:  # not well-formed: argparse reads it or reports why
-            parser = build_parser()
-            if argv and argv[0] in parser.commands:  # skip the top-level pass
-                command = argv[0]
-                args = parser.commands[command].parse_args(argv[1:])
-            else:  # no or an unknown command, or a top-level -h
-                args = parser.parse_args(argv)
-                command = args.command
-            for name, value in vars(args).items():
-                if isinstance(value, list):  # argparse stores [] for '--name=--'
-                    raise errors.ParseError(
-                        f"utimage {command}: argument --{name}: expected one argument"
-                    )
+        args = read_argv(sys.argv[1:] if argv is None else list(argv))
         return args.func(args)
     except errors.TargetNotInImage as exc:
         print(f"not in image: {exc}", file=sys.stderr)
@@ -324,10 +325,7 @@ def main(argv=None) -> int:
     except errors.InternalInvariantViolation as exc:
         print(f"internal error (bug): {exc}", file=sys.stderr)
         return 3
-    except errors.Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (errors.Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

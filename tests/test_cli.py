@@ -696,11 +696,12 @@ class TestVerify:
         assert doc["image_size"] == doc["expected_size"] == 8
         assert len(row_reduce_calls) == 1
 
-    def test_rational_field_rejected(self):
+    def test_rational_field_rejected(self, capsys):
         code = cli.main(
             ["verify", "--poly", "x1*x2", "--n", "3", "--field", "rational"]
         )
         assert code == 1
+        assert capsys.readouterr() == ("", "error: verify needs a prime field like gf:2\n")
 
     def test_reduce_flag(self, capsys):
         code = cli.main(
@@ -793,8 +794,8 @@ class TestUsage:
         ],
     )
     def test_usage_error_exits_1(self, capsys, argv):
-        # 2 is reserved for "not in image", so argparse's exit 2 must not leak;
-        # the message is one line, without argparse's usage lines.
+        # 2 is reserved for "not in image", so a usage error exits 1 with a
+        # one-line message and no usage lines.
         code = cli.main(argv)
         err = capsys.readouterr().err
         assert code == 1
@@ -810,14 +811,14 @@ class TestUsage:
         ],
     )
     def test_dashdash_after_equals_is_a_missing_value(self, capsys, argv, option):
-        # argparse drops a '--' given after '=' and stores [] for the option.
+        # A '--' given after '=' is no value.
         code = cli.main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: utimage {option}: expected one argument\n"
 
     def test_extra_argument_is_reported_by_its_command(self, capsys):
-        # A command's own parser reads everything after the command name.
+        # Everything after the command name is the command's.
         code = cli.main(["image", "--poly", "x1*x2", "--n", "3", "extra"])
         assert code == 1
         assert capsys.readouterr().err == (
@@ -840,8 +841,8 @@ class TestUsage:
         [("-x1*x2", "Band(1), dim 3"), ("-2/3*x1*x2", "Band(1), dim 3")],
     )
     def test_poly_text_starting_with_minus(self, capsys, poly, expected):
-        # argparse reads a value that starts with '-' as an option; main
-        # joins it to the preceding --poly.
+        # A value that starts with '-' reads as an option, except after
+        # --poly, whose values may start like a number or a variable.
         code = cli.main(["image", "--poly", poly, "--n", "4"])
         captured = capsys.readouterr()
         assert code == 0
@@ -887,7 +888,7 @@ class TestUsage:
         ids=["n", "cap", "trials"],
     )
     def test_over_long_option_value_exits_1(self, capsys, argv):
-        # argparse would echo the rejected value whole.
+        # The rejected value is reported by its length, not echoed whole.
         code = cli.main(argv)
         lines = capsys.readouterr().err.splitlines()
         assert code == 1
@@ -914,7 +915,7 @@ class TestUsage:
         )
 
     def test_repeated_main_calls_share_nothing(self, gf7_target, capsys):
-        # The parser is built once per process; no flag may carry over.
+        # No flag may carry over from one call to the next.
         target_path, _ = gf7_target
         solve = ["solve", "--poly", "x1*x2-x2*x1", "--n", "5", "--field", "gf:7",
                  "--target", target_path]
@@ -927,54 +928,31 @@ class TestUsage:
         assert json.loads(first.err)["systems"]
         assert second.err == ""
         assert second.out == first.out
-        assert cli.build_parser() is cli.build_parser()
 
     def test_help_exits_0(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["verify", "--help"])
-        assert exc.value.code == 0
+        assert cli.main(["verify", "--help"]) == 0
         assert "--threads" not in capsys.readouterr().out
 
-
-class TestReader:
-    def test_well_formed_calls_never_build_the_parser(self, gf7_target, tmp_path):
-        # A fresh process, so no earlier test has built the parser.
-        target_path, _ = gf7_target
-        calls = [
-            ["solve", "--poly", "x1*x2-x2*x1", "--n", "5", "--field", "gf:7",
-             "--target", target_path, "--out", str(tmp_path / "w.json")],
-            ["verify", "--poly=-x1*x2", "--n=3", "--field", "gf:2", "--reduce",
-             "--out", str(tmp_path / "r.json")],
-            ["image", "--poly", "x1*x2", "--n", "4", "--json"],
-            ["selftest", "--trials", "0", "--field", "gf:2"],
-        ]
-        script = (
-            "import json, sys\n"
-            "from utimage import cli\n"
-            "sizes = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    assert cli.main(argv) == 0, argv\n"
-            "    sizes.append(cli.build_parser.cache_info().currsize)\n"
-            "print(json.dumps(sizes), file=sys.stderr)\n"
-        )
+    @pytest.mark.parametrize(
+        "args, code, out, err",
+        [
+            (["--help"], 0, "usage: utimage ", ""),
+            (["verify", "--help"], 0, "usage: utimage verify ", ""),
+            ([], 1, "", "error: utimage: the following arguments are required: command\n"),
+        ],
+    )
+    def test_module_entry_point(self, args, code, out, err):
         env = {**os.environ, "PYTHONPATH": str(Path(utimage.__file__).parent.parent)}
         proc = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(calls)],
+            [sys.executable, "-S", "-m", "utimage.cli", *args],
             capture_output=True,
             text=True,
             env=env,
+            timeout=60,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stderr) == [0, 0, 0, 0]
-
-    def test_table_uses_only_the_keywords_the_reader_models(self):
-        # A choices= or nargs= would make the reader and argparse disagree.
-        for _help, _func, options in cli.COMMANDS.values():
-            for keywords in options.values():
-                assert set(keywords) <= {"required", "type", "default", "action", "help"}
-                assert keywords.get("action", "store_true") == "store_true"
-                # argparse would pass a text default through the type
-                assert not ("type" in keywords and isinstance(keywords.get("default"), str))
+        assert proc.returncode == code
+        assert proc.stdout.startswith(out) if out else proc.stdout == ""
+        assert proc.stderr == err
 
 
 class TestImports:
@@ -1007,8 +985,10 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         loaded = set(json.loads(proc.stdout.splitlines()[-1]))
         assert "utimage.cli" in loaded
-        assert not loaded & {"dataclasses", "inspect", "typing", "random"}
+        assert not loaded & {"dataclasses", "inspect", "typing", "random", "argparse", "gettext"}
         unused = {"utimage.sampling"}
-        if command != "verify":
+        if command == "verify":
+            unused |= {"utimage.solver", "utimage.witness"}
+        else:
             unused.add("utimage.oracle")
         assert not loaded & unused

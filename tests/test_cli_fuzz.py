@@ -2,17 +2,21 @@
 document or dimension, ``main`` returns a documented exit code, ends
 stderr with one message line and never lets a traceback out."""
 
+import argparse
 import contextlib
+import functools
 import io
 import itertools
 import json
+import re
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from utimage import cli, errors
 
-# "--" as an '=' value: argparse drops it and stores [] for the option.
+# "--" as an '=' value reads as a missing value.
 FIELDS = ["gf:2", "gf:3", "gf:5", "gf:7", "rational", "gf:4", "gf:0", "gf:", "q", "--"]
 FIELD = st.one_of(st.sampled_from(FIELDS[:5]), st.sampled_from(FIELDS))
 
@@ -181,11 +185,71 @@ def test_solve_any_input(tmp_path_factory, data, poly, n, field):
         assert json.loads(out)["verified"] is True
 
 
-# Tokens for the reader: every command, every option bare and joined to a
+# The reference model of the command line: argparse, built from
+# cli.COMMANDS, behind a rewrite of "--poly -x1*x2" as "--poly=-x1*x2"
+# (argparse would read a value starting with '-' as an option), and with
+# "--name=--" (for which argparse stores []) read as a missing value.
+class _ReferenceParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise errors.ParseError(f"{self.prog}: {message}")
+
+
+def _reference_int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid integer value ({len(text)} characters)"
+        ) from None
+
+
+@functools.cache
+def reference_parsers():
+    parser = _ReferenceParser(prog="utimage", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, func, options) in cli.COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for dest, keywords in options.items():
+            if "flag" in keywords:
+                command_parser.add_argument(f"--{dest}", action="store_true")
+            else:
+                command_parser.add_argument(
+                    f"--{dest}",
+                    required="required" in keywords,
+                    default=keywords.get("default"),
+                    type=_reference_int if "int" in keywords else None,
+                )
+        command_parser.set_defaults(func=func)
+    return parser, sub.choices
+
+
+def reference_read(argv):
+    """vars() of the reference model's namespace for ``argv``; raises
+    ParseError, or SystemExit for help."""
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] == "--poly" and re.match(r"-[0-9x]", arg):
+            joined[-1] = f"--poly={arg}"
+        else:
+            joined.append(arg)
+    parser, commands = reference_parsers()
+    if joined and joined[0] in commands:
+        command = joined[0]
+        args = commands[command].parse_args(joined[1:])
+    else:
+        args = parser.parse_args(joined)
+        command = args.command
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            raise errors.ParseError(f"utimage {command}: argument --{name}: expected one argument")
+    return vars(args)
+
+
+# Tokens for the parser: every command, every option bare and joined to a
 # value by '=', help, and values argparse reads, refuses or mistakes for
 # options.
 OPTIONS = sorted({f"--{dest}" for _h, _f, options in cli.COMMANDS.values() for dest in options})
-VALUES = ["", "5", " 7", "-3", "-x1*x2", "abc", "--", "1" * 5000, "a=b"]
+VALUES = ["", "5", " 7", "-3", "-x1*x2", "abc", "--", "1" * 5000, "a=b", "-", "-2/3*x1*x2", "- x1"]
 TOKEN = st.one_of(
     st.sampled_from(list(cli.COMMANDS) + OPTIONS + ["-h", "--help"] + VALUES),
     st.builds("{}={}".format, st.sampled_from(OPTIONS), st.sampled_from(VALUES)),
@@ -196,22 +260,23 @@ TOKEN = st.one_of(
 def argv_tokens(draw):
     """A command, or any token, then most often each of that command's
     required options and sometimes each other one, with a value in either
-    form, and sometimes other tokens, in any order."""
+    form, and sometimes other tokens, in any order, or '-- x' at the end."""
     command = draw(st.one_of(st.sampled_from(list(cli.COMMANDS)), TOKEN))
     _help, _func, options = cli.COMMANDS.get(command, ("", None, {}))
     pieces = []
     for dest, keywords in options.items():
-        if not draw(st.sampled_from([True] * 7 + [False] if keywords.get("required") else [False, True])):
+        if not draw(st.sampled_from([True] * 7 + [False] if "required" in keywords else [False, True])):
             continue
         # An int half the time, so that many argvs are well-formed.
         value = draw(st.one_of(st.sampled_from(VALUES[1:3]), st.sampled_from(VALUES)))
         forms = [[f"--{dest}", value], [f"--{dest}={value}"]]
-        if keywords.get("action") == "store_true":
+        if "flag" in keywords:
             forms = [[f"--{dest}"]] * 2 + forms
         pieces.append(draw(st.sampled_from(forms)))
     if draw(st.sampled_from([False, False, True])):
         pieces.append(draw(st.lists(TOKEN, min_size=1, max_size=2)))
-    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+    argv = [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+    return argv + (["--", "x"] if draw(st.sampled_from([False] * 5 + [True])) else [])
 
 
 IMAGE = ["image", "--poly", "x1", "--n", "5"]
@@ -219,24 +284,30 @@ IMAGE = ["image", "--poly", "x1", "--n", "5"]
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(argv=argv_tokens())
-@example(argv=IMAGE + ["--field", "-x1*x2"])  # argparse wants a value
+@example(argv=IMAGE + ["--field", "-x1*x2"])  # an option, so no value
 @example(argv=IMAGE + ["--field", "--"])
 @example(argv=IMAGE + ["--field=--"])  # argparse drops the '--' and stores []
 @example(argv=IMAGE + ["--json=5"])  # a flag takes no value
 @example(argv=IMAGE + ["-h"])
 @example(argv=IMAGE[:3])  # --n is required
+@example(argv=IMAGE + ["--", "--poly", "-x1"])  # reported as --poly=-x1
+@example(argv=["--poly", "-3", "image"])  # one unknown top-level option
+@example(argv=["--", "image"])  # '--' is no command
+@example(argv=["-hh"])  # -h twice
+@example(argv=IMAGE + ["-h=hx"])
+@example(argv=["--help="])
 def test_reader_agrees_with_argparse(argv):
-    # main joins --poly values first, on both paths.
-    argv = cli._join_poly_values(argv)
-    read = cli.read_argv(argv)
-    parser = cli.build_parser()
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            if argv and argv[0] in parser.commands:
-                parsed = parser.commands[argv[0]].parse_args(argv[1:])
-            else:
-                parsed = parser.parse_args(argv)
-    except (errors.ParseError, SystemExit):
-        assert read is None
+            expected = reference_read(argv)
+    except errors.ParseError as exc:
+        with pytest.raises(errors.ParseError) as raised:
+            cli.read_argv(argv)
+        assert str(raised.value) == str(exc)
+    except SystemExit as exc:
+        assert exc.code == 0
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: utimage")
     else:
-        assert read is None or read == parsed
+        assert vars(cli.read_argv(argv)) == expected
