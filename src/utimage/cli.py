@@ -18,7 +18,6 @@ from types import SimpleNamespace
 from . import errors, selfcheck
 from .fields import FieldSpec, value_text
 from .freealg import parse_poly
-from .triangular import StrictUT
 
 
 def check_theorem(f, n, q, cap=None, reduce_bands=False):
@@ -45,6 +44,8 @@ def image_description(f, n):
 
 
 def cmd_solve(args) -> int:
+    from .triangular import StrictUT
+
     spec = FieldSpec.from_text(args.field)
     poly = parse_poly(args.poly, spec)
     with open(args.target, "rb", buffering=0) as handle:  # cheaper than text

@@ -8,7 +8,16 @@ arithmetic: ``element`` canonicalises an int, Fraction or text,
 ``inv`` inverts with pow(value, -1, p).  Containers (matrices and
 polynomials) carry the field and refuse to mix two of them.
 
-Text encodings, used verbatim in JSON files and CLI output:
+Inside the containers and the solver, rationals are integer numerators
+over one shared denominator, so that no Fraction is built, normalised or
+compared on the way from parsed text to written text: ``rational_parts``
+reads a value as a numerator and a denominator, ``common_denominator``
+sums such pairs over the lcm of their denominators, ``lowest_terms``
+brings numerators over a shared denominator to canonical form, and
+``ratio_text`` writes one of them.
+
+Text encodings, used verbatim in JSON files and CLI output, in ASCII
+digits only:
 
 * rationals: ``a`` or ``a/b`` with the sign on the numerator and b > 0,
 * GF(p) elements: a decimal in [0, p).
@@ -16,6 +25,7 @@ Text encodings, used verbatim in JSON files and CLI output:
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -27,8 +37,8 @@ RATIONAL = "rational"
 # anything where it would not be.
 PRIME_CAP = 1 << 31
 
-_RATIONAL_TEXT = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_GF_SPEC = re.compile(r"gf:(\d+)\Z")
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
+_GF_SPEC = re.compile(r"gf:([0-9]+)\Z")
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
@@ -58,11 +68,72 @@ def parse_int(digits: str) -> int:
 
 
 def value_text(value) -> str:
-    """The text encoding of a raw value."""
+    """The text encoding of a raw value, or of any int."""
+    return ratio_text(value.numerator, value.denominator)
+
+
+def ratio_text(num: int, den: int) -> str:
+    """The text encoding of num / den, for a denominator den > 0: the
+    quotient in lowest terms, so a GF(p) residue over 1 is its decimal."""
     try:
-        return str(value)
+        if den == 1:
+            return str(num)
+        g = math.gcd(num, den)
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
     except ValueError as exc:  # past Python's int-to-decimal digit limit
         raise errors.CapExceeded(f"value too long to write: {exc}") from exc
+
+
+def rational_parts(value) -> tuple[int, int]:
+    """A numerator and a positive denominator of a rational given as an
+    int, a Fraction or text, not reduced; anything else, a bool or a float
+    included, is a ParseError."""
+    if isinstance(value, str):
+        match = _RATIONAL_TEXT.match(value)
+        if match is None:
+            raise errors.ParseError(f"bad rational literal {value!r}")
+        return rational_literal(*match.groups())
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise errors.ParseError(
+            f"{type(value).__name__} {value!r} is not an exact field element"
+        )
+    return value.numerator, value.denominator
+
+
+def rational_literal(num: str, den: str | None) -> tuple[int, int]:
+    """The numerator and denominator of the literal ``num/den``, or of
+    ``num`` when den is None, from its digit runs (num may be signed)."""
+    if den is not None and den.lstrip("0") == "":
+        raise errors.ParseError(f"zero denominator in {num + '/' + den!r}")
+    try:
+        return int(num), 1 if den is None else int(den)
+    except ValueError:  # name the literal too long for int()
+        parse_int(num)
+        parse_int(den)
+        raise
+
+
+def common_denominator(parts) -> tuple[dict, int]:
+    """Rationals num / d given as (key, num, d) triples, summed by key, as
+    numerators over the lcm of the denominators, and that lcm."""
+    den = math.lcm(*[d for _key, _num, d in parts])
+    nums: dict = {}
+    for key, num, d in parts:
+        if d != den:
+            num *= den // d
+        nums[key] = nums[key] + num if key in nums else num
+    return nums, den
+
+
+def lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
+    """Rationals nums[key] / den, for a denominator den > 0, in canonical
+    form: zeros dropped, and den and the numerators freed of their common
+    factor, so that den is the lcm of the values' reduced denominators.
+    ``nums`` itself comes back when it is already in that form."""
+    g = math.gcd(den, *nums.values())
+    if g != 1 or not all(nums.values()):
+        nums = {key: v // g for key, v in nums.items() if v}
+    return nums, den // g
 
 
 class FieldSpec:
@@ -144,7 +215,8 @@ class FieldSpec:
         if self.p is None:
             if type(value) is Fraction:
                 return value
-        elif type(value) is int and 0 <= value < self.p:
+            return Fraction(*rational_parts(value))
+        if type(value) is int and 0 <= value < self.p:
             return value
         if isinstance(value, str):
             return self.parse(value)
@@ -152,8 +224,6 @@ class FieldSpec:
             raise errors.ParseError(
                 f"{type(value).__name__} {value!r} is not an exact field element"
             )
-        if self.p is None:
-            return Fraction(value)
         if isinstance(value, Fraction):
             if value.denominator != 1:
                 raise errors.ParseError(f"{value} is not an integer residue")
@@ -169,13 +239,10 @@ class FieldSpec:
     def parse(self, text: str):
         """Parse the canonical text encoding of one element of this field."""
         if self.p is None:
-            if _RATIONAL_TEXT.match(text) is None:
-                raise errors.ParseError(f"bad rational literal {text!r}")
-            if "/" in text and text.split("/", 1)[1].lstrip("0") == "":
-                raise errors.ParseError(f"zero denominator in {text!r}")
-            num, _, den = text.partition("/")
-            return Fraction(parse_int(num), parse_int(den or "1"))
-        if not text.isdecimal():  # no sign, blank or '_', which int() takes
+            return Fraction(*rational_parts(text))
+        # ASCII digits only: no sign, blank, '_' or other script's digit,
+        # each of which int() takes.
+        if not (text.isascii() and text.isdigit()):
             raise errors.ParseError(f"bad GF({self.p}) literal {text!r}")
         value = parse_int(text)
         if value >= self.p:

@@ -2,8 +2,9 @@
 
 A multilinear polynomial of degree m is a sum over permutations s of
 {1..m} of coefficients times the monomial x_{s(1)} * ... * x_{s(m)}, so a
-polynomial is stored as a map from permutations to nonzero raw field
-values.
+polynomial is stored as a map from permutations to nonzero coefficients:
+integer numerators over one shared denominator, as matrices store their
+entries (see ``triangular``), read as raw values through ``coeffs``.
 
 Text grammar, read one term per regular-expression match (blanks allowed
 between any two tokens)::
@@ -25,8 +26,38 @@ from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 from . import errors
-from .fields import FieldSpec, parse_int, value_text
-from .triangular import StrictUT, by_row, sparse_product
+from .fields import (
+    FieldSpec,
+    common_denominator,
+    lowest_terms,
+    parse_int,
+    rational_literal,
+    rational_parts,
+    value_text,
+)
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # only evaluate needs matrices, so verify never loads them
+    from .triangular import StrictUT
+
+
+def by_row(entries: dict) -> dict[int, list[tuple]]:
+    """Index sparse entries by row: row -> [(col, value), ...]."""
+    rows: dict[int, list[tuple]] = {}
+    for (row, col), value in entries.items():
+        rows.setdefault(row, []).append((col, value))
+    return rows
+
+
+def sparse_product(left: dict, right_rows: dict) -> dict:
+    """Entries of left * right, with right indexed by ``by_row``: exact
+    sums of integer products, neither reduced mod p nor freed of zeros."""
+    acc: dict = {}
+    for (row, mid), a in left.items():
+        for col, b in right_rows.get(mid, ()):
+            key = (row, col)
+            acc[key] = acc.get(key, 0) + a * b
+    return acc
 
 
 class Permutation(tuple):
@@ -74,47 +105,65 @@ class NormalizedPoly:
 
 
 class MultilinearPoly:
-    """Degree-m multilinear polynomial in noncommuting variables x1..xm."""
+    """Degree-m multilinear polynomial in noncommuting variables x1..xm.
 
-    __slots__ = ("m", "spec", "coeffs")
+    ``_nums`` maps each monomial's Permutation to its coefficient's
+    numerator over ``_den``, in ``lowest_terms`` (residues over 1 over
+    GF(p)); the solver reads them directly.
+    """
+
+    __slots__ = ("m", "spec", "_nums", "_den", "_coeffs")
 
     def __init__(self, m: int, spec: FieldSpec, coeffs: Mapping[Sequence[int], object]):
         # Each key is a sequence of images, stored as a Permutation; each
-        # coefficient is an int, Fraction or text, canonicalised by
-        # ``spec.element``; zero coefficients are dropped.  Every key is
-        # checked to be a permutation of 1..len(key) before any is checked
-        # for degree m, so a text's first fault is the one reported.
+        # coefficient is an int, Fraction or text of the field; zero
+        # coefficients are dropped.
         if m < 1:
             raise ValueError(f"degree must be at least 1, got {m}")
-        identity = list(range(1, m + 1))
-        for key in coeffs:
-            images = sorted(key)
-            if images != identity and images != list(range(1, len(key) + 1)):
-                raise errors.NotMultilinear(_multilinear_fault(key))
-        cleaned = {}
-        for key, value in coeffs.items():
-            if len(key) != m:
-                raise errors.InconsistentDegree(
-                    f"monomial of degree {len(key)} in a degree-{m} polynomial"
-                )
-            value = spec.element(value)
-            if value:
-                cleaned[Permutation(key)] = value
+        _check_keys(m, coeffs)
+        if spec.p is None:
+            nums, den = common_denominator(
+                [(Permutation(key), *rational_parts(value)) for key, value in coeffs.items()]
+            )
+        else:
+            nums = {Permutation(key): spec.element(value) for key, value in coeffs.items()}
+            den = 1
+        self._store(m, spec, nums, den)
+
+    def _store(self, m: int, spec: FieldSpec, nums: dict, den: int) -> None:
+        """Set the fields from coefficients nums[sigma] / den, trusting the
+        Permutation keys; over GF(p) den is 1 and nums may be any ints."""
+        p = spec.p
+        if p is None:
+            nums, den = lowest_terms(nums, den)
+        else:
+            nums = {sigma: r for sigma, v in nums.items() if (r := v % p)}
         self.m = m
         self.spec = spec
-        self.coeffs = cleaned
+        self._nums = nums
+        self._den = den
+        self._coeffs = None if p is None else nums
+
+    @property
+    def coeffs(self) -> dict:
+        """The nonzero coefficients by Permutation, as raw values
+        (Fractions over Q, built on the first read)."""
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = {sigma: Fraction(v, den) for sigma, v in self._nums.items()}
+        return self._coeffs
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     def evaluate(self, args: Sequence[StrictUT]) -> StrictUT:
         """Evaluate at a tuple of m strictly upper triangular matrices.
 
-        Each term is a chain of sparse products on exact Python ints.  Over
-        Q each argument and the coefficients are scaled by the lcm of their
-        denominators, and as every monomial holds each argument once, one
-        division per entry undoes the scaling exactly.  Nothing is reduced
+        Each term is a chain of sparse products on the integer numerators
+        of the arguments.  Over Q, as every monomial holds each argument
+        once, the sums are numerators over the product of the
+        coefficients' and the arguments' denominators.  Nothing is reduced
         mod p, nor freed of zeros, until the terms are summed.
         """
         if len(args) != self.m:
@@ -127,21 +176,12 @@ class MultilinearPoly:
                 raise errors.DimensionMismatch(f"{a.n} vs {n}")
             if a.spec is not self.spec and a.spec != self.spec:
                 raise errors.FieldMismatch(f"{a.spec} argument in {self.spec} poly")
-        p = self.spec.p
-        factors = [a.entries for a in args]
-        coeffs = self.coeffs.items()
-        if p is None:
-            scales = [math.lcm(*(v.denominator for v in f.values())) for f in factors]
-            factors = [
-                {key: v.numerator * (scale // v.denominator) for key, v in f.items()}
-                for f, scale in zip(factors, scales)
-            ]
-            scale = math.lcm(*(c.denominator for c in self.coeffs.values()))
-            coeffs = [(sigma, c.numerator * (scale // c.denominator)) for sigma, c in coeffs]
-            scale *= math.prod(scales)
+        from .triangular import from_numerators
+
+        factors = [a._nums for a in args]
         rows = [by_row(f) for f in factors]
         total: dict = {}
-        for sigma, coeff in coeffs:
+        for sigma, coeff in self._nums.items():
             prod = factors[sigma[0] - 1]
             for var in sigma[1:]:
                 if not prod:
@@ -149,33 +189,40 @@ class MultilinearPoly:
                 prod = sparse_product(prod, rows[var - 1])
             for key, v in prod.items():
                 total[key] = total.get(key, 0) + coeff * v
+        p = self.spec.p
         if p is None:
-            entries = {key: Fraction(v, scale) for key, v in total.items() if v}
-        else:
-            entries = {key: r for key, v in total.items() if (r := v % p)}
-        return StrictUT(n, self.spec, entries)
+            den = self._den * math.prod(a._den for a in args)
+            return from_numerators(n, self.spec, *lowest_terms(total, den))
+        entries = {key: r for key, v in total.items() if (r := v % p)}
+        return from_numerators(n, self.spec, entries)
 
     def normalize(self) -> NormalizedPoly:
         """Divide out a nonzero coefficient and relabel variables so the
         identity monomial has coefficient one.
 
         The chosen monomial is the lexicographically least permutation with
-        a nonzero coefficient, which makes the result deterministic.
+        a nonzero coefficient, which makes the result deterministic.  Over
+        Q, dividing numerators over a shared denominator by the numerator
+        ``lead`` of the chosen one leaves them over ``lead``.
         """
         if self.is_zero:
             raise errors.ZeroPolynomial("cannot normalize the zero polynomial")
-        sigma0 = min(self.coeffs)
-        scale = self.coeffs[sigma0]
+        sigma0 = min(self._nums)
+        lead = self._nums[sigma0]
         relabel = sigma0.inverse()
-        inverse = self.spec.inv(scale)
         p = self.spec.p
-        core = {
-            tuple([relabel[j - 1] for j in sigma]): (
-                coeff * inverse if p is None else coeff * inverse % p
-            )
-            for sigma, coeff in self.coeffs.items()
-        }
-        return NormalizedPoly(MultilinearPoly(self.m, self.spec, core), relabel, scale)
+        if p is None:
+            scale = Fraction(lead, self._den)
+            factor, den = (1, lead) if lead > 0 else (-1, -lead)
+        else:
+            scale, den = lead, 1
+            factor = pow(lead, -1, p)
+        core = MultilinearPoly.__new__(MultilinearPoly)
+        core._store(self.m, self.spec, {
+            Permutation([relabel[j - 1] for j in sigma]): coeff * factor
+            for sigma, coeff in self._nums.items()
+        }, den)
+        return NormalizedPoly(core, relabel, scale)
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearPoly):
@@ -183,7 +230,8 @@ class MultilinearPoly:
         return (
             self.m == other.m
             and self.spec == other.spec
-            and self.coeffs == other.coeffs
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def to_text(self) -> str:
@@ -212,10 +260,26 @@ class MultilinearPoly:
 # One term: sign, coefficient with a sign of its own, monomial.  Each blank
 # run precedes a token, so a failed match backtracks over it only once.
 _TERM = re.compile(
-    r"(?:\s*([+-]))?(?:(?:\s*([+-]))?\s*(\d+)(?:\s*/\s*(\d+))?\s*\*)?"
-    r"\s*(x\d+(?:\s*\*\s*x\d+)*)\s*"
+    r"(?:\s*([+-]))?(?:(?:\s*([+-]))?\s*([0-9]+)(?:\s*/\s*([0-9]+))?\s*\*)?"
+    r"\s*(x[0-9]+(?:\s*\*\s*x[0-9]+)*)\s*"
 )
-_DIGITS = re.compile(r"\d+")
+_DIGITS = re.compile(r"[0-9]+")
+
+
+def _check_keys(m: int, keys) -> None:
+    """Refuse a key that is not a permutation of 1..len(key), then one of
+    length other than m, so that a text's first fault is the one
+    reported."""
+    identity = list(range(1, m + 1))
+    for key in keys:
+        images = sorted(key)
+        if images != identity and images != list(range(1, len(key) + 1)):
+            raise errors.NotMultilinear(_multilinear_fault(key))
+    for key in keys:
+        if len(key) != m:
+            raise errors.InconsistentDegree(
+                f"monomial of degree {len(key)} in a degree-{m} polynomial"
+            )
 
 
 def _multilinear_fault(variables: list[int]) -> str:
@@ -246,27 +310,39 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
     if not text or text.isspace():
         raise errors.ParseError("empty polynomial")
     p = spec.p
-    raw: dict[tuple, object] = {}
+    raw: dict[tuple, int] = {}  # over GF(p), the coefficient sums
+    parts = []  # over Q, (key, numerator, denominator) per term
     pos = 0
     while pos < len(text):
         match = _TERM.match(text, pos)
         if match is None or (pos and match[1] is None):
             raise errors.ParseError(f"expected a signed term at {text[pos:pos + 40]!r}")
         sign, inner, num, den, monomial = match.groups()
+        d = 1
         if num is None:
             coeff = 1
-        elif p is not None and (inner or den is not None):
-            raise errors.ParseError(f"a GF({p}) coefficient is a bare residue")
+        elif p is not None:
+            if inner or den is not None:
+                raise errors.ParseError(f"a GF({p}) coefficient is a bare residue")
+            coeff = spec.parse(num)
         else:
-            coeff = spec.parse(num if den is None else f"{num}/{den}")
+            coeff, d = rational_literal(num, den)
         # Rational text carries its sign on the numerator, so over Q a term
         # may open with a signed coefficient like -2/3: two signs cancel.
         if (sign == "-") != (inner == "-"):
             coeff = -coeff
         try:  # int() skips the blanks the grammar allows around '*'
-            key = tuple(map(int, monomial.replace("x", "").split("*")))
+            key = Permutation(map(int, monomial.replace("x", "").split("*")))
         except ValueError:  # a literal too long for int(): name it
-            key = tuple(map(parse_int, _DIGITS.findall(monomial)))
-        raw[key] = raw[key] + coeff if key in raw else coeff
+            key = Permutation(map(parse_int, _DIGITS.findall(monomial)))
+        if p is None:
+            parts.append((key, coeff, d))
+        else:
+            raw[key] = raw[key] + coeff if key in raw else coeff
         pos = match.end()
-    return MultilinearPoly(len(next(iter(raw))), spec, raw)
+    raw, den = common_denominator(parts) if p is None else (raw, 1)
+    m = len(next(iter(raw)))
+    _check_keys(m, raw)
+    poly = MultilinearPoly.__new__(MultilinearPoly)
+    poly._store(m, spec, raw, den)
+    return poly

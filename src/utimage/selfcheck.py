@@ -9,8 +9,11 @@ from __future__ import annotations
 import json
 
 from . import errors
-from .fields import FieldSpec
-from .triangular import StrictUT
+from .fields import FieldSpec, ratio_text
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:  # a verify run, which writes reports only, never loads matrices
+    from .triangular import StrictUT
 
 
 def canonical_json(doc: dict) -> str:
@@ -44,11 +47,14 @@ def _json_list(items: list[str], indent: str) -> str:
 
 def _matrix_json(matrix: StrictUT, indent: str) -> str:
     """``canonical_json``'s text of ``matrix.to_json_dict()`` for an object
-    whose closing brace sits at ``indent``."""
+    whose closing brace sits at ``indent``, written from the integer
+    numerators: a value over a denominator of 1 is its numerator."""
     item = indent + "    "
+    den = matrix._den
     rows = [
-        f'{{\n{item}  "col": {c},\n{item}  "row": {r},\n{item}  "value": "{v}"\n{item}}}'
-        for (r, c), v in sorted(matrix.entries.items())
+        f'{{\n{item}  "col": {c},\n{item}  "row": {r},\n{item}  '
+        f'"value": "{v if den == 1 else ratio_text(v, den)}"\n{item}}}'
+        for (r, c), v in sorted(matrix._nums.items())
     ]
     return (
         f'{{\n{indent}  "entries": {_json_list(rows, indent + "  ")},\n'
@@ -61,8 +67,9 @@ def witness_json(
     poly_text: str, n: int, spec: FieldSpec, target: StrictUT, witness: tuple[StrictUT, ...]
 ) -> str:
     """``canonical_json(witness_document(...))``, written straight from the
-    matrices' raw entries without building the document.  A value past
-    Python's int-to-decimal limit raises CapExceeded, as it does there."""
+    matrices' numerators without building the document or a Fraction.  A
+    value past Python's int-to-decimal limit raises CapExceeded, as it
+    does there."""
     # The target is written first, so the first value too long to write
     # is the one the document's serialization would meet first.
     try:

@@ -37,6 +37,12 @@ O(nnz + n * |supp| * m) plus O(rows * |supp|) per nonzero diagonal, and
 the per-diagonal solutions add up to the first argument of the witness.
 The witness is then re-evaluated against the target with sparse matrix
 products, a check that shares nothing with the closed form.
+
+Over Q every value in this module is an integer numerator over a shared
+denominator, as the containers store them: the band rows and pivots over
+the core's L, the scaled target over its own, and each diagonal's
+unknowns over one denominator that back-substitution grows only when a
+pivot does not divide.  Fractions appear only in a trace.
 """
 
 from __future__ import annotations
@@ -46,9 +52,9 @@ from fractions import Fraction
 from itertools import compress
 
 from . import errors
-from .fields import FieldSpec, value_text
+from .fields import FieldSpec, lowest_terms, value_text
 from .freealg import MultilinearPoly
-from .triangular import StrictUT
+from .triangular import StrictUT, from_numerators
 from .witness import witness_scalars
 
 
@@ -82,16 +88,14 @@ def image_description(f: MultilinearPoly, n: int) -> ImageClass:
     return ImageClass("band", f.m - 1, (n - f.m) * (n - f.m + 1) // 2)
 
 
-def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> tuple[int, list]:
+def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> list[tuple]:
     """The support compiled for ``band_system`` from the 0/1 ``cells`` of
-    ``witness_scalars``: the lcm L of the coefficients' denominators (1
-    over GF(p)) and (j - 1, before, after, c_sigma * L) per term sigma with
-    x_1 at position j.  Bit k - 1 of ``before`` (``after``) is set when the
-    cells T(k+t-1, sigma(t)), t < j (t > j), all read 1; on diagonal i,
-    row k reads ``after`` at bit k + i - m - 2.
+    ``witness_scalars``: (j - 1, before, after, c_sigma) per term sigma
+    with x_1 at position j, c_sigma a numerator over the core's shared
+    denominator L (a residue over GF(p)).  Bit k - 1 of ``before``
+    (``after``) is set when the cells T(k+t-1, sigma(t)), t < j (t > j),
+    all read 1; on diagonal i, row k reads ``after`` at bit k + i - m - 2.
     """
-    p = core.spec.p
-    scale = 1 if p else math.lcm(*(c.denominator for c in core.coeffs.values()))
     masks = []
     for row in cells:
         mask = 0
@@ -99,7 +103,7 @@ def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> tuple[int, list
             mask |= 1 << slot
         masks.append(mask)
     terms = []
-    for sigma, coeff in core.coeffs.items():
+    for sigma, coeff in core._nums.items():
         j = sigma.index(1)
         # -1 stands for every row, before any factor rules one out.
         before = after = -1
@@ -109,41 +113,37 @@ def term_masks(core: MultilinearPoly, cells: list[list[int]]) -> tuple[int, list
             elif t > j + 1:
                 after &= masks[var] >> t
         if before and after:
-            value = coeff if p else coeff.numerator * (scale // coeff.denominator)
-            terms.append((j, before, after, value))
-    return scale, terms
+            terms.append((j, before, after, coeff))
+    return terms
 
 
 def band_system(
-    core: MultilinearPoly, n: int, i: int, masks: tuple[int, list], pivots: tuple
+    core: MultilinearPoly, n: int, i: int, masks: list[tuple], pivots: tuple
 ) -> list[tuple]:
     """Assemble the band rows for target diagonal ``i`` (entries (k, k+i-1)).
 
-    ``masks`` is ``term_masks(core, cells)`` and ``pivots`` the raw pivot
-    sums for the cells ``witness_scalars`` chose.  Row k - 1 holds the m
+    ``masks`` is ``term_masks(core, cells)`` and ``pivots`` the pivot sums
+    for the cells ``witness_scalars`` chose.  Row k - 1 holds the m
     coefficients of equation k at the unknowns s = k..k+m-1, the pivot
-    first.  Each term adds its coefficient to column sigma^-1(1) of the
-    rows set in ``before & (after >> (i - m - 1))``; over Q, numerators
-    over L.  Every row's pivot is checked against the independent pivot
-    sum, so a bookkeeping slip fails loudly instead of corrupting a witness.
+    first: residues over GF(p), numerators over the core's L over Q.
+    Each term adds its coefficient to column sigma^-1(1) of the rows set
+    in ``before & (after >> (i - m - 1))``.  Every row's pivot is checked
+    against the independent pivot sum, so a bookkeeping slip fails loudly
+    instead of corrupting a witness.
     """
     m = core.m
     if not m + 1 <= i <= n:
         raise errors.BadIndex(f"diagonal index {i} outside {m + 1}..{n}")
     p = core.spec.p
-    scale, terms = masks
     rows, shift = n - i + 1, i - m - 1
     flat = [0] * (rows * m)
-    for j, before, after, coeff in terms:
+    for j, before, after, coeff in masks:
         bits = before & (after >> shift) & ((1 << rows) - 1)
         while bits:
             low = bits & -bits
             flat[(low.bit_length() - 1) * m + j] += coeff
             bits ^= low
-    if p is None:  # few distinct sums occur: each becomes a Fraction once
-        values = {v: Fraction(v, scale) for v in set(flat)}
-        flat = [values[v] for v in flat]
-    else:
+    if p is not None:
         flat = [v % p for v in flat]
     matrix = [tuple(flat[k : k + m]) for k in range(0, rows * m, m)]
     for k, row in enumerate(matrix, start=1):
@@ -154,9 +154,9 @@ def band_system(
     return matrix
 
 
-def solve_band(matrix: list[tuple], rhs, spec: FieldSpec) -> list:
+def solve_band(matrix: list[tuple], rhs: list, spec: FieldSpec, den: int = 1) -> tuple[list, int]:
     """Solve band rows (as ``band_system`` returns them) for the
-    right-hand side ``rhs``, one raw value per row, by back-substitution.
+    right-hand side rhs[k] / den, one value per row, by back-substitution.
 
     The rows hold degree = len(matrix[0]) coefficients each, so there are
     len(matrix) + degree - 1 unknowns.  The tail unknowns beyond the last
@@ -164,7 +164,10 @@ def solve_band(matrix: list[tuple], rhs, spec: FieldSpec) -> list:
     last upward, dividing by the nonzero pivot.  A term whose coefficient
     or unknown is zero is skipped: it subtracts nothing, and most band
     coefficients off the pivot are zero because the fixed arguments are
-    0/1 cells.  The solution is one raw field value per unknown.
+    0/1 cells.  Over GF(p) the rows, ``rhs`` and the solution are
+    residues, and den is 1; over Q they are ints, and the solution comes
+    back as numerators over one denominator.  Returns the solution, one
+    value per unknown, and that denominator (1 over GF(p)).
     """
     rows, degree = len(matrix), len(matrix[0])
     if len(rhs) != rows:
@@ -172,20 +175,49 @@ def solve_band(matrix: list[tuple], rhs, spec: FieldSpec) -> list:
             f"right-hand side has {len(rhs)} values, expected {rows}"
         )
     p = spec.p
-    ys = [spec.zero] * (rows + degree - 1)
+    ys = [0] * (rows + degree - 1)
+    if p is not None:
+        for k in range(rows - 1, -1, -1):
+            row = matrix[k]
+            acc = rhs[k]
+            for j in range(1, degree):
+                if row[j] and ys[k + j]:
+                    acc -= row[j] * ys[k + j]
+            if not row[0]:
+                raise errors.DivisionByZero(f"zero pivot in row {k + 1}")
+            ys[k] = acc * pow(row[0], -1, p) % p
+        return ys, 1
+    # Unknown s is the numerator ys[s] over over[s], the shared denominator
+    # ``top`` when it was solved.  ``top`` starts at den and grows only
+    # when a pivot does not divide its row's numerator; the unknowns solved
+    # before are brought over it when read, and all of them at the end.
+    top = den
+    over = [den] * len(ys)
     for k in range(rows - 1, -1, -1):
         row = matrix[k]
-        acc = rhs[k]
+        acc = rhs[k] if top == den else rhs[k] * (top // den)
         for j in range(1, degree):
             if row[j] and ys[k + j]:
-                acc -= row[j] * ys[k + j]
-        if not row[0]:
+                y, at = ys[k + j], over[k + j]
+                acc -= row[j] * (y if at == top else y * (top // at))
+        pivot = row[0]
+        if not pivot:
             raise errors.DivisionByZero(f"zero pivot in row {k + 1}")
-        if p is None:  # most pivots are 1, and a Fraction division is costly
-            ys[k] = acc if row[0] == 1 else acc / row[0]
-        else:
-            ys[k] = acc * pow(row[0], -1, p) % p
-    return ys
+        y, rest = divmod(acc, pivot)
+        if rest:  # y = acc / pivot over top * |pivot| / g, g = gcd(acc, pivot)
+            g = math.gcd(acc, pivot)
+            top *= abs(pivot) // g
+            y = acc // g if pivot > 0 else -acc // g
+        ys[k] = y
+        over[k] = top
+    if top != den:
+        ys = [y if at == top else y * (top // at) for y, at in zip(ys, over)]
+    return ys, top
+
+
+def _raw_values(nums, spec: FieldSpec, den: int) -> tuple:
+    """Numerators over den as raw values of spec, for a trace."""
+    return tuple(nums) if spec.p else tuple(Fraction(v, den) for v in nums)
 
 
 def _check_band_target(target: StrictUT, m: int) -> None:
@@ -230,36 +262,50 @@ def preimage(
     if target.is_zero:
         return (StrictUT(n, f.spec, {}),) * m
     norm = f.normalize()
-    scaled_target = target.scaled(f.spec.inv(norm.scale))
+    spec, core = f.spec, norm.core
+    # Band rows are numerators over the core's L, so each diagonal solves
+    # R y = L b: the target is divided by the scale and multiplied by L.
+    scaled_target = target.scaled(spec.inv(norm.scale) * core._den)
     if m == 1:
-        # Degree one is direct: f = scale * x1.
+        # Degree one is direct: f = scale * x1, and L is 1.
         witness = (scaled_target,)
     else:
-        cells, pivots = witness_scalars(norm.core, n)
-        masks = term_masks(norm.core, cells)
-        one = f.spec.one
+        cells, pivots = witness_scalars(core, n)
+        masks = term_masks(core, cells)
         fixed_args = [
-            StrictUT(n, f.spec, {(slot, slot + 1): one for slot in compress(range(n), row)})
+            from_numerators(n, spec, {(slot, slot + 1): 1 for slot in compress(range(n), row)})
             for row in cells[2:]
         ]
+        den = scaled_target._den
         diagonals: dict[int, dict] = {}  # i -> {k: entry (k, k+i-1)}
-        for (row, col), value in scaled_target.entries.items():
+        for (row, col), value in scaled_target._nums.items():
             diagonals.setdefault(col - row + 1, {})[row] = value
-        first_entries = {}
+        solved = []
         if trace is not None:
             trace.update(cells=cells, systems=[])
         for i in sorted(diagonals):  # a zero diagonal would solve to zero
-            rhs = [f.spec.zero] * (n - i + 1)
+            rhs = [0] * (n - i + 1)
             for k, value in diagonals[i].items():
                 rhs[k - 1] = value
-            matrix = band_system(norm.core, n, i, masks, pivots)
-            ys = solve_band(matrix, rhs, f.spec)
+            matrix = band_system(core, n, i, masks, pivots)
+            solved.append((i, *solve_band(matrix, rhs, spec, den)))
+            if trace is not None:  # untraced, each diagonal's rows die here
+                trace["systems"].append((
+                    i,
+                    [_raw_values(row, spec, core._den) for row in matrix],
+                    _raw_values(rhs, spec, den * core._den),
+                ))
+        # The diagonals' unknowns fill disjoint cells of X_1: bring them over
+        # one denominator (1 over GF(p)).
+        x_den = math.lcm(*(e for _i, _ys, e in solved))
+        first_entries = {}
+        for i, ys, e in solved:
+            lift = x_den // e
             for s, y in enumerate(ys, start=1):
                 if y:
-                    first_entries[s, s + i - m] = y
-            if trace is not None:  # untraced, each diagonal's rows die here
-                trace["systems"].append((i, matrix, tuple(rhs)))
-        witness = norm.transfer([StrictUT(n, f.spec, first_entries)] + fixed_args)
+                    first_entries[s, s + i - m] = y * lift
+        first = from_numerators(n, spec, *lowest_terms(first_entries, x_den))
+        witness = norm.transfer([first] + fixed_args)
     if f.evaluate(witness) != target:
         raise errors.PostconditionViolation(
             "constructed witness does not evaluate to the target"

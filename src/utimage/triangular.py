@@ -1,11 +1,12 @@
 """Strictly upper triangular matrices over an exact field.
 
 Matrices are stored sparsely as a map from 1-based (row, col) coordinates
-with col > row to nonzero raw field values (ints in [0, p) or Fractions),
-absent meaning zero; ``sparse_product`` multiplies them exactly and
-leaves the reduction to its caller.  ``from_entries`` canonicalises
-untrusted values with ``FieldSpec.element``; the plain constructor trusts
-its entries.  The band subspace at level t is the set of matrices whose
+with col > row to nonzero integer numerators over one shared denominator,
+absent meaning zero: over GF(p) the residues in [0, p) over 1, over Q the
+numerators over the lcm of the entries' reduced denominators.
+``entries`` reads the raw values (Fractions over Q) only when asked.
+``from_entries`` canonicalises untrusted values; the plain constructor
+trusts its raw entries, and ``from_numerators`` its numerators.  The band subspace at level t is the set of matrices whose
 (p, q) entry vanishes whenever q - p <= t, so level 0 is the whole
 strictly upper triangular algebra.
 
@@ -16,35 +17,23 @@ why images of degree-m multilinear maps live in the band at level m - 1.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable
+from fractions import Fraction
 
 from . import errors
-from .fields import FieldSpec, value_text
-
-
-def by_row(entries: dict) -> dict[int, list[tuple]]:
-    """Index sparse entries by row: row -> [(col, value), ...]."""
-    rows: dict[int, list[tuple]] = {}
-    for (row, col), value in entries.items():
-        rows.setdefault(row, []).append((col, value))
-    return rows
-
-
-def sparse_product(left: dict, right_rows: dict) -> dict:
-    """Entries of left * right, with right indexed by ``by_row``: exact
-    sums of raw products, neither reduced mod p nor freed of zeros."""
-    acc: dict = {}
-    for (row, mid), a in left.items():
-        for col, b in right_rows.get(mid, ()):
-            key = (row, col)
-            acc[key] = acc.get(key, 0) + a * b
-    return acc
+from .fields import FieldSpec, common_denominator, lowest_terms, ratio_text, rational_parts
 
 
 class StrictUT:
-    """Sparse strictly upper triangular matrix with exact entries."""
+    """Sparse strictly upper triangular matrix with exact entries.
 
-    __slots__ = ("n", "spec", "entries")
+    ``_nums`` maps each nonzero entry's coordinates to its numerator over
+    ``_den``; the two are in ``lowest_terms``, so equal matrices hold
+    equal numerators.  The solver and the writer read them directly.
+    """
+
+    __slots__ = ("n", "spec", "_nums", "_den", "_entries")
 
     def __init__(self, n: int, spec: FieldSpec, entries: dict):
         # Trusted constructor: entries must already be canonical
@@ -52,7 +41,23 @@ class StrictUT:
         # from_entries for untrusted input.
         self.n = n
         self.spec = spec
-        self.entries = entries
+        self._entries = entries
+        if spec.p is None:
+            den = math.lcm(*(v.denominator for v in entries.values()))
+            self._nums = {k: v.numerator * (den // v.denominator) for k, v in entries.items()}
+            self._den = den
+        else:
+            self._nums = entries
+            self._den = 1
+
+    @property
+    def entries(self) -> dict:
+        """The nonzero raw values by (row, col): residues over GF(p),
+        Fractions over Q, built on the first read."""
+        if self._entries is None:
+            den = self._den
+            self._entries = {k: Fraction(v, den) for k, v in self._nums.items()}
+        return self._entries
 
     @classmethod
     def from_entries(
@@ -60,13 +65,16 @@ class StrictUT:
     ) -> "StrictUT":
         """Build a matrix from (row, col, value) triples.
 
-        Each value is an int, a Fraction or text, canonicalised by
-        ``spec.element``.  Duplicate coordinates are summed; zero sums are
-        dropped.
+        Each value is an int, a Fraction or text of the field: over GF(p)
+        canonicalised by ``spec.element``, over Q read by
+        ``rational_parts``.  Duplicate coordinates are summed; zero sums
+        are dropped.
         """
         if n < 2:
             raise errors.OutOfRange(f"dimension must be at least 2, got {n}")
+        p = spec.p
         acc: dict = {}
+        parts = []  # over Q, (key, numerator, denominator) per value
         for row, col, value in pairs:
             if not (1 <= row <= n and 1 <= col <= n):
                 raise errors.OutOfRange(f"entry ({row}, {col}) outside 1..{n}")
@@ -74,10 +82,14 @@ class StrictUT:
                 raise errors.NotStrictlyUpper(
                     f"entry ({row}, {col}) is not strictly above the diagonal"
                 )
-            value = spec.element(value)
             key = (row, col)
-            acc[key] = spec.reduce(acc[key] + value) if key in acc else value
-        return cls(n, spec, {key: v for key, v in acc.items() if v})
+            if p is None:
+                parts.append((key, *rational_parts(value)))
+            else:
+                value = spec.element(value)
+                acc[key] = (acc[key] + value) % p if key in acc else value
+        nums, den = common_denominator(parts) if p is None else (acc, 1)
+        return from_numerators(n, spec, *lowest_terms(nums, den))
 
     def get(self, row: int, col: int):
         """The raw value at (row, col), zero when absent."""
@@ -85,7 +97,7 @@ class StrictUT:
 
     @property
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._nums
 
     def scaled(self, c) -> "StrictUT":
         """The matrix times ``c``, an int, Fraction or text of this field."""
@@ -94,14 +106,18 @@ class StrictUT:
             return StrictUT(self.n, self.spec, {})
         # A field has no zero divisors, so no entry becomes zero.
         p = self.spec.p
-        entries = {k: v * c if p is None else v * c % p for k, v in self.entries.items()}
-        return StrictUT(self.n, self.spec, entries)
+        if p is None:
+            num, den = c.numerator, self._den * c.denominator
+            nums, den = lowest_terms({k: v * num for k, v in self._nums.items()}, den)
+        else:
+            nums, den = {k: v * c % p for k, v in self._nums.items()}, 1
+        return from_numerators(self.n, self.spec, nums, den)
 
     def band_member(self, t: int) -> bool:
         """True iff every entry (p, q) with q - p <= t is zero."""
         if not 0 <= t <= self.n - 1:
             raise errors.BadIndex(f"band level {t} outside 0..{self.n - 1}")
-        return all(col - row > t for row, col in self.entries)
+        return all(col - row > t for row, col in self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, StrictUT):
@@ -109,7 +125,8 @@ class StrictUT:
         return (
             self.n == other.n
             and self.spec == other.spec
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._nums == other._nums
         )
 
     def __repr__(self):
@@ -123,8 +140,8 @@ class StrictUT:
             "n": self.n,
             "field": self.spec.to_text(),
             "entries": [
-                {"row": r, "col": c, "value": value_text(self.entries[(r, c)])}
-                for r, c in sorted(self.entries)
+                {"row": r, "col": c, "value": ratio_text(v, self._den)}
+                for (r, c), v in sorted(self._nums.items())
             ],
         }
 
@@ -162,3 +179,16 @@ class StrictUT:
 def _is_json_int(value) -> bool:
     # JSON true/false load as bool, an int subclass; neither is an index.
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def from_numerators(n: int, spec: FieldSpec, nums: dict, den: int = 1) -> StrictUT:
+    """The matrix with entry nums[row, col] / den at each key: trusted, so
+    the coordinates must be valid and nums and den canonical (nonzero
+    residues over 1 over GF(p), ``lowest_terms`` over Q)."""
+    matrix = StrictUT.__new__(StrictUT)
+    matrix.n = n
+    matrix.spec = spec
+    matrix._nums = nums
+    matrix._den = den
+    matrix._entries = None if spec.p is None else nums
+    return matrix

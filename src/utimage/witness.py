@@ -14,11 +14,11 @@ pivot sums
 
 is nonzero.  Since the cells are 0/1, a term adds its coefficient exactly
 when every cell it reads is 1, and nothing otherwise.  Sums are ints,
-reduced mod p before each zero test; over Q they run on the coefficients
-times the lcm L of their denominators, which changes no zero test, and
-the pivots are divided by L once, at the end.  Those pivots are the
-diagonal pivots of the solver's banded systems, so their nonvanishing is
-exactly what makes every target reachable.
+reduced mod p before each zero test; over Q they run on the coefficients'
+numerators over their shared denominator L, which changes no zero test,
+and the pivots stay numerators over L.  Those pivots are the diagonal
+pivots of the solver's banded systems, so their nonvanishing is exactly
+what makes every target reachable.
 
 The construction is a staircase of one-variable linear fixes, run in
 one function over one pass of the support.  Each pivot term is sorted
@@ -45,9 +45,6 @@ sum runs over a part of the polynomial's support: the work grows with
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from . import errors
 from .fields import FieldSpec
 from .freealg import MultilinearPoly, Permutation
@@ -56,10 +53,11 @@ from .freealg import MultilinearPoly, Permutation
 CELL_CAP = 1_000_000
 
 
-def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, object]]:
-    """The support terms that fix 1, with raw coefficients: the terms every
+def pivot_terms(core: MultilinearPoly) -> list[tuple[Permutation, int]]:
+    """The support terms that fix 1, with their coefficients' numerators
+    (over the core's shared denominator L, 1 over GF(p)): the terms every
     pivot sum runs over."""
-    return [(sigma, c) for sigma, c in core.coeffs.items() if sigma[0] == 1]
+    return [(sigma, c) for sigma, c in core._nums.items() if sigma[0] == 1]
 
 
 def _term_sum(terms, cells: list[list[int]], k: int, depth: int, spec: FieldSpec):
@@ -86,7 +84,8 @@ def eval_pivot(cells: list[list[int]], core: MultilinearPoly, terms: list, k: in
 
 
 def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tuple]:
-    """Choose every cell and return the rows with the n - m pivot values.
+    """Choose every cell and return the rows with the n - m pivot values,
+    numerators over the core's shared denominator L (1 over GF(p)).
 
     Fills variables 2 and 3 with the base pattern, then each variable
     4..m in turn, and re-verifies every pivot by direct summation before
@@ -94,16 +93,13 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
     never bad input.
     """
     m, spec = core.m, core.spec
-    if core.coeffs.get(tuple(range(1, m + 1))) != spec.one:
+    if core._nums.get(tuple(range(1, m + 1))) != core._den:
         raise errors.NotNormalized("expected coefficient one at the identity permutation")
     if not 2 <= m < n:
         raise errors.BadIndex(f"need 2 <= m < n, got m={m}, n={n}")
     if (m - 1) * n > CELL_CAP:  # priced before the rows are allocated
         raise errors.CapExceeded(f"{m - 1} x {n} cells exceed the cap {CELL_CAP}")
     terms = pivot_terms(core)
-    if spec.p is None:
-        scale = math.lcm(*(c.denominator for _, c in terms))
-        terms = [(sigma, c.numerator * (scale // c.denominator)) for sigma, c in terms]
     # entering[var] holds the terms whose largest moved position is var;
     # the head terms (identity, swap of 2 and 3) sit at min(m, 3).
     entering = [[] for _ in range(m + 1)]
@@ -114,7 +110,7 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
         entering[top].append((sigma, coeff))
     # Base pattern: every head sum comes out 1 or coeff(swap 2,3).
     cells = [[], []] + [[0] * n for _ in range(m - 1)]
-    if m == 2 or not core.coeffs.get((1, 3, 2, *range(4, m + 1))):
+    if m == 2 or not core._nums.get((1, 3, 2, *range(4, m + 1))):
         for var in range(2, min(m, 3) + 1):
             cells[var][2:] = [1] * (n - 2)
     else:
@@ -145,6 +141,4 @@ def witness_scalars(core: MultilinearPoly, n: int) -> tuple[list[list[int]], tup
             )
         if not direct:
             raise errors.InternalInvariantViolation(f"zero pivot at equation {k}")
-    if spec.p is None:
-        partials = [Fraction(v, scale) for v in partials]
     return cells, tuple(partials)

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import math
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,12 @@ def row_reduce_calls(monkeypatch):
 def mat(n, spec, triples):
     """StrictUT from (row, col, int_value) triples."""
     return StrictUT.from_entries(n, spec, triples)
+
+
+def shared_denominator(poly):
+    """The lcm L of a polynomial's coefficient denominators (1 over GF(p)):
+    pivot sums and band rows are numerators over it."""
+    return math.lcm(*(c.denominator for c in poly.coeffs.values()))
 
 
 def triples(matrix):

@@ -23,7 +23,13 @@ from utimage.selfcheck import witness_json
 from utimage.solver import image_description, preimage, solve_band
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import image_bruteforce, mat, packed_key, random_pivot_coeffs
+from conftest import (
+    image_bruteforce,
+    mat,
+    packed_key,
+    random_pivot_coeffs,
+    shared_denominator,
+)
 
 SEED = 1789
 TRIALS_PER_FIELD = 100
@@ -161,6 +167,8 @@ def test_criterion_5_band_system_structure(round_trip_runs):
         core = f.normalize().core
         cells = trace["cells"]
         terms = pivot_terms(core)
+        # The traced rows are raw values; pivot sums are numerators over L.
+        scale = shared_denominator(core)
         m = core.m
         n = len(cells[-1])  # one cell per slot 0..n-1
         for i, matrix, rhs in trace["systems"]:
@@ -172,7 +180,7 @@ def test_criterion_5_band_system_structure(round_trip_runs):
             for k, row in enumerate(matrix, start=1):
                 if len(row) != m:
                     violations += 1
-                if row[0] != eval_pivot(cells, core, terms, k + i - m - 1):
+                if row[0] * scale != eval_pivot(cells, core, terms, k + i - m - 1):
                     violations += 1
     ok = systems_checked > 0 and violations == 0
     report(
@@ -198,13 +206,14 @@ def test_criterion_6_known_values():
         packed_key(mat(3, gf2, []), 2),
         packed_key(mat(3, gf2, [(1, 3, 1)]), 2),
     )
-    # back-substitution on the fixed 2 x 3 system; row k holds raw values
-    # at columns k..k+1
+    # back-substitution on the fixed 2 x 3 system; row k holds integer
+    # coefficients at columns k..k+1, and the solution comes back as
+    # numerators over one denominator
     rational = FieldSpec()
-    one, minus_one = rational.one, -rational.one
-    rows_q = [(one, minus_one), (one, minus_one)]
-    ok = ok and solve_band(rows_q, [one, one], rational) == [2, 1, 0]
-    ok = ok and solve_band([(1, 1), (1, 1)], [1, 1], gf2) == [0, 1, 0]
+    rows_q = [(1, -1), (1, -1)]
+    ok = ok and solve_band(rows_q, [1, 1], rational) == ([2, 1, 0], 1)
+    ok = ok and solve_band(rows_q, [1, 1], rational, 3) == ([2, 1, 0], 3)
+    ok = ok and solve_band([(1, 1), (1, 1)], [1, 1], gf2) == ([0, 1, 0], 1)
     report(6, ok, "unit-chain values, commutator image, and fixed solves agree")
 
 

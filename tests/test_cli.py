@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -597,6 +598,126 @@ class TestSolve:
         )
 
 
+class TestHardRationals:
+    """Witness bytes over Q on values far from the small ones the seeded
+    cases draw: pairwise coprime denominators of 21 to 23 digits,
+    unreduced and signed input text (a coefficient may carry its own
+    sign), cores whose pivot sums are not 1 and whose off-pivot band
+    coefficients are not 0, so that back-substitution divides, a
+    one-entry target at n = 40 and a degree-7 core.  Each witness is
+    pinned by the SHA-256 of the bytes ``solve`` writes."""
+
+    D0, D1, D2, D3 = 10**20 + 39, 10**20 + 129, 10**21 + 117, 10**22 + 9
+    COPRIME = (
+        f"x2*x1*x3 - 7/{D0}*x1*x3*x2 + 12345678901234567890/{D1}*x3*x1*x2"
+        f" - 5/{D2}*x1*x2*x3"
+    )
+    QUARTIC = (
+        f"x1*x2*x3*x4 + 3/7*x1*x2*x4*x3 - 5/{D0}*x2*x1*x3*x4 + 2/9*x3*x4*x1*x2"
+        " - 4/6*x1*x3*x4*x2"
+    )
+    CASES = {
+        "coprime": (COPRIME, 8, [
+            (1, 4, f"98765432109876543210987/{D3}"), (1, 6, "4/6"), (2, 6, "-10/15"),
+            (3, 7, f"-1/{D2}"), (4, 8, "5"), (1, 8, f"7/{D0}"),
+        ], "a5e9134ea851431cc847a7e51c8bba7ad5d1a7e5202809f63ec2de837470fe7b"),
+        "unreduced": ("4/6*x1*x2*x3 + -10/15*x1*x3*x2 - 6/4*x2*x1*x3 + 3*x1*x2*x3", 7, [
+            (1, 4, "4/6"), (2, 5, "-10/15"), (3, 7, "-12/8"), (1, 7, "0/5"), (2, 7, "+3"),
+        ], "c4377ece5a60c7ccb819c9aba8ef0da87cd78a65bb874454ea3fa15b1ca6385e"),
+        "quartic": (QUARTIC, 9, [
+            (1, 5, "4/6"), (1, 7, f"-10/{D3}"), (2, 7, "3"), (3, 7, f"{D1}/{D0}"),
+            (2, 9, "-6/4"), (5, 9, f"{D2}"),
+        ], "3fcac0291fdc961c82a7f2f0dea9358b3c42c4b27abd4b5ac126aaf7aa13454c"),
+        "one-entry-n40": (QUARTIC, 40, [
+            (3, 12, f"-123456789/{D3}"),
+        ], "b5ff9f103800c5b3f3f445074401dd0eb01e15c79b9824acb20fb3c148e0760b"),
+        "deep": (
+            f"-3/{D3}*x1*x2*x3*x4*x5*x6*x7 + 2/{D0}*x1*x3*x2*x4*x5*x6*x7"
+            f" + x2*x1*x3*x4*x5*x6*x7 - 4/6*x1*x2*x4*x3*x5*x6*x7"
+            f" + 9/{D1}*x3*x2*x1*x5*x4*x7*x6 - 11/{D2}*x1*x2*x3*x4*x5*x7*x6",
+            13,
+            [(1, 8, "4/6"), (2, 10, f"-10/{D3}"), (1, 13, "-7"), (4, 12, f"1/{D1}"),
+             (5, 13, "22/33")],
+            "5323529f28051b27a57b8d1b1fe49bd466a67d578eed0bdff6f3f093b4fb6349",
+        ),
+    }
+
+    def solve(self, tmp_path, capsys, poly, n, entries, *flags):
+        doc = {
+            "n": n,
+            "field": "rational",
+            "entries": [{"row": r, "col": c, "value": v} for r, c, v in entries],
+        }
+        path = tmp_path / "target.json"
+        path.write_text(json.dumps(doc))
+        argv = ["solve", "--poly", poly, "--n", str(n), "--field", "rational"]
+        code = cli.main(argv + ["--target", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == 0
+        return captured
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_witness_bytes_pinned(self, tmp_path, capsys, name):
+        poly, n, entries, digest = self.CASES[name]
+        captured = self.solve(tmp_path, capsys, poly, n, entries)
+        assert captured.err == ""
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    def test_debug_dump_pinned(self, tmp_path, capsys):
+        # Pivot sums of 16/21 and an off-pivot coefficient over a
+        # 21-digit denominator, written as the rows' reduced text.
+        d0, d1, d3 = self.D0, self.D1, self.D3
+        entries = [(1, 5, "4/6"), (1, 7, f"-10/{d3}"), (2, 7, "3"), (3, 7, f"{d1}/{d0}")]
+        captured = self.solve(tmp_path, capsys, self.QUARTIC, 7, entries, "--debug")
+        cells = [(k, var, 0 if k < 4 and var == 4 else 1) for k in range(2, 7) for var in (2, 3, 4)]
+        assignment = ", ".join(f'{{"k": {k}, "l": {l}, "value": "{v}"}}' for k, l, v in cells)
+        off = f'"-5/{d0}"'
+        assert captured.err == (
+            f'{{"assignment": [{assignment}], "systems": ['
+            f'{{"diagonal": 5, "rhs": ["2/3", "0", "{d1}/{d0}"], '
+            f'"rows": [["1", "0", "0", "0"], ["16/21", {off}, "0", "0"], '
+            f'["16/21", {off}, "2/9", "0"]]}}, '
+            '{"diagonal": 6, "rhs": ["0", "3"], '
+            f'"rows": [["16/21", "0", "0", "0"], ["16/21", {off}, "0", "0"]]}}, '
+            f'{{"diagonal": 7, "rhs": ["-10/{d3}"], "rows": [["16/21", "0", "0", "0"]]}}]}}\n'
+        )
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "4af6b261cc5afe5adba17706a8349c004459812bbe9cd2adea559da202e78ba6"
+        )
+
+
+class TestAsciiDigits:
+    """The text formats read ASCII digits only: a digit of another script,
+    which int() and a Unicode regular expression would take, is refused
+    with one line and exit 1 wherever a format reads a decimal."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--poly", "x١*x٢", "--n", "4"],
+         "error: expected a signed term at 'x١*x٢'\n"),
+        (["--poly", "٣*x1*x2", "--n", "4"],
+         "error: expected a signed term at '٣*x1*x2'\n"),
+        (["--poly", "x1*x2", "--n", "4", "--field", "gf:٧"],
+         "error: unrecognized field 'gf:٧'\n"),
+    ], ids=["variable", "coefficient", "modulus"])
+    def test_image_input(self, capsys, argv, message):
+        assert cli.main(["image", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gf:7", "٣", "error: bad GF(7) literal '٣'\n"),
+        ("rational", "٣/2", "error: bad rational literal '٣/2'\n"),
+    ])
+    def test_target_value(self, tmp_path, capsys, field, value, message):
+        path = tmp_path / "target.json"
+        doc = {"n": 4, "field": field, "entries": [{"row": 1, "col": 3, "value": value}]}
+        path.write_text(json.dumps(doc))
+        argv = ["solve", "--poly", "x1*x2", "--n", "4", "--field", field, "--target", str(path)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+
+
 class TestImage:
     def test_band(self, capsys):
         assert cli.main(["image", "--poly", "x1*x2-x2*x1", "--n", "3"]) == 0
@@ -740,7 +861,7 @@ class TestSelftest:
         # wrong witness, which preimage's postcondition rejects.
         monkeypatch.setattr(
             "utimage.solver.solve_band",
-            lambda matrix, rhs, spec: [0] * (len(matrix) + len(matrix[0]) - 1),
+            lambda matrix, rhs, spec, den: ([0] * (len(matrix) + len(matrix[0]) - 1), 1),
         )
         code = cli.main(
             ["selftest", "--trials", "3", "--seed", "42", "--field", "gf:3"]
@@ -988,7 +1109,7 @@ class TestImports:
         assert not loaded & {"dataclasses", "inspect", "typing", "random", "argparse", "gettext"}
         unused = {"utimage.sampling"}
         if command == "verify":
-            unused |= {"utimage.solver", "utimage.witness"}
+            unused |= {"utimage.solver", "utimage.witness", "utimage.triangular"}
         else:
             unused.add("utimage.oracle")
         assert not loaded & unused

@@ -20,7 +20,7 @@ from utimage.solver import (
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import fixed_arguments, mat, module_imports, triples
+from conftest import fixed_arguments, mat, module_imports, shared_denominator, triples
 
 
 def all_ones_cells(n):
@@ -30,13 +30,19 @@ def all_ones_cells(n):
 
 
 def system_from_rows(rows, rhs, spec, degree=2):
-    """Band rows and a raw right-hand side from dense int rows; row k
-    keeps columns k..k+degree-1."""
+    """Band rows and a right-hand side from dense int rows, as residues over
+    GF(p) and ints over Q; row k keeps columns k..k+degree-1."""
     matrix = [
-        tuple(spec.element(v) for v in row[k : k + degree])
+        tuple(spec.reduce(v) for v in row[k : k + degree])
         for k, row in enumerate(rows)
     ]
-    return matrix, [spec.element(v) for v in rhs]
+    return matrix, [spec.reduce(v) for v in rhs]
+
+
+def over(rows, scale):
+    """Rows of raw values times ``scale``: the numerators over ``scale``
+    that ``band_system`` returns for them."""
+    return [[v * scale for v in row] for row in rows]
 
 
 def reference_band_matrix(core, n, i, fixed_args):
@@ -154,9 +160,11 @@ class TestBandSystem:
                 core = random_poly(rng, spec, m).normalize().core
                 cells, pivots = witness_scalars(core, n)
                 fixed = fixed_arguments(cells, n, spec)
-                for i in range(m + 1, n + 1):
+                reference = [reference_band_matrix(core, n, i, fixed) for i in range(m + 1, n + 1)]
+                scale = shared_denominator(core)
+                for i, rows in zip(range(m + 1, n + 1), reference):
                     matrix = band_system(core, n, i, term_masks(core, cells), pivots)
-                    assert dense(matrix) == reference_band_matrix(core, n, i, fixed)
+                    assert dense(matrix) == over(rows, scale)
 
     def test_integer_sums_exact_over_q(self, rational):
         # m = 7, n = 13 with coefficients over 2, 3, 5 and 7: the numerators
@@ -172,11 +180,11 @@ class TestBandSystem:
         core = MultilinearPoly(7, rational, coeffs)
         cells, pivots = witness_scalars(core, 13)
         masks = term_masks(core, cells)
-        assert masks[0] == 210
+        assert shared_denominator(core) == 210
         fixed = fixed_arguments(cells, 13, rational)
         for i in range(8, 14):
             matrix = band_system(core, 13, i, masks, pivots)
-            assert dense(matrix) == reference_band_matrix(core, 13, i, fixed)
+            assert dense(matrix) == over(reference_band_matrix(core, 13, i, fixed), 210)
 
     def test_assembly_evaluates_nothing(self, monkeypatch, gf5):
         # One preimage at m=7, n=13 evaluates the polynomial once, for the
@@ -207,17 +215,27 @@ class TestBandSystem:
 
 
 class TestSolveBand:
+    """``solve_band`` returns the solution as values over one denominator:
+    residues over 1 over GF(p), integer numerators over Q."""
+
     def test_known_rational_solution(self, rational):
         matrix, rhs = system_from_rows([[1, -1, 0], [0, 1, -1]], [1, 1], rational)
-        assert solve_band(matrix, rhs, rational) == [2, 1, 0]
+        assert solve_band(matrix, rhs, rational) == ([2, 1, 0], 1)
+
+    def test_rational_solution_grows_its_denominator(self, rational):
+        # The right-hand side is (1/2, 1/2); the pivot 3 does not divide
+        # its row, so the solution (1/6, 1/6, 0) comes back over 6.
+        matrix, rhs = system_from_rows([[2, 1, 0], [0, 3, 1]], [1, 1], rational)
+        assert solve_band(matrix, rhs, rational, 2) == ([1, 1, 0], 6)
 
     def test_known_gf2_solution(self, gf2):
         matrix, rhs = system_from_rows([[1, 1, 0], [0, 1, 1]], [1, 1], gf2)
-        assert solve_band(matrix, rhs, gf2) == [0, 1, 0]
+        assert solve_band(matrix, rhs, gf2) == ([0, 1, 0], 1)
 
     def test_zero_rhs(self, gf3):
         matrix, rhs = system_from_rows([[1, 2, 0], [0, 2, 1]], [0, 0], gf3)
-        assert not any(solve_band(matrix, rhs, gf3))
+        ys, den = solve_band(matrix, rhs, gf3)
+        assert not any(ys) and den == 1
 
     def test_rejects_bad_rhs_length_and_zero_pivot(self, gf3):
         matrix, _rhs = system_from_rows([[1, 2, 0], [0, 2, 1]], [1, 1], gf3)
@@ -243,10 +261,12 @@ class TestSolveBand:
                 while not spec.element(matrix[k][k]):
                     matrix[k][k] = rng.randint(1, 4)
             rhs = [rng.randint(-3, 3) for _ in range(rows)]
-            ys = solve_band(*system_from_rows(matrix, rhs, spec, degree), spec)
+            rhs_den = rng.randint(1, 5) if spec.p is None else 1
+            ys, den = solve_band(*system_from_rows(matrix, rhs, spec, degree), spec, rhs_den)
             for k in range(rows):
+                # matrix * (ys / den) = rhs / rhs_den, cross-multiplied
                 total = sum(matrix[k][s] * ys[s] for s in range(cols))
-                assert spec.reduce(total) == spec.element(rhs[k])
+                assert spec.reduce(total * rhs_den) == spec.reduce(rhs[k] * den)
 
     @pytest.mark.parametrize("field_text", ["gf:2", "gf:5", "rational"])
     def test_sparse_rows_match_dense_back_substitution(self, field_text):
@@ -274,7 +294,9 @@ class TestSolveBand:
                 for s in range(k + 1, cols):
                     acc = spec.reduce(acc - coeffs[k][s] * expected[s])
                 expected[k] = spec.reduce(acc * spec.inv(coeffs[k][k]))
-            assert solve_band(band, raw_rhs, spec) == expected
+            ys, den = solve_band(band, raw_rhs, spec)
+            assert spec.p is None or den == 1
+            assert [Fraction(y, den) for y in ys] == expected
 
 
 class TestPreimage:
@@ -352,22 +374,21 @@ class TestPreimage:
         second = preimage(f, 6, target)
         assert [x.to_json_dict() for x in first] == [x.to_json_dict() for x in second]
 
-    @pytest.mark.parametrize("field_text", ["gf:5", "rational"])
-    def test_perturbed_witness_fails_postcondition(self, monkeypatch, tmp_path, capsys, field_text):
-        # Shift one entry of X_1 by one: the pivot of its row is nonzero, so
-        # exactly one target entry changes and the postcondition must fail,
-        # in the library and as exit 3 from the CLI.
+    def assert_perturbation_caught(self, monkeypatch, tmp_path, capsys, field_text, perturb):
+        """Let ``perturb`` rewrite the first solved diagonal's (ys, top),
+        numerators over one denominator: the postcondition must fail, in
+        the library and as exit 3 from the CLI."""
         spec = FieldSpec.from_text(field_text)
         solve = solver.solve_band
         shifted = []
 
-        def perturbed(matrix, rhs, spec_):
-            ys = solve(matrix, rhs, spec_)
+        def perturbed(matrix, rhs, spec_, den):
+            ys, top = solve(matrix, rhs, spec_, den)
             if not shifted:
-                ys[0] = spec.reduce(ys[0] + 1)
+                ys, top = perturb(spec, ys, top)
                 # diagonal i of the 5 x 5 target has 5 - i + 1 rows
                 shifted.append(6 - len(rhs))
-            return ys
+            return ys, top
 
         monkeypatch.setattr(solver, "solve_band", perturbed)
         f = parse_poly("x1*x2*x3 + 2*x2*x1*x3", spec)
@@ -384,6 +405,33 @@ class TestPreimage:
         assert code == 3 and captured.out == ""
         assert captured.err == (
             "internal error (bug): constructed witness does not evaluate to the target\n"
+        )
+
+    @pytest.mark.parametrize("field_text", ["gf:5", "rational"])
+    def test_perturbed_witness_fails_postcondition(self, monkeypatch, tmp_path, capsys, field_text):
+        # Shift one entry of X_1 by one: the pivot of its row is nonzero, so
+        # exactly one target entry changes.
+        def plus_one(spec, ys, top):
+            ys[0] = spec.reduce(ys[0] + top)
+            return ys, top
+
+        self.assert_perturbation_caught(monkeypatch, tmp_path, capsys, field_text, plus_one)
+
+    def test_denominator_only_change_fails_postcondition(self, monkeypatch, tmp_path, capsys):
+        # Over Q, give one entry of X_1 a larger denominator and keep its
+        # numerator: the shared denominator grows by k, prime to the entry,
+        # and every other numerator grows with it.
+        def larger_denominator(spec, ys, top):
+            right = Fraction(ys[0], top)
+            k = abs(ys[0]) + 1
+            ys, top = [ys[0]] + [y * k for y in ys[1:]], top * k
+            wrong = Fraction(ys[0], top)
+            assert right and wrong.numerator == right.numerator
+            assert wrong.denominator == right.denominator * k
+            return ys, top
+
+        self.assert_perturbation_caught(
+            monkeypatch, tmp_path, capsys, "rational", larger_denominator
         )
 
     def test_deep_witness_bytes_pinned(self):

@@ -12,7 +12,7 @@ from utimage.fields import FieldSpec
 from utimage.freealg import MultilinearPoly, parse_poly
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import fixed_arguments, mat, random_pivot_coeffs
+from conftest import fixed_arguments, mat, random_pivot_coeffs, shared_denominator
 
 
 class TestStepRemainder:
@@ -244,7 +244,8 @@ class TestWitnessScalars:
     @pytest.mark.parametrize("field_text", ["gf:2", "rational"])
     def test_staircase_matches_direct_sums_at_every_depth(self, field_text):
         # Nested evaluation from the finished table must stay nonzero at
-        # every depth and agree with the flat pivot sum at full depth.
+        # every depth and agree with the flat pivot sum at full depth.  It
+        # runs on raw values; the pivots are numerators over L.
         spec = FieldSpec.from_text(field_text)
         rng = random.Random("stairs:" + field_text)
         for _ in range(10):
@@ -252,10 +253,11 @@ class TestWitnessScalars:
             n = rng.randint(m + 1, 8)
             core = random_pivot_coeffs(rng, spec, m, force_swap23=(m >= 3))
             cells, pivots = witness_scalars(core, n)
+            scale = shared_denominator(core)
             for k in range(1, n - m + 1):
                 for depth in range(1, m - 1):
                     assert eval_staircase(cells, core, k, depth)
-                assert eval_staircase(cells, core, k, m - 2) == pivots[k - 1]
+                assert eval_staircase(cells, core, k, m - 2) * scale == pivots[k - 1]
 
 
 def selection_cases():
@@ -289,11 +291,14 @@ def selection_cases():
 
 def test_selection_bytes_pinned():
     # The cells and pivots chosen over 480 seeded cases hash to a fixed
-    # digest, so no change to selection's internals may move a byte.
+    # digest, so no change to selection's internals may move a byte.  The
+    # pivots, numerators over L, are hashed as the raw values they stand for.
     digest = hashlib.sha256()
     for core, n in selection_cases():
         cells, pivots = witness_scalars(core, n)
-        digest.update(json.dumps([cells, [str(v) for v in pivots]]).encode())
+        scale = shared_denominator(core)
+        values = [str(Fraction(v, scale)) for v in pivots]
+        digest.update(json.dumps([cells, values]).encode())
     assert digest.hexdigest() == (
         "16c9300889c0fa4903830e829fa82c62c92ce53681ecd964ad294f6e2c73b6e1"
     )
