@@ -8,12 +8,15 @@ arithmetic: ``element`` canonicalises an int, Fraction or text,
 ``inv`` inverts with pow(value, -1, p).  Containers (matrices and
 polynomials) carry the field and refuse to mix two of them.
 
-Inside the containers and the solver, rationals are integer numerators
-over one shared denominator, so that no Fraction is built, normalised or
-compared on the way from parsed text to written text: ``rational_parts``
-reads a value as a numerator and a denominator, ``common_denominator``
-sums such pairs over the lcm of their denominators, ``lowest_terms``
-brings numerators over a shared denominator to canonical form, and
+Inside the containers and the solver, values are integer numerators over
+one shared denominator, so that no Fraction is built, normalised or
+compared on the way from parsed text to written text, and ``FieldSpec``
+owns that storage rule too: ``parts`` reads a value as a numerator and a
+denominator (a residue over 1 over GF(p)), ``canonical`` brings
+numerators over any nonzero denominator to the stored form (lowest terms
+over Q, residues over 1 over GF(p)), and ``values`` reads stored
+numerators back as raw values.  ``common_denominator`` sums (numerator,
+denominator) pairs over the lcm of their denominators, and
 ``ratio_text`` writes one of them.
 
 Text encodings, used verbatim in JSON files and CLI output, in ASCII
@@ -84,22 +87,6 @@ def ratio_text(num: int, den: int) -> str:
         raise errors.CapExceeded(f"value too long to write: {exc}") from exc
 
 
-def rational_parts(value) -> tuple[int, int]:
-    """A numerator and a positive denominator of a rational given as an
-    int, a Fraction or text, not reduced; anything else, a bool or a float
-    included, is a ParseError."""
-    if isinstance(value, str):
-        match = _RATIONAL_TEXT.match(value)
-        if match is None:
-            raise errors.ParseError(f"bad rational literal {value!r}")
-        return rational_literal(*match.groups())
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise errors.ParseError(
-            f"{type(value).__name__} {value!r} is not an exact field element"
-        )
-    return value.numerator, value.denominator
-
-
 def rational_literal(num: str, den: str | None) -> tuple[int, int]:
     """The numerator and denominator of the literal ``num/den``, or of
     ``num`` when den is None, from its digit runs (num may be signed)."""
@@ -113,27 +100,18 @@ def rational_literal(num: str, den: str | None) -> tuple[int, int]:
         raise
 
 
-def common_denominator(parts) -> tuple[dict, int]:
-    """Rationals num / d given as (key, num, d) triples, summed by key, as
-    numerators over the lcm of the denominators, and that lcm."""
-    den = math.lcm(*[d for _key, _num, d in parts])
+def common_denominator(parts: list, den: int = 1) -> tuple[dict, int]:
+    """Rationals num / d given as a list of (key, num, d) triples, summed by
+    key, as numerators over the lcm of the denominators, and that lcm.  The
+    sum runs over den, 1 at first; a fraction restarts it over the lcm."""
     nums: dict = {}
     for key, num, d in parts:
         if d != den:
+            if den == 1:
+                return common_denominator(parts, math.lcm(*[d for _key, _num, d in parts]))
             num *= den // d
         nums[key] = nums[key] + num if key in nums else num
     return nums, den
-
-
-def lowest_terms(nums: dict, den: int) -> tuple[dict, int]:
-    """Rationals nums[key] / den, for a denominator den > 0, in canonical
-    form: zeros dropped, and den and the numerators freed of their common
-    factor, so that den is the lcm of the values' reduced denominators.
-    ``nums`` itself comes back when it is already in that form."""
-    g = math.gcd(den, *nums.values())
-    if g != 1 or not all(nums.values()):
-        nums = {key: v // g for key, v in nums.items() if v}
-    return nums, den // g
 
 
 class FieldSpec:
@@ -205,30 +183,70 @@ class FieldSpec:
         """A raw sum or product in canonical form: its residue mod p."""
         return value if self.p is None else value % self.p
 
-    def element(self, value: int | Fraction | str):
-        """The canonical raw value of an int, a Fraction or text.
+    def parts(self, value: int | Fraction | str) -> tuple[int, int]:
+        """A numerator and a positive denominator of an int, a Fraction or
+        text, not reduced; over GF(p) the residue over 1.
 
         Anything else, a bool or a float included, is a ParseError: a
-        float is not exact, and a bool is not a number.  A value that is
-        already canonical comes back as it is.
+        float is not exact, and a bool is not a number.  Over GF(p) a
+        Fraction must be an integer, and text a bare residue (``parse``).
         """
-        if self.p is None:
-            if type(value) is Fraction:
-                return value
-            return Fraction(*rational_parts(value))
-        if type(value) is int and 0 <= value < self.p:
-            return value
+        p = self.p
+        if type(value) is int:
+            return value if p is None else value % p, 1
         if isinstance(value, str):
-            return self.parse(value)
+            if p is not None:
+                return self.parse(value), 1
+            match = _RATIONAL_TEXT.match(value)
+            if match is None:
+                raise errors.ParseError(f"bad rational literal {value!r}")
+            return rational_literal(*match.groups())
         if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
             raise errors.ParseError(
                 f"{type(value).__name__} {value!r} is not an exact field element"
             )
-        if isinstance(value, Fraction):
-            if value.denominator != 1:
-                raise errors.ParseError(f"{value} is not an integer residue")
-            value = value.numerator
-        return value % self.p
+        if p is None:
+            return value.numerator, value.denominator
+        if value.denominator != 1:
+            raise errors.ParseError(f"{value} is not an integer residue")
+        return value.numerator % p, 1
+
+    def element(self, value: int | Fraction | str):
+        """The canonical raw value of an int, a Fraction or text (``parts``)."""
+        num, den = self.parts(value)
+        return Fraction(num, den) if self.p is None else num
+
+    def canonical(self, nums: dict, den: int = 1) -> tuple[dict, int]:
+        """Values nums[key] / den, for ints and a den nonzero in the field,
+        in the stored form, zeros dropped: over Q in lowest terms with
+        den > 0, the lcm of the values' reduced denominators (``nums``
+        itself when already so); over GF(p) residues over 1."""
+        p = self.p
+        if p is None:
+            g = math.gcd(den, *nums.values())
+            if den < 0:
+                g = -g
+            if g != 1 or not all(nums.values()):
+                nums = {key: v // g for key, v in nums.items() if v}
+            return nums, den // g
+        if den != 1:
+            inv = pow(den, -1, p)
+            nums = {key: v * inv for key, v in nums.items()}
+        residues = {}
+        for key, v in nums.items():  # cheaper than a comprehension on few keys
+            r = v % p
+            if r:
+                residues[key] = r
+        return residues, 1
+
+    def values(self, nums, den: int = 1):
+        """Numerators over den as raw values, in a dict for a dict, else in
+        a tuple: Fractions over Q; over GF(p) (den 1) a dict itself."""
+        if self.p is not None:
+            return nums if type(nums) is dict else tuple(nums)
+        if type(nums) is dict:
+            return {key: Fraction(v, den) for key, v in nums.items()}
+        return tuple([Fraction(v, den) for v in nums])
 
     def inv(self, value):
         """The multiplicative inverse of a raw value; DivisionByZero on zero."""
@@ -239,7 +257,7 @@ class FieldSpec:
     def parse(self, text: str):
         """Parse the canonical text encoding of one element of this field."""
         if self.p is None:
-            return Fraction(*rational_parts(text))
+            return self.element(text)
         # ASCII digits only: no sign, blank, '_' or other script's digit,
         # each of which int() takes.
         if not (text.isascii() and text.isdigit()):

@@ -23,18 +23,9 @@ from __future__ import annotations
 import math
 import re
 from collections.abc import Mapping, Sequence
-from fractions import Fraction
 
 from . import errors
-from .fields import (
-    FieldSpec,
-    common_denominator,
-    lowest_terms,
-    parse_int,
-    rational_literal,
-    rational_parts,
-    value_text,
-)
+from .fields import FieldSpec, common_denominator, parse_int, rational_literal, value_text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:  # only evaluate needs matrices, so verify never loads them
@@ -108,8 +99,8 @@ class MultilinearPoly:
     """Degree-m multilinear polynomial in noncommuting variables x1..xm.
 
     ``_nums`` maps each monomial's Permutation to its coefficient's
-    numerator over ``_den``, in ``lowest_terms`` (residues over 1 over
-    GF(p)); the solver reads them directly.
+    numerator over ``_den``, in the form ``FieldSpec.canonical`` gives
+    (residues over 1 over GF(p)); the solver reads them directly.
     """
 
     __slots__ = ("m", "spec", "_nums", "_den", "_coeffs")
@@ -121,36 +112,24 @@ class MultilinearPoly:
         if m < 1:
             raise ValueError(f"degree must be at least 1, got {m}")
         _check_keys(m, coeffs)
-        if spec.p is None:
-            nums, den = common_denominator(
-                [(Permutation(key), *rational_parts(value)) for key, value in coeffs.items()]
-            )
-        else:
-            nums = {Permutation(key): spec.element(value) for key, value in coeffs.items()}
-            den = 1
-        self._store(m, spec, nums, den)
+        self._store(m, spec, *common_denominator(
+            [(Permutation(key), *spec.parts(value)) for key, value in coeffs.items()]
+        ))
 
     def _store(self, m: int, spec: FieldSpec, nums: dict, den: int) -> None:
-        """Set the fields from coefficients nums[sigma] / den, trusting the
-        Permutation keys; over GF(p) den is 1 and nums may be any ints."""
-        p = spec.p
-        if p is None:
-            nums, den = lowest_terms(nums, den)
-        else:
-            nums = {sigma: r for sigma, v in nums.items() if (r := v % p)}
+        """Set the fields from coefficients nums[sigma] / den, for any ints
+        and a nonzero den, trusting the Permutation keys."""
         self.m = m
         self.spec = spec
-        self._nums = nums
-        self._den = den
-        self._coeffs = None if p is None else nums
+        self._nums, self._den = spec.canonical(nums, den)
+        self._coeffs = None
 
     @property
     def coeffs(self) -> dict:
         """The nonzero coefficients by Permutation, as raw values
         (Fractions over Q, built on the first read)."""
         if self._coeffs is None:
-            den = self._den
-            self._coeffs = {sigma: Fraction(v, den) for sigma, v in self._nums.items()}
+            self._coeffs = self.spec.values(self._nums, self._den)
         return self._coeffs
 
     @property
@@ -189,20 +168,16 @@ class MultilinearPoly:
                 prod = sparse_product(prod, rows[var - 1])
             for key, v in prod.items():
                 total[key] = total.get(key, 0) + coeff * v
-        p = self.spec.p
-        if p is None:
-            den = self._den * math.prod(a._den for a in args)
-            return from_numerators(n, self.spec, *lowest_terms(total, den))
-        entries = {key: r for key, v in total.items() if (r := v % p)}
-        return from_numerators(n, self.spec, entries)
+        den = self._den * math.prod([a._den for a in args])
+        return from_numerators(n, self.spec, *self.spec.canonical(total, den))
 
     def normalize(self) -> NormalizedPoly:
         """Divide out a nonzero coefficient and relabel variables so the
         identity monomial has coefficient one.
 
         The chosen monomial is the lexicographically least permutation with
-        a nonzero coefficient, which makes the result deterministic.  Over
-        Q, dividing numerators over a shared denominator by the numerator
+        a nonzero coefficient, which makes the result deterministic.
+        Dividing numerators over a shared denominator by the numerator
         ``lead`` of the chosen one leaves them over ``lead``.
         """
         if self.is_zero:
@@ -210,19 +185,12 @@ class MultilinearPoly:
         sigma0 = min(self._nums)
         lead = self._nums[sigma0]
         relabel = sigma0.inverse()
-        p = self.spec.p
-        if p is None:
-            scale = Fraction(lead, self._den)
-            factor, den = (1, lead) if lead > 0 else (-1, -lead)
-        else:
-            scale, den = lead, 1
-            factor = pow(lead, -1, p)
         core = MultilinearPoly.__new__(MultilinearPoly)
         core._store(self.m, self.spec, {
-            Permutation([relabel[j - 1] for j in sigma]): coeff * factor
+            Permutation([relabel[j - 1] for j in sigma]): coeff
             for sigma, coeff in self._nums.items()
-        }, den)
-        return NormalizedPoly(core, relabel, scale)
+        }, lead)
+        return NormalizedPoly(core, relabel, self.spec.values((lead,), self._den)[0])
 
     def __eq__(self, other):
         if not isinstance(other, MultilinearPoly):
@@ -271,15 +239,17 @@ def _check_keys(m: int, keys) -> None:
     length other than m, so that a text's first fault is the one
     reported."""
     identity = list(range(1, m + 1))
+    odd = None  # the first permutation of 1..len(key) with len(key) != m
     for key in keys:
-        images = sorted(key)
-        if images != identity and images != list(range(1, len(key) + 1)):
-            raise errors.NotMultilinear(_multilinear_fault(key))
-    for key in keys:
-        if len(key) != m:
-            raise errors.InconsistentDegree(
-                f"monomial of degree {len(key)} in a degree-{m} polynomial"
-            )
+        if sorted(key) != identity:
+            if sorted(key) != list(range(1, len(key) + 1)):
+                raise errors.NotMultilinear(_multilinear_fault(key))
+            if odd is None:
+                odd = key
+    if odd is not None:
+        raise errors.InconsistentDegree(
+            f"monomial of degree {len(odd)} in a degree-{m} polynomial"
+        )
 
 
 def _multilinear_fault(variables: list[int]) -> str:
@@ -310,8 +280,7 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
     if not text or text.isspace():
         raise errors.ParseError("empty polynomial")
     p = spec.p
-    raw: dict[tuple, int] = {}  # over GF(p), the coefficient sums
-    parts = []  # over Q, (key, numerator, denominator) per term
+    terms = []  # (key, numerator, denominator) per term
     pos = 0
     while pos < len(text):
         match = _TERM.match(text, pos)
@@ -321,12 +290,12 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
         d = 1
         if num is None:
             coeff = 1
-        elif p is not None:
-            if inner or den is not None:
-                raise errors.ParseError(f"a GF({p}) coefficient is a bare residue")
-            coeff = spec.parse(num)
-        else:
+        elif p is None:
             coeff, d = rational_literal(num, den)
+        elif inner or den is not None:
+            raise errors.ParseError(f"a GF({p}) coefficient is a bare residue")
+        else:
+            coeff = spec.parse(num)
         # Rational text carries its sign on the numerator, so over Q a term
         # may open with a signed coefficient like -2/3: two signs cancel.
         if (sign == "-") != (inner == "-"):
@@ -335,14 +304,11 @@ def parse_poly(text: str, spec: FieldSpec) -> MultilinearPoly:
             key = Permutation(map(int, monomial.replace("x", "").split("*")))
         except ValueError:  # a literal too long for int(): name it
             key = Permutation(map(parse_int, _DIGITS.findall(monomial)))
-        if p is None:
-            parts.append((key, coeff, d))
-        else:
-            raw[key] = raw[key] + coeff if key in raw else coeff
+        terms.append((key, coeff, d))
         pos = match.end()
-    raw, den = common_denominator(parts) if p is None else (raw, 1)
-    m = len(next(iter(raw)))
-    _check_keys(m, raw)
+    nums, den = common_denominator(terms)
+    m = len(next(iter(nums)))
+    _check_keys(m, nums)
     poly = MultilinearPoly.__new__(MultilinearPoly)
-    poly._store(m, spec, raw, den)
+    poly._store(m, spec, nums, den)
     return poly

@@ -48,11 +48,10 @@ pivot does not divide.  Fractions appear only in a trace.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import compress
 
 from . import errors
-from .fields import FieldSpec, lowest_terms, value_text
+from .fields import FieldSpec, value_text
 from .freealg import MultilinearPoly
 from .triangular import StrictUT, from_numerators
 from .witness import witness_scalars
@@ -215,11 +214,6 @@ def solve_band(matrix: list[tuple], rhs: list, spec: FieldSpec, den: int = 1) ->
     return ys, top
 
 
-def _raw_values(nums, spec: FieldSpec, den: int) -> tuple:
-    """Numerators over den as raw values of spec, for a trace."""
-    return tuple(nums) if spec.p else tuple(Fraction(v, den) for v in nums)
-
-
 def _check_band_target(target: StrictUT, m: int) -> None:
     if target.band_member(m - 1):
         return
@@ -262,10 +256,14 @@ def preimage(
     if target.is_zero:
         return (StrictUT(n, f.spec, {}),) * m
     norm = f.normalize()
-    spec, core = f.spec, norm.core
+    spec, core, scale = f.spec, norm.core, norm.scale
     # Band rows are numerators over the core's L, so each diagonal solves
     # R y = L b: the target is divided by the scale and multiplied by L.
-    scaled_target = target.scaled(spec.inv(norm.scale) * core._den)
+    factor = scale.denominator * core._den
+    scaled_target = from_numerators(n, spec, *spec.canonical(
+        {key: v * factor for key, v in target._nums.items()},
+        target._den * scale.numerator,
+    ))
     if m == 1:
         # Degree one is direct: f = scale * x1, and L is 1.
         witness = (scaled_target,)
@@ -292,8 +290,8 @@ def preimage(
             if trace is not None:  # untraced, each diagonal's rows die here
                 trace["systems"].append((
                     i,
-                    [_raw_values(row, spec, core._den) for row in matrix],
-                    _raw_values(rhs, spec, den * core._den),
+                    [spec.values(row, core._den) for row in matrix],
+                    spec.values(rhs, den * core._den),
                 ))
         # The diagonals' unknowns fill disjoint cells of X_1: bring them over
         # one denominator (1 over GF(p)).
@@ -304,7 +302,7 @@ def preimage(
             for s, y in enumerate(ys, start=1):
                 if y:
                     first_entries[s, s + i - m] = y * lift
-        first = from_numerators(n, spec, *lowest_terms(first_entries, x_den))
+        first = from_numerators(n, spec, *spec.canonical(first_entries, x_den))
         witness = norm.transfer([first] + fixed_args)
     if f.evaluate(witness) != target:
         raise errors.PostconditionViolation(

@@ -2,13 +2,16 @@
 
 Matrices are stored sparsely as a map from 1-based (row, col) coordinates
 with col > row to nonzero integer numerators over one shared denominator,
-absent meaning zero: over GF(p) the residues in [0, p) over 1, over Q the
-numerators over the lcm of the entries' reduced denominators.
-``entries`` reads the raw values (Fractions over Q) only when asked.
-``from_entries`` canonicalises untrusted values; the plain constructor
-trusts its raw entries, and ``from_numerators`` its numerators.  The band subspace at level t is the set of matrices whose
-(p, q) entry vanishes whenever q - p <= t, so level 0 is the whole
-strictly upper triangular algebra.
+absent meaning zero, in the form ``FieldSpec.canonical`` gives: over
+GF(p) the residues in [0, p) over 1, over Q the numerators over the lcm
+of the entries' reduced denominators.  ``entries`` reads the raw values
+(Fractions over Q) only when asked.  ``from_entries`` checks untrusted
+coordinates; the plain constructor trusts its coordinates, and
+``from_numerators`` its coordinates and numerators.
+
+The band subspace at level t is the set of matrices whose (p, q) entry
+vanishes whenever q - p <= t, so level 0 is the whole strictly upper
+triangular algebra.
 
 A product of n strictly upper triangular n x n matrices is always zero
 (each factor pushes support at least one diagonal further up), which is
@@ -17,46 +20,39 @@ why images of degree-m multilinear maps live in the band at level m - 1.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
-from fractions import Fraction
 
 from . import errors
-from .fields import FieldSpec, common_denominator, lowest_terms, ratio_text, rational_parts
+from .fields import FieldSpec, common_denominator, ratio_text
 
 
 class StrictUT:
     """Sparse strictly upper triangular matrix with exact entries.
 
     ``_nums`` maps each nonzero entry's coordinates to its numerator over
-    ``_den``; the two are in ``lowest_terms``, so equal matrices hold
-    equal numerators.  The solver and the writer read them directly.
+    ``_den``; the two are in ``FieldSpec.canonical`` form, so equal
+    matrices hold equal numerators.  The solver and the writer read them
+    directly.
     """
 
     __slots__ = ("n", "spec", "_nums", "_den", "_entries")
 
     def __init__(self, n: int, spec: FieldSpec, entries: dict):
-        # Trusted constructor: entries must already be canonical
-        # (coordinates valid, raw values of spec, nonzero).  Use
-        # from_entries for untrusted input.
+        # Trusted coordinates; each value is an int, Fraction or text of
+        # spec.  Use from_entries for untrusted input.
         self.n = n
         self.spec = spec
-        self._entries = entries
-        if spec.p is None:
-            den = math.lcm(*(v.denominator for v in entries.values()))
-            self._nums = {k: v.numerator * (den // v.denominator) for k, v in entries.items()}
-            self._den = den
-        else:
-            self._nums = entries
-            self._den = 1
+        self._nums, self._den = spec.canonical(*common_denominator(
+            [(key, *spec.parts(value)) for key, value in entries.items()]
+        ))
+        self._entries = None
 
     @property
     def entries(self) -> dict:
         """The nonzero raw values by (row, col): residues over GF(p),
         Fractions over Q, built on the first read."""
         if self._entries is None:
-            den = self._den
-            self._entries = {k: Fraction(v, den) for k, v in self._nums.items()}
+            self._entries = self.spec.values(self._nums, self._den)
         return self._entries
 
     @classmethod
@@ -65,16 +61,13 @@ class StrictUT:
     ) -> "StrictUT":
         """Build a matrix from (row, col, value) triples.
 
-        Each value is an int, a Fraction or text of the field: over GF(p)
-        canonicalised by ``spec.element``, over Q read by
-        ``rational_parts``.  Duplicate coordinates are summed; zero sums
-        are dropped.
+        Each value is an int, a Fraction or text of the field, read by
+        ``spec.parts``.  Duplicate coordinates are summed; zero sums are
+        dropped.
         """
         if n < 2:
             raise errors.OutOfRange(f"dimension must be at least 2, got {n}")
-        p = spec.p
-        acc: dict = {}
-        parts = []  # over Q, (key, numerator, denominator) per value
+        parts = []  # (key, numerator, denominator) per value
         for row, col, value in pairs:
             if not (1 <= row <= n and 1 <= col <= n):
                 raise errors.OutOfRange(f"entry ({row}, {col}) outside 1..{n}")
@@ -82,14 +75,9 @@ class StrictUT:
                 raise errors.NotStrictlyUpper(
                     f"entry ({row}, {col}) is not strictly above the diagonal"
                 )
-            key = (row, col)
-            if p is None:
-                parts.append((key, *rational_parts(value)))
-            else:
-                value = spec.element(value)
-                acc[key] = (acc[key] + value) % p if key in acc else value
-        nums, den = common_denominator(parts) if p is None else (acc, 1)
-        return from_numerators(n, spec, *lowest_terms(nums, den))
+            num, den = spec.parts(value)
+            parts.append(((row, col), num, den))
+        return from_numerators(n, spec, *spec.canonical(*common_denominator(parts)))
 
     def get(self, row: int, col: int):
         """The raw value at (row, col), zero when absent."""
@@ -101,17 +89,9 @@ class StrictUT:
 
     def scaled(self, c) -> "StrictUT":
         """The matrix times ``c``, an int, Fraction or text of this field."""
-        c = self.spec.element(c)
-        if not c:
-            return StrictUT(self.n, self.spec, {})
-        # A field has no zero divisors, so no entry becomes zero.
-        p = self.spec.p
-        if p is None:
-            num, den = c.numerator, self._den * c.denominator
-            nums, den = lowest_terms({k: v * num for k, v in self._nums.items()}, den)
-        else:
-            nums, den = {k: v * c % p for k, v in self._nums.items()}, 1
-        return from_numerators(self.n, self.spec, nums, den)
+        num, den = self.spec.parts(c)
+        nums = {key: v * num for key, v in self._nums.items()}
+        return from_numerators(self.n, self.spec, *self.spec.canonical(nums, self._den * den))
 
     def band_member(self, t: int) -> bool:
         """True iff every entry (p, q) with q - p <= t is zero."""
@@ -183,12 +163,12 @@ def _is_json_int(value) -> bool:
 
 def from_numerators(n: int, spec: FieldSpec, nums: dict, den: int = 1) -> StrictUT:
     """The matrix with entry nums[row, col] / den at each key: trusted, so
-    the coordinates must be valid and nums and den canonical (nonzero
-    residues over 1 over GF(p), ``lowest_terms`` over Q)."""
+    the coordinates must be valid and nums and den in the form
+    ``spec.canonical`` gives."""
     matrix = StrictUT.__new__(StrictUT)
     matrix.n = n
     matrix.spec = spec
     matrix._nums = nums
     matrix._den = den
-    matrix._entries = None if spec.p is None else nums
+    matrix._entries = None
     return matrix

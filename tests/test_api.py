@@ -37,7 +37,8 @@ DOCUMENTED = {
               "scaled band_member __init__ __eq__ __repr__",
     MultilinearPoly: "m spec coeffs is_zero evaluate normalize to_text __init__ __eq__ __repr__",
     Permutation: "inverse __call__ __repr__",
-    FieldSpec: "p gf from_text to_text zero one element parse reduce inv __str__ "
+    FieldSpec: "p gf from_text to_text zero one parts element canonical values parse "
+               "reduce inv __str__ "
                "__init__ __eq__ __hash__ __repr__ __setattr__ __delattr__ __reduce__",
 }
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -662,6 +663,26 @@ class TestHardRationals:
         captured = self.solve(tmp_path, capsys, poly, n, entries)
         assert captured.err == ""
         assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+
+    def test_a_solve_builds_one_fraction(self, tmp_path, capsys, monkeypatch):
+        # From the parsed text to the written witness, values stay integer
+        # numerators over shared denominators; the one Fraction a solve
+        # builds is the normalizing scale.  Every construction is counted,
+        # whoever makes it.
+        built = 0
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        poly, n, entries, digest = self.CASES["deep"]
+        captured = self.solve(tmp_path, capsys, poly, n, entries)
+        monkeypatch.undo()
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+        assert built == 1
 
     def test_debug_dump_pinned(self, tmp_path, capsys):
         # Pivot sums of 16/21 and an off-pivot coefficient over a

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 from decimal import Decimal
 from fractions import Fraction
@@ -227,3 +228,64 @@ def test_element_rejects_non_exact_values(value, rational, gf5):
             mat(3, spec, [(1, 2, 1)]).scaled(value)
         with pytest.raises(errors.ParseError):
             MultilinearPoly(2, spec, {(1, 2): value})
+
+
+# The storage rule of the containers: ``canonical`` against a reference
+# built one value at a time with Fraction or with a modular inverse.
+moduli_st = st.sampled_from([None, 2, 3, 5, 7, 101, LARGEST_PRIME])
+
+
+@given(
+    moduli_st,
+    st.lists(st.tuples(st.integers(0, 5), st.integers(-10**6, 10**6)), max_size=12),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(0, 3),
+)
+def test_canonical_matches_a_value_by_value_reference(p, terms, den, zeros):
+    spec = FieldSpec(p)
+    if p is not None and den % p == 0:
+        den += 1
+    nums = {}
+    for key, v in terms:  # duplicate keys sum, as the parsers sum them
+        nums[key] = nums.get(key, 0) + v
+    nums.update((key, 0) for key in range(6, 6 + zeros))
+    out, out_den = spec.canonical(dict(nums), den)
+    if p is None:
+        reference = {k: Fraction(v, den) for k, v in nums.items() if v}
+        assert {k: Fraction(v, out_den) for k, v in out.items()} == reference
+        assert out_den == math.lcm(*(v.denominator for v in reference.values()))
+        assert math.gcd(out_den, *out.values()) == 1
+    else:
+        reference = {k: r for k, v in nums.items() if (r := v * pow(den, -1, p) % p)}
+        assert out == reference and out_den == 1
+    assert all(out.values()) and out_den > 0
+
+
+@given(
+    moduli_st,
+    st.one_of(
+        st.integers(-10**30, 10**30),
+        fractions_st,
+        fractions_st.map(value_text),
+        st.integers(0, 10**12).map(str),
+    ),
+)
+def test_parts_agrees_with_element(p, value):
+    spec = FieldSpec(p)
+    try:
+        expected = spec.element(value)
+    except errors.ParseError:
+        with pytest.raises(errors.ParseError):
+            spec.parts(value)
+        return
+    num, den = spec.parts(value)
+    assert den > 0 and Fraction(num, den) == expected
+    assert p is None or (den == 1 and 0 <= num < p)
+
+
+@pytest.mark.parametrize(
+    "p, value", [(None, True), (5, True), (None, 1.5), (5, 1.5), (5, Fraction(1, 2)), (5, "-1")]
+)
+def test_parts_refuses_what_is_not_an_element(p, value):
+    with pytest.raises(errors.ParseError):
+        FieldSpec(p).parts(value)
