@@ -3,10 +3,10 @@
 A field element is a raw value: a fractions.Fraction over the rationals
 (arbitrary precision, so back-substitution cannot overflow), an int in
 [0, p) over GF(p).  Raw values carry no field, so ``FieldSpec`` owns their
-arithmetic: ``element`` canonicalises an int, Fraction or text,
-``reduce`` brings an exact sum or product back to canonical form, and
-``inv`` inverts with pow(value, -1, p).  Containers (matrices and
-polynomials) carry the field and refuse to mix two of them.
+arithmetic: ``element`` canonicalises an int, Fraction or text, and
+``reduce`` brings an exact sum or product back to canonical form.
+Containers (matrices and polynomials) carry the field and refuse to mix
+two of them.
 
 Inside the containers and the solver, values are integer numerators over
 one shared denominator, so that no Fraction is built, normalised or
@@ -42,7 +42,7 @@ PRIME_CAP = 1 << 31
 
 _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?\Z")
 _GF_SPEC = re.compile(r"gf:([0-9]+)\Z")
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+_Q_ZERO = Fraction(0)
 
 
 def is_prime(p: int) -> bool:
@@ -175,10 +175,6 @@ class FieldSpec:
     def zero(self):
         return _Q_ZERO if self.p is None else 0
 
-    @property
-    def one(self):
-        return _Q_ONE if self.p is None else 1
-
     def reduce(self, value):
         """A raw sum or product in canonical form: its residue mod p."""
         return value if self.p is None else value % self.p
@@ -247,12 +243,6 @@ class FieldSpec:
         if type(nums) is dict:
             return {key: Fraction(v, den) for key, v in nums.items()}
         return tuple([Fraction(v, den) for v in nums])
-
-    def inv(self, value):
-        """The multiplicative inverse of a raw value; DivisionByZero on zero."""
-        if not value:
-            raise errors.DivisionByZero(f"cannot invert zero in {self}")
-        return Fraction(1, value) if self.p is None else pow(value, -1, self.p)
 
     def parse(self, text: str):
         """Parse the canonical text encoding of one element of this field."""

@@ -14,8 +14,13 @@ integer whose digits are its n(n-1)/2 strictly upper entries, row-major
 over (row, col), most significant first.  Image sets are sorted tuples of
 keys, which makes reports independent of the scan's enumeration order.
 
-Three performance levers, all exact:
+Four performance levers, all exact:
 
+* the chain-once compile.  Each output entry's chains are enumerated once
+  and their links looked up once; every support term then reads its
+  entries by permuting the same link indices, so compiling costs one
+  chain enumeration per entry plus one tuple per term.  Entries fewer
+  than m diagonals up have no chain and are skipped.
 * the linear slice.  A multilinear f is linear in X_1 once X_2..X_m are
   fixed, so the values over all X_1 are the span of f(E_i, X_2, ..., X_m)
   over the unit matrices E_i.  The scan visits the q^((m-1)c) tail tuples
@@ -30,7 +35,9 @@ Three performance levers, all exact:
   a value at (p, q) needs a nonzero entry on every link of some m-link
   chain, so the sparse tails of ascending order cannot reach full rank,
   while the first tail, every scanned entry q - 1, does unless f's terms
-  cancel on equal arguments.  The image is then known by its positions
+  cancel on equal arguments.  On that tail every term is its coefficient
+  times the unit (q-1)^(m-1), so its slice is reduced from the summed
+  coefficients alone.  The image is then known by its positions
   alone; no key is enumerated unless a caller asks for them.  If no
   slice reaches full rank, every tail is scanned, and the union of spans
   does not depend on the order.
@@ -48,6 +55,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from operator import add, itemgetter
 
 from . import errors
 from .fields import FieldSpec
@@ -96,30 +104,37 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
     Each term is (coefficient, uses) where uses[t] is the index into
     ``coords`` of the entry drawn from the t-th argument matrix.  A chain
     needing an entry outside ``coords`` contributes nothing on the scanned
-    matrices and is dropped.
+    matrices and is dropped.  The terms of an entry run over the support
+    in key order, and for each key over the chains in lexicographic order.
     """
     m = f.m
-    coord_index = {c: i for i, c in enumerate(coords)}
-    all_coords = strict_coords(n)
-    support = sorted(f.coeffs.items())
+    index = {c: i for i, c in enumerate(coords)}.get
+    # The link drawn from argument sigma[t] is the chain's t-th, so uses
+    # reads the links at sigma's inverse.  At m = 1 the links are the uses
+    # (an itemgetter of one index returns the item, not a tuple).
+    getters = []
+    for sigma, coeff in sorted(f.coeffs.items()):
+        inverse = [0] * m
+        for t, s in enumerate(sigma):
+            inverse[s - 1] = t
+        getters.append((coeff, itemgetter(*inverse) if m > 1 else tuple))
     grouped = []
-    for out_pos, (p, q) in enumerate(all_coords):
-        terms = []
-        for sigma, coeff in support:
+    out_pos = -1
+    for p in range(1, n + 1):
+        for q in range(p + 1, n + 1):
+            out_pos += 1
+            if q - p < m:  # no m-link chain spans (p, q)
+                continue
+            chains = []
             for inner in itertools.combinations(range(p + 1, q), m - 1):
-                chain = (p, *inner, q)
-                uses = [0] * m
-                ok = True
-                for t in range(m):
-                    link = (chain[t], chain[t + 1])
-                    if link not in coord_index:
-                        ok = False
-                        break
-                    uses[sigma[t] - 1] = coord_index[link]
-                if ok:
-                    terms.append((coeff, tuple(uses)))
-        if terms:
-            grouped.append((out_pos, terms))
+                links = tuple(map(index, itertools.pairwise((p, *inner, q))))
+                if None not in links:
+                    chains.append(links)
+            if chains:
+                terms = []
+                for coeff, get in getters:
+                    terms += zip(itertools.repeat(coeff), map(get, chains))
+                grouped.append((out_pos, terms))
     return grouped
 
 
@@ -149,31 +164,43 @@ def _row_reduce(vectors, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(basis[lead]) for lead in sorted(basis))
 
 
-def _scan_slices(count, m, term_rows, weights, q):
+def _scan_slices(count, m, grouped, last, q):
     """Attained keys as the union, over every tail tuple X_2..X_m, of the
     span of f(E_i, X_2, ..., X_m) over the unit matrices E_i of X_1.
 
-    ``term_rows[r]`` lists the compiled (coeff, uses) terms of the output
-    entry whose key weight is ``weights[r]``.  Every value lies in the
-    space of these rows, so the first slice of full rank spans the whole
-    image: the scan stops there and returns None.  The tails run in
-    descending digit order, densest first, so the first tail sets every
-    scanned entry of X_2..X_m to q - 1 and usually stops the scan; when
-    f's terms cancel on equal arguments (x1*x2*x3 - x1*x3*x2 with
-    X_2 = X_3), the next few tails break the tie.
+    Row r is the output entry of ``grouped[r]``, ``_compile_terms``'
+    (position, terms) pair; its key weight is q^(last - position).  Every
+    value lies in the space of these rows, so the first slice of full
+    rank spans the whole image: the scan stops there and returns None.
+    The tails run in descending digit order, densest first, so the first
+    tail sets every scanned entry of X_2..X_m to q - 1 and usually stops
+    the scan; when f's terms cancel on equal arguments (x1*x2*x3 -
+    x1*x3*x2 with X_2 = X_3), the next few tails break the tie.
     """
-    rows = len(term_rows)
+    rows = len(grouped)
+    # The first tail gives every term the value coeff * (q-1)^(m-1), a
+    # unit times coeff, so its slice spans what the coefficients alone
+    # span: the scan usually stops here, before any tail index is built.
+    columns = [[0] * rows for _ in range(count)]
+    for row, (_pos, terms) in enumerate(grouped):
+        for coeff, uses in terms:
+            columns[uses[0]][row] += coeff
+    basis = _row_reduce([[x % q for x in column] for column in columns if any(column)], q)
+    if len(basis) == rows:
+        return None
+    spans = {basis}
+
     # by_entry[i]: (row, coeff, tail) per term reading entry i of X_1;
     # tail indexes the term's X_2..X_m entries in a flat tail tuple.
     by_entry = [[] for _ in range(count)]
-    for row, terms in enumerate(term_rows):
+    offsets = range(0, (m - 1) * count, count)
+    for row, (_pos, terms) in enumerate(grouped):
         for coeff, uses in terms:
-            tail = tuple(s * count + u for s, u in enumerate(uses[1:]))
-            by_entry[uses[0]].append((row, coeff, tail))
+            by_entry[uses[0]].append((row, coeff, tuple(map(add, uses[1:], offsets))))
     columns_terms = [terms for terms in by_entry if terms]
-
-    spans = set()
-    for digits in itertools.product(range(q - 1, -1, -1), repeat=(m - 1) * count):
+    tails = itertools.product(range(q - 1, -1, -1), repeat=(m - 1) * count)
+    next(tails)  # the first tail, reduced above
+    for digits in tails:
         columns = []
         for terms in columns_terms:
             column = [0] * rows
@@ -188,6 +215,7 @@ def _scan_slices(count, m, term_rows, weights, q):
             return None
         spans.add(basis)
 
+    weights = [q ** (last - pos) for pos, _terms in grouped]
     seen = set()
     for basis in spans:
         span = [[0] * rows]
@@ -232,7 +260,8 @@ def _image_keys(
     bounds q^(max(m-1, 1)*c): at m = 1 the one slice's span is q^c keys
     when it is enumerated.
     """
-    if f.spec != FieldSpec.gf(q):
+    if f.spec.p != q:
+        FieldSpec.gf(q)  # a q that names no prime field is refused first
         raise errors.FieldMismatch(f"polynomial is over {f.spec}, not gf:{q}")
     m = f.m
     count = _scanned_count(n, m, reduce_bands)
@@ -242,18 +271,14 @@ def _image_keys(
         # chain is dropped: the image is {0}, full rank on no position, and
         # compiling the chains would cost O(n^3) for nothing.
         return ((), None), 1
-    all_coords = strict_coords(n)
+    coords = strict_coords(n)
     if reduce_bands:
-        coords = [(p, c) for p, c in all_coords if c - p <= n - m]
-    else:
-        coords = all_coords
+        coords = [(p, c) for p, c in coords if c - p <= n - m]
     grouped = _compile_terms(f, n, coords)
-    positions = tuple(out_pos for out_pos, _terms in grouped)
+    positions = tuple([out_pos for out_pos, _terms in grouped])
     # Output keys always span the full coordinate list so reduced and full
     # scans produce directly comparable sets.
-    weights = [q ** (len(all_coords) - 1 - out_pos) for out_pos in positions]
-    term_rows = [terms for _out_pos, terms in grouped]
-    seen = _scan_slices(count, m, term_rows, weights, q)
+    seen = _scan_slices(count, m, grouped, n * (n - 1) // 2 - 1, q)
     keys = None if seen is None else tuple(sorted(seen))
     return (positions, keys), q ** (m * count)
 

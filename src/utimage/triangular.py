@@ -87,12 +87,6 @@ class StrictUT:
     def is_zero(self) -> bool:
         return not self._nums
 
-    def scaled(self, c) -> "StrictUT":
-        """The matrix times ``c``, an int, Fraction or text of this field."""
-        num, den = self.spec.parts(c)
-        nums = {key: v * num for key, v in self._nums.items()}
-        return from_numerators(self.n, self.spec, *self.spec.canonical(nums, self._den * den))
-
     def band_member(self, t: int) -> bool:
         """True iff every entry (p, q) with q - p <= t is zero."""
         if not 0 <= t <= self.n - 1:

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,21 @@ def row_reduce_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def chain_enumerations(monkeypatch):
+    """The output entries (p, q) whose chains the oracle enumerates, once
+    per enumeration, in order."""
+    entries = []
+    combinations = itertools.combinations
+
+    def counted(inner, r):
+        entries.append((inner.start - 1, inner.stop))
+        return combinations(inner, r)
+
+    monkeypatch.setattr(oracle.itertools, "combinations", counted)
+    return entries
+
+
 def mat(n, spec, triples):
     """StrictUT from (row, col, int_value) triples."""
     return StrictUT.from_entries(n, spec, triples)
@@ -80,6 +96,16 @@ def triples(matrix):
     """The (row, col, value) triples of a matrix's entries: ``mat`` sums
     duplicate coordinates, so it adds matrices given their triples."""
     return [(row, col, value) for (row, col), value in matrix.entries.items()]
+
+
+def scaled(matrix, c):
+    """The matrix times ``c``, an int or a Fraction of its field."""
+    return mat(matrix.n, matrix.spec, [(row, col, value * c) for row, col, value in triples(matrix)])
+
+
+def inverse(spec, value):
+    """The inverse of a nonzero raw value of ``spec``."""
+    return Fraction(1, value) if spec.p is None else pow(value, -1, spec.p)
 
 
 def fixed_arguments(cells, n, spec):
@@ -131,7 +157,7 @@ def random_pivot_coeffs(rng, spec, m, force_swap23=False):
     coefficient one; optionally force a nonzero coefficient at the swap of
     positions 2 and 3."""
     identity = tuple(range(1, m + 1))
-    coeffs = {identity: spec.one}
+    coeffs = {identity: spec.element(1)}
     for images in itertools.permutations(identity):
         if images[0] != 1 or images == identity:
             continue

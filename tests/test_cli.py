@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -1095,6 +1096,65 @@ class TestUsage:
         assert proc.returncode == code
         assert proc.stdout.startswith(out) if out else proc.stdout == ""
         assert proc.stderr == err
+
+
+class TestOutFile:
+    """``--out`` holds the bytes the same call writes to stdout."""
+
+    VERIFY = ["verify", "--poly", "x1*x2*x3 - x1*x3*x2", "--n", "5", "--field", "gf:2", "--reduce"]
+
+    @staticmethod
+    def timeless(data):
+        return re.sub(rb'\n  "elapsed_ms": [0-9]+,', b"", data)
+
+    @pytest.mark.parametrize("poly,field,entries", [
+        ("x1*x2-x2*x1", "gf:7", [(1, 3, 4), (2, 5, 6), (1, 5, 1)]),
+        ("-2/3*x1*x2 + 5*x2*x1", "rational", [(1, 3, "-5/2"), (1, 5, "7/3")]),
+    ])
+    def test_solve_writes_its_stdout(self, tmp_path, capsys, poly, field, entries):
+        target = mat(5, FieldSpec.from_text(field), entries)
+        args = ["solve", "--poly", poly, "--n", "5", "--field", field,
+                "--target", write_matrix(tmp_path / "target.json", target)]
+        assert cli.main(args) == 0
+        stdout = capsys.readouterr().out.encode()
+        out = tmp_path / "w.json"
+        assert cli.main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == stdout and stdout.isascii()
+
+    def test_verify_writes_its_stdout(self, tmp_path, capsys):
+        assert cli.main(self.VERIFY) == 0
+        stdout = capsys.readouterr().out.encode()
+        out = tmp_path / "r.json"
+        assert cli.main(self.VERIFY + ["--out", str(out)]) == 0
+        assert b'"elapsed_ms"' in stdout and stdout.isascii()
+        assert self.timeless(out.read_bytes()) == self.timeless(stdout)
+
+    def test_a_short_write_is_continued(self, tmp_path, capsys, monkeypatch):
+        # An unbuffered write may take fewer bytes than it is given (Linux
+        # takes at most 2 GiB - 4 KiB at once); the rest is written after.
+        sizes = []
+
+        class Short:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                sizes.append(len(data))
+                return self.handle.write(data[:100])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+        assert cli.main(self.VERIFY) == 0
+        stdout = capsys.readouterr().out.encode()
+        monkeypatch.setattr(cli, "open", lambda *args, **kw: Short(open(*args, **kw)), raising=False)
+        out = tmp_path / "r.json"
+        assert cli.main(self.VERIFY + ["--out", str(out)]) == 0
+        assert len(sizes) > 1 and sizes == sorted(sizes, reverse=True)
+        assert self.timeless(out.read_bytes()) == self.timeless(stdout)
 
 
 class TestImports:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from utimage import errors
 from utimage.fields import PRIME_CAP, FieldSpec, is_prime, value_text
 from utimage.freealg import MultilinearPoly, parse_poly
-from utimage.solver import preimage
+from utimage.solver import preimage, solve_band
 from utimage.triangular import StrictUT
 
 from conftest import mat
@@ -72,36 +72,38 @@ def test_is_prime_small():
 
 
 def test_inverse_small_fields():
+    # Values over a denominator are stored times its inverse.
     for p in (2, 3, 7):
         spec = FieldSpec.gf(p)
         for v in range(1, p):
-            assert spec.reduce(v * spec.inv(v)) == spec.one
+            nums, den = spec.canonical({0: 1}, v)
+            assert den == 1 and spec.reduce(v * nums[0]) == 1
 
 
 @given(st.integers(1, LARGEST_PRIME - 1))
 def test_inverse_largest_modulus(v):
     spec = FieldSpec.gf(LARGEST_PRIME)
-    assert spec.reduce(v * spec.inv(v)) == spec.one
+    nums, den = spec.canonical({0: 1}, v)
+    assert den == 1 and spec.reduce(v * nums[0]) == 1
 
 
 def test_rational_examples(rational):
     assert rational.element("2/3") + rational.element("1/6") == rational.element("5/6")
-    assert value_text(rational.element(2) * rational.inv(rational.element(3))) == "2/3"
+    assert value_text(rational.element(2) / rational.element(3)) == "2/3"
     assert value_text(-rational.element("1/2")) == "-1/2"
 
 
 def test_gf5_examples(gf5):
     assert gf5.reduce(3 * 4) == gf5.element(2)
-    assert gf5.inv(2) == gf5.element(3)
+    assert gf5.canonical({0: 1}, 2) == ({0: gf5.element(3)}, 1)
     assert gf5.reduce(1 - 3) == gf5.element(3)
 
 
 def test_division_by_zero(rational, gf5):
+    # Back-substitution divides by each pivot, and refuses a zero one.
     for spec in (rational, gf5):
         with pytest.raises(errors.DivisionByZero):
-            spec.inv(spec.zero)
-        with pytest.raises(errors.DivisionByZero):
-            spec.inv(spec.element(0))
+            solve_band([(1, 2), (0, 1)], [1, 1], spec)
 
 
 def test_field_mismatch(rational, gf2):
@@ -132,9 +134,9 @@ def test_field_axioms_exhaustive(p):
         assert mul(a, b) == mul(b, a)
     for a in elems:
         assert add(a, spec.reduce(-a)) == spec.zero
-        assert mul(a, spec.one) == a
+        assert mul(a, spec.element(1)) == a
         if a:
-            assert mul(a, spec.inv(a)) == spec.one
+            assert mul(a, pow(a, -1, p)) == 1
 
 
 @given(fractions_st, fractions_st, fractions_st)
@@ -145,7 +147,7 @@ def test_field_axioms_rational(x, y, z):
     assert a * (b + c) == a * b + a * c
     assert a - a == spec.zero
     if b:
-        assert (a * spec.inv(b)) * b == a
+        assert (a / b) * b == a
 
 
 @given(fractions_st)
@@ -196,7 +198,7 @@ def test_scalar_is_hashable_and_immutable(gf3, rational):
 def test_int_coercion_in_arithmetic(gf5, rational):
     # Ints mix with raw values; reduce brings the result back to canonical.
     assert gf5.reduce(gf5.element(3) + 4) == gf5.element(2)
-    assert 2 * rational.element("1/2") == rational.one
+    assert 2 * rational.element("1/2") == 1
 
 
 def test_gf_canonical_residues(gf5):
@@ -208,8 +210,8 @@ def test_gf_canonical_residues(gf5):
 
 def test_zero_and_one_are_raw_values(rational, gf5):
     assert type(rational.zero) is Fraction and rational.zero == 0
-    assert type(rational.one) is Fraction and rational.one == 1
-    assert (gf5.zero, gf5.one) == (0, 1) and type(gf5.one) is int
+    assert type(rational.element(1)) is Fraction and rational.element(1) == 1
+    assert (gf5.zero, gf5.element(1)) == (0, 1) and type(gf5.element(1)) is int
 
 
 @pytest.mark.parametrize(
@@ -224,8 +226,6 @@ def test_element_rejects_non_exact_values(value, rational, gf5):
             spec.element(value)
         with pytest.raises(errors.ParseError):
             StrictUT.from_entries(3, spec, [(1, 2, value)])
-        with pytest.raises(errors.ParseError):
-            mat(3, spec, [(1, 2, 1)]).scaled(value)
         with pytest.raises(errors.ParseError):
             MultilinearPoly(2, spec, {(1, 2): value})
 

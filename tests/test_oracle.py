@@ -53,6 +53,33 @@ def exhaustive_image_keys(f, n, q, reduce_bands=False):
     return keys
 
 
+def reference_compile_terms(f, n, coords):
+    """``_compile_terms`` term by term: every support key enumerates every
+    entry's chains again and looks up each link, keeping the chains whose
+    links are all in ``coords``."""
+    m = f.m
+    coord_index = {c: i for i, c in enumerate(coords)}
+    grouped = []
+    for out_pos, (p, q) in enumerate(strict_coords(n)):
+        terms = []
+        for sigma, coeff in sorted(f.coeffs.items()):
+            for inner in itertools.combinations(range(p + 1, q), m - 1):
+                chain = (p, *inner, q)
+                uses = [0] * m
+                ok = True
+                for t in range(m):
+                    link = (chain[t], chain[t + 1])
+                    if link not in coord_index:
+                        ok = False
+                        break
+                    uses[sigma[t] - 1] = coord_index[link]
+                if ok:
+                    terms.append((coeff, tuple(uses)))
+        if terms:
+            grouped.append((out_pos, terms))
+    return grouped
+
+
 def random_support_cases(max_tuples=70_000):
     """Seeded random polynomials over GF(2)/GF(3), m 1..3, n 2..4, full
     and reduced, wherever the exhaustive scan stays small."""
@@ -95,6 +122,8 @@ class TestEnumeration:
     def test_requires_prime(self, gf2):
         with pytest.raises(errors.NotPrime):
             image_bruteforce(parse_poly("x1", gf2), 3, 4)
+        with pytest.raises(errors.NotPrime):
+            check_theorem(parse_poly("x1*x2", gf2), 3, 4)
 
 
 class TestPacking:
@@ -209,6 +238,50 @@ class TestImageBruteforce:
         f = parse_poly("x1*x2", gf2)
         with pytest.raises(errors.FieldMismatch):
             image_bruteforce(f, 3, 3)
+
+
+class TestCompileTerms:
+    """The chain-once compile against the term-by-term enumeration."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_equals_the_term_by_term_enumeration(self, m):
+        spec = FieldSpec.gf(5)
+        rng = random.Random(f"compile:{m}")
+        perms = list(itertools.permutations(range(1, m + 1)))
+        supports = [[rng.choice(perms)]]
+        if m <= 3:
+            supports.append(perms)
+        if m >= 4:
+            supports += [rng.sample(perms, rng.randint(2, len(perms))) for _ in range(3)]
+        polys = [
+            MultilinearPoly(m, spec, {key: rng.randrange(1, 5) for key in support})
+            for support in supports
+        ]
+        if m == 3:
+            polys.append(parse_poly("x1*x2*x3 - x1*x3*x2", spec))
+        for f in polys:
+            for n in range(2, 8):
+                for reduce_bands in (False, True):
+                    coords = [
+                        (p, c) for p, c in strict_coords(n)
+                        if not reduce_bands or c - p <= n - m
+                    ]
+                    compiled = _compile_terms(f, n, coords)
+                    assert compiled == reference_compile_terms(f, n, coords)
+
+    @pytest.mark.parametrize("reduce_bands", [False, True])
+    @pytest.mark.parametrize("size", [1, 6])
+    def test_chains_are_enumerated_once_per_entry(
+        self, gf3, chain_enumerations, size, reduce_bands
+    ):
+        # Whatever the support's size, each entry at least m diagonals up
+        # enumerates its chains once; an entry nearer the diagonal has none.
+        m, n = 3, 7
+        perms = list(itertools.permutations(range(1, m + 1)))[:size]
+        f = MultilinearPoly(m, gf3, {key: 1 for key in perms})
+        coords = [(p, c) for p, c in strict_coords(n) if not reduce_bands or c - p <= n - m]
+        _compile_terms(f, n, coords)
+        assert chain_enumerations == [(p, c) for p, c in strict_coords(n) if c - p >= m]
 
 
 class TestLinearSlice:

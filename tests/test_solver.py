@@ -20,7 +20,7 @@ from utimage.solver import (
 from utimage.triangular import StrictUT
 from utimage.witness import eval_pivot, pivot_terms, witness_scalars
 
-from conftest import fixed_arguments, mat, module_imports, shared_denominator, triples
+from conftest import fixed_arguments, inverse, mat, module_imports, shared_denominator, triples
 
 
 def all_ones_cells(n):
@@ -98,35 +98,35 @@ class TestImageDescription:
 class TestBandSystem:
     def test_plain_product_matrix(self, rational):
         core = parse_poly("x1*x2", rational)
-        pivots = (rational.one,) * 2
+        pivots = (rational.element(1),) * 2
         matrix = band_system(core, 4, 3, term_masks(core, all_ones_cells(4)), pivots)
         assert matrix == [(1, 0), (1, 0)]
         assert dense(matrix) == [[1, 0, 0], [0, 1, 0]]
 
     def test_commutator_matrix(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
-        pivots = (rational.one,) * 2
+        pivots = (rational.element(1),) * 2
         matrix = band_system(core, 4, 3, term_masks(core, all_ones_cells(4)), pivots)
         assert matrix == [(1, -1), (1, -1)]
         assert dense(matrix) == [[1, -1, 0], [0, 1, -1]]
 
     def test_top_diagonal_single_row(self, rational):
         core = parse_poly("x1*x2-x2*x1", rational)
-        pivots = (rational.one,) * 2
+        pivots = (rational.element(1),) * 2
         matrix = band_system(core, 4, 4, term_masks(core, all_ones_cells(4)), pivots)
         assert len(matrix) == 1 and len(matrix[0]) == 2
-        assert matrix[0][0] == rational.one
+        assert matrix[0][0] == rational.element(1)
 
     def test_diagonal_index_range(self, rational):
         core = parse_poly("x1*x2", rational)
-        pivots = (rational.one,) * 2
+        pivots = (rational.element(1),) * 2
         for i in (0, 2, 5):
             with pytest.raises(errors.BadIndex):
                 band_system(core, 4, i, term_masks(core, all_ones_cells(4)), pivots)
 
     def test_wrong_pivots_rejected(self, rational):
         core = parse_poly("x1*x2", rational)
-        pivots = (rational.element(2), rational.one)
+        pivots = (rational.element(2), rational.element(1))
         with pytest.raises(errors.CoefficientMismatch):
             band_system(core, 4, 3, term_masks(core, all_ones_cells(4)), pivots)
 
@@ -293,7 +293,7 @@ class TestSolveBand:
                 acc = spec.element(rhs[k])
                 for s in range(k + 1, cols):
                     acc = spec.reduce(acc - coeffs[k][s] * expected[s])
-                expected[k] = spec.reduce(acc * spec.inv(coeffs[k][k]))
+                expected[k] = spec.reduce(acc * inverse(spec, coeffs[k][k]))
             ys, den = solve_band(band, raw_rhs, spec)
             assert spec.p is None or den == 1
             assert [Fraction(y, den) for y in ys] == expected

@@ -10,13 +10,13 @@ from utimage.sampling import random_band_target, random_poly, random_scalar
 from utimage.solver import preimage
 from utimage.triangular import StrictUT
 
-from conftest import mat, random_strict_ut, triples
+from conftest import inverse, mat, random_strict_ut, scaled, triples
 
 
 class TestConstruction:
     def test_single_entry(self, rational):
         a = mat(3, rational, [(1, 3, 1)])
-        assert a.get(1, 3) == rational.one
+        assert a.get(1, 3) == rational.element(1)
         assert a.get(1, 2) == rational.zero
 
     def test_rejects_diagonal_entry(self, rational):
@@ -72,9 +72,9 @@ class TestArithmetic:
         a = mat(3, gf3, [(1, 2, 1), (1, 3, 2)])
         b = mat(3, gf3, [(1, 2, 2)])
         assert mat(3, gf3, triples(a) + triples(b)) == mat(3, gf3, [(1, 3, 2)])
-        assert mat(3, gf3, triples(a) + triples(a.scaled(-gf3.one))).is_zero
-        assert a.scaled(2) == mat(3, gf3, [(1, 2, 2), (1, 3, 1)])
-        assert a.scaled(gf3.zero).is_zero
+        assert mat(3, gf3, triples(a) + triples(scaled(a, -1))).is_zero
+        assert scaled(a, 2) == mat(3, gf3, [(1, 2, 2), (1, 3, 1)])
+        assert scaled(a, gf3.zero).is_zero
 
     def test_dimension_mismatch(self, rational):
         with pytest.raises(errors.DimensionMismatch):
@@ -243,7 +243,7 @@ class TestBandDecompose:
                 for index, _matrix, values in trace.get("systems", ())
                 for k, v in enumerate(values, start=1)
             ])
-            assert total == b.scaled(spec.inv(f.normalize().scale))
+            assert total == scaled(b, inverse(spec, f.normalize().scale))
 
 
 class TestJson:

@@ -283,7 +283,7 @@ def selection_cases():
                 supports.append(fixing_one[1:])
             for support in supports:
                 coeffs = {images: coeff() for images in support}
-                coeffs[tuple(range(1, m + 1))] = spec.one
+                coeffs[tuple(range(1, m + 1))] = spec.element(1)
                 core = MultilinearPoly(m, spec, coeffs)
                 for n in (m + 1, m + 2, m + 4, 2 * m + 3):
                     yield core, n
