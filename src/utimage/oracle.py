@@ -16,11 +16,12 @@ keys, which makes reports independent of the scan's enumeration order.
 
 Four performance levers, all exact:
 
-* the chain-once compile.  Each output entry's chains are enumerated once
-  and their links looked up once; every support term then reads its
-  entries by permuting the same link indices, so compiling costs one
-  chain enumeration per entry plus one tuple per term.  Entries fewer
-  than m diagonals up have no chain and are skipped.
+* the chain-once compile, made only for a scan past the first tail.
+  Each output entry's chains are enumerated once and their links looked
+  up once; every support term then reads its entries by permuting the
+  same link indices, so compiling costs one chain enumeration per entry
+  plus one tuple per term.  Entries fewer than m diagonals up have no
+  chain and are skipped.
 * the linear slice.  A multilinear f is linear in X_1 once X_2..X_m are
   fixed, so the values over all X_1 are the span of f(E_i, X_2, ..., X_m)
   over the unit matrices E_i.  The scan visits the q^((m-1)c) tail tuples
@@ -36,8 +37,13 @@ Four performance levers, all exact:
   chain, so the sparse tails of ascending order cannot reach full rank,
   while the first tail, every scanned entry q - 1, does unless f's terms
   cancel on equal arguments.  On that tail every term is its coefficient
-  times the unit (q-1)^(m-1), so its slice is reduced from the summed
-  coefficients alone.  The image is then known by its positions
+  times a unit, so the slice is read off a_j, the summed coefficients of
+  the keys with x_1 at position j, and chain counts.  With j0 the first
+  j with a_j != 0, row (p, c) pivots on the link (p + j0, c - m + 1 + j0),
+  which one chain uses; ordered by width, then by descending p, the
+  pivots form a triangular minor with a_j0 on its diagonal.  That minor
+  is checked entry by entry, and only if the check fails is the slice
+  row-reduced.  The image is then known by its positions
   alone; no key is enumerated unless a caller asks for them.  If no
   slice reaches full rank, every tail is scanned, and the union of spans
   does not depend on the order.
@@ -102,13 +108,12 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
     """Flatten the polynomial into per-output-entry product terms.
 
     Each term is (coefficient, uses) where uses[t] is the index into
-    ``coords`` of the entry drawn from the t-th argument matrix.  A chain
-    needing an entry outside ``coords`` contributes nothing on the scanned
-    matrices and is dropped.  The terms of an entry run over the support
-    in key order, and for each key over the chains in lexicographic order.
+    ``coords`` of the entry drawn from the t-th argument matrix.  The terms
+    of an entry run over the support in key order, and for each key over
+    the chains in lexicographic order.
     """
     m = f.m
-    index = {c: i for i, c in enumerate(coords)}.get
+    index = {c: i for i, c in enumerate(coords)}.__getitem__
     # The link drawn from argument sigma[t] is the chain's t-th, so uses
     # reads the links at sigma's inverse.  At m = 1 the links are the uses
     # (an itemgetter of one index returns the item, not a tuple).
@@ -125,16 +130,16 @@ def _compile_terms(f: MultilinearPoly, n: int, coords: list[tuple[int, int]]):
             out_pos += 1
             if q - p < m:  # no m-link chain spans (p, q)
                 continue
-            chains = []
-            for inner in itertools.combinations(range(p + 1, q), m - 1):
-                links = tuple(map(index, itertools.pairwise((p, *inner, q))))
-                if None not in links:
-                    chains.append(links)
-            if chains:
-                terms = []
-                for coeff, get in getters:
-                    terms += zip(itertools.repeat(coeff), map(get, chains))
-                grouped.append((out_pos, terms))
+            # Every link of an m-link chain is at most n - m wide, so it is
+            # a scanned entry even when ``coords`` stops at that width.
+            chains = [
+                tuple(map(index, itertools.pairwise((p, *inner, q))))
+                for inner in itertools.combinations(range(p + 1, q), m - 1)
+            ]
+            terms = []
+            for coeff, get in getters:
+                terms += zip(itertools.repeat(coeff), map(get, chains))
+            grouped.append((out_pos, terms))
     return grouped
 
 
@@ -164,7 +169,65 @@ def _row_reduce(vectors, q: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(basis[lead]) for lead in sorted(basis))
 
 
-def _scan_slices(count, m, grouped, last, q):
+def _is_triangular(minor) -> bool:
+    """Whether a square minor, given as its columns, has a nonzero diagonal
+    and only zeros above it, so that its columns are independent.
+
+    Column k need only hold its first k + 1 entries.
+    """
+    return all(column[k] and not any(column[:k]) for k, column in enumerate(minor))
+
+
+def _first_tail_basis(f: MultilinearPoly, n: int, coords, rows, q: int):
+    """The reduced basis of the first tail's slice, or None when a checked
+    triangular minor shows that it has full rank.
+
+    On the first tail every scanned entry of X_2..X_m is q - 1, so every
+    term is its coefficient times the unit (q-1)^(m-1).  Up to that unit,
+    the slice's entry at row (p, c) and column (a, b) is the sum over j of
+    a_j times the chains p -> c whose j-th link is (a, b), where a_j sums
+    the coefficients of the keys with x_1 at position j.  Such a chain
+    takes j links from p to a and m - 1 - j from b to c, so the entry
+    depends on (a - p, c - b) alone and is read off one table keyed by it.
+    When every a_j is 0 mod q the slice is zero: its basis is ().
+    """
+    m = f.m
+    sums = [0] * m
+    for sigma, coeff in f.coeffs.items():
+        sums[sigma.index(1)] += coeff
+    nonzero = [(j, a % q) for j, a in enumerate(sums) if a % q]
+    if not nonzero:
+        return ()
+
+    def ways(k):  # (d, the k-link chains spanning d diagonals), where nonzero
+        return [(d, math.comb(d - 1, k - 1)) for d in range(k, n)] if k else [(0, 1)]
+
+    table = {}
+    for j, a in nonzero:
+        after = ways(m - 1 - j)
+        for d, x in ways(j):
+            for e, y in after:
+                table[d, e] = table.get((d, e), 0) + a * x * y
+
+    def column(a, b, rows):
+        return [table.get((a - p, c - b), 0) % q for p, c in rows]
+
+    # Row (p, c) pivots on the link (p + j0, c - (m - 1 - j0)), which one
+    # chain uses at position j0, the first with a_j0 != 0; in the order
+    # below no earlier row should use it at a position with a_j != 0.
+    # That is checked on the entries, not assumed.
+    j0 = nonzero[0][0]
+    order = sorted(rows, key=lambda row: (row[1] - row[0], -row[0]))
+    pivots = [(p + j0, c - (m - 1 - j0)) for p, c in order]
+    if set(pivots) <= set(coords) and _is_triangular(
+        [column(a, b, order[: k + 1]) for k, (a, b) in enumerate(pivots)]
+    ):
+        return None
+    columns = [column(a, b, rows) for a, b in coords]
+    return _row_reduce([vector for vector in columns if any(vector)], q)
+
+
+def _scan_slices(count, m, grouped, last, q, first):
     """Attained keys as the union, over every tail tuple X_2..X_m, of the
     span of f(E_i, X_2, ..., X_m) over the unit matrices E_i of X_1.
 
@@ -172,23 +235,15 @@ def _scan_slices(count, m, grouped, last, q):
     (position, terms) pair; its key weight is q^(last - position).  Every
     value lies in the space of these rows, so the first slice of full
     rank spans the whole image: the scan stops there and returns None.
-    The tails run in descending digit order, densest first, so the first
-    tail sets every scanned entry of X_2..X_m to q - 1 and usually stops
-    the scan; when f's terms cancel on equal arguments (x1*x2*x3 -
-    x1*x3*x2 with X_2 = X_3), the next few tails break the tie.
+    The tails run in descending digit order, densest first.  The first
+    tail, every scanned entry of X_2..X_m at q - 1, is decided by
+    ``_first_tail_basis`` and its basis passed as ``first``: the scan
+    starts at the second tail.  It gets here when f's terms cancel on
+    equal arguments (x1*x2*x3 - x1*x3*x2 with X_2 = X_3), and the next
+    few tails usually break the tie.
     """
     rows = len(grouped)
-    # The first tail gives every term the value coeff * (q-1)^(m-1), a
-    # unit times coeff, so its slice spans what the coefficients alone
-    # span: the scan usually stops here, before any tail index is built.
-    columns = [[0] * rows for _ in range(count)]
-    for row, (_pos, terms) in enumerate(grouped):
-        for coeff, uses in terms:
-            columns[uses[0]][row] += coeff
-    basis = _row_reduce([[x % q for x in column] for column in columns if any(column)], q)
-    if len(basis) == rows:
-        return None
-    spans = {basis}
+    spans = {first}
 
     # by_entry[i]: (row, coeff, tail) per term reading entry i of X_1;
     # tail indexes the term's X_2..X_m entries in a flat tail tuple.
@@ -199,7 +254,7 @@ def _scan_slices(count, m, grouped, last, q):
             by_entry[uses[0]].append((row, coeff, tuple(map(add, uses[1:], offsets))))
     columns_terms = [terms for terms in by_entry if terms]
     tails = itertools.product(range(q - 1, -1, -1), repeat=(m - 1) * count)
-    next(tails)  # the first tail, reduced above
+    next(tails)  # the first tail, given as ``first``
     for digits in tails:
         columns = []
         for terms in columns_terms:
@@ -251,9 +306,10 @@ def _image_keys(
     """Scan the tuple space; returns ((positions, keys), evaluation count).
 
     ``positions`` are the packed positions, increasing, of the entries an
-    m-link chain can reach; every value is supported on them.  ``keys`` is
-    None when a slice reached full rank, so the image is every matrix
-    supported on ``positions``; otherwise it is the image's sorted keys.
+    m-link chain can reach, none when f is zero; every value is supported
+    on them.  ``keys`` is None when a slice reached full rank, so the
+    image is every matrix supported on ``positions``; otherwise it is the
+    image's sorted keys.
 
     The count is the q^(m*c) argument tuples whose values the scan
     accounts for; the work is at most q^((m-1)*c) slices, and the cap
@@ -271,14 +327,22 @@ def _image_keys(
         # chain is dropped: the image is {0}, full rank on no position, and
         # compiling the chains would cost O(n^3) for nothing.
         return ((), None), 1
-    coords = strict_coords(n)
+    all_coords = strict_coords(n)
+    coords = all_coords
     if reduce_bands:
         coords = [(p, c) for p, c in coords if c - p <= n - m]
-    grouped = _compile_terms(f, n, coords)
-    positions = tuple([out_pos for out_pos, _terms in grouped])
+    # One row per entry an m-link chain reaches; a zero f reaches none.
+    positions = () if f.is_zero else tuple(
+        i for i, (p, c) in enumerate(all_coords) if c - p >= m
+    )
+    rows = [all_coords[i] for i in positions]
+    first = _first_tail_basis(f, n, coords, rows, q)
+    if first is None or len(first) == len(rows):
+        return (positions, None), q ** (m * count)
     # Output keys always span the full coordinate list so reduced and full
     # scans produce directly comparable sets.
-    seen = _scan_slices(count, m, grouped, n * (n - 1) // 2 - 1, q)
+    grouped = _compile_terms(f, n, coords)
+    seen = _scan_slices(count, m, grouped, len(all_coords) - 1, q, first)
     keys = None if seen is None else tuple(sorted(seen))
     return (positions, keys), q ** (m * count)
 

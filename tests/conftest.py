@@ -67,6 +67,21 @@ def row_reduce_calls(monkeypatch):
 
 
 @pytest.fixture
+def compile_calls(monkeypatch):
+    """Count the oracle's term compiles, which only a scan past the first
+    tail makes."""
+    calls = []
+    compile_terms = oracle._compile_terms
+
+    def counted(f, n, coords):
+        calls.append(None)
+        return compile_terms(f, n, coords)
+
+    monkeypatch.setattr(oracle, "_compile_terms", counted)
+    return calls
+
+
+@pytest.fixture
 def chain_enumerations(monkeypatch):
     """The output entries (p, q) whose chains the oracle enumerates, once
     per enumeration, in order."""

@@ -826,10 +826,11 @@ class TestVerify:
         assert doc["image_size"] == doc["expected_size"] == 2**10
 
     def test_cap_admits_a_scan_that_stops_at_its_first_tail(
-        self, capsys, row_reduce_calls
+        self, capsys, compile_calls
     ):
         # 2^20 tails X_2, X_3 fill the cap exactly, but the first one, every
-        # entry 1, spans the band, so one slice is reduced.
+        # entry 1, spans the band, so the scan stops there and compiles
+        # nothing.
         argv = ["verify", "--poly", "x1*x2*x3", "--n", "5", "--field", "gf:2"]
         code = cli.main([*argv, "--cap", "1048576"])
         doc = json.loads(capsys.readouterr().out)
@@ -837,7 +838,23 @@ class TestVerify:
         assert doc["matches"] is True
         assert doc["evaluations"] == 2**30
         assert doc["image_size"] == doc["expected_size"] == 8
-        assert len(row_reduce_calls) == 1
+        assert compile_calls == []
+
+    def test_zero_polynomial_stops_at_the_first_tail(self, capsys, compile_calls):
+        # x1*x2 + x1*x2 is zero over GF(2): it reaches no entry, so the
+        # first tail has full rank on no row and the image is {0}, instead
+        # of a scan of all 2^21 tails.  The cap still prices those tails.
+        argv = ["verify", "--poly", "x1*x2 + x1*x2", "--n", "7", "--field", "gf:2"]
+        code = cli.main([*argv, "--cap", "10000000"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert (doc["image_size"], doc["expected_size"], doc["matches"]) == (1, 1, True)
+        assert doc["evaluations"] == 2**42
+        assert compile_calls == []
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "error: 2^21 tail tuples exceed the cap 1000000\n"
+        )
 
     def test_rational_field_rejected(self, capsys):
         code = cli.main(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from utimage.oracle import _compile_terms, check_theorem, strict_coords
 from utimage.sampling import IDENTITY_GRID, THEOREM_GRID
 
 from conftest import all_matrices, image_bruteforce, mat, module_imports, packed_key
+from test_universe import DIMENSIONS, UNIVERSE, polynomials
 
 
 def naive_image_keys(f, n, q):
@@ -55,8 +57,8 @@ def exhaustive_image_keys(f, n, q, reduce_bands=False):
 
 def reference_compile_terms(f, n, coords):
     """``_compile_terms`` term by term: every support key enumerates every
-    entry's chains again and looks up each link, keeping the chains whose
-    links are all in ``coords``."""
+    entry's chains again and looks up each link, every one of which must be
+    in ``coords`` (a link of an m-link chain is at most n - m wide)."""
     m = f.m
     coord_index = {c: i for i, c in enumerate(coords)}
     grouped = []
@@ -66,15 +68,11 @@ def reference_compile_terms(f, n, coords):
             for inner in itertools.combinations(range(p + 1, q), m - 1):
                 chain = (p, *inner, q)
                 uses = [0] * m
-                ok = True
                 for t in range(m):
                     link = (chain[t], chain[t + 1])
-                    if link not in coord_index:
-                        ok = False
-                        break
+                    assert link in coord_index, (link, n, m)
                     uses[sigma[t] - 1] = coord_index[link]
-                if ok:
-                    terms.append((coeff, tuple(uses)))
+                terms.append((coeff, tuple(uses)))
         if terms:
             grouped.append((out_pos, terms))
     return grouped
@@ -346,7 +344,9 @@ class TestLinearSlice:
 
         report = check_theorem(f, 4, 2)
         assert 1 < position < 2**12
-        assert len(row_reduce_calls) == position
+        # The first tail's slice is zero (every a_j sums to 0), so it needs
+        # no reduction; each later tail up to the certifying one gets one.
+        assert len(row_reduce_calls) == position - 1
         assert report.evaluations == 2**18
         assert report.matches and report.image_size == 2
 
@@ -354,19 +354,22 @@ class TestLinearSlice:
         "poly_text,n,q,reduce_bands", THEOREM_GRID + IDENTITY_GRID
     )
     def test_grid_rows_stop_at_the_first_tail(
-        self, row_reduce_calls, poly_text, n, q, reduce_bands
+        self, compile_calls, row_reduce_calls, poly_text, n, q, reduce_bands
     ):
-        # The densest tail spans each grid row's whole image, so the scan
-        # reduces one slice; a sparse-first order would reduce up to 1,058
-        # (x1*x2*x3*x4 at n = 5, reduced).
+        # The densest tail spans each grid row's whole image, and its
+        # triangular minor certifies that before any term is compiled or
+        # any slice reduced; a sparse-first order would reduce up to 1,058
+        # slices (x1*x2*x3*x4 at n = 5, reduced).
         f = parse_poly(poly_text, FieldSpec.gf(q))
         assert check_theorem(f, n, q, reduce_bands=reduce_bands).matches
-        assert len(row_reduce_calls) == 1
+        assert compile_calls == []
+        assert row_reduce_calls == []
 
     def test_no_full_rank_slice_scans_every_tail(self, gf2, monkeypatch, capsys):
         # A row reduction that loses a basis row never reaches full rank,
         # so every one of the 2^10 tails is visited and the smaller image
-        # is reported as a mismatch.
+        # is reported as a mismatch.  The first tail's minor is refused, so
+        # its slice is reduced too.
         calls = []
         row_reduce = oracle._row_reduce
 
@@ -375,6 +378,7 @@ class TestLinearSlice:
             return row_reduce(vectors, q)[:-1]
 
         monkeypatch.setattr(oracle, "_row_reduce", dropping)
+        monkeypatch.setattr(oracle, "_is_triangular", lambda minor: False)
         report = check_theorem(parse_poly("x1*x2", gf2), 5, 2)
         assert len(calls) == 2**10
         assert not report.matches
@@ -383,6 +387,117 @@ class TestLinearSlice:
         argv = ["verify", "--poly", "x1*x2", "--n", "5", "--field", "gf:2"]
         assert cli.main(argv) == 4
         assert json.loads(capsys.readouterr().out)["matches"] is False
+
+
+def reference_first_slice(f, n, coords, q):
+    """(rows, basis) of the first tail's slice as the scan built it before
+    the certificate: each compiled term adds its coefficient to the column
+    of its X_1 entry, and the columns are row-reduced."""
+    grouped = _compile_terms(f, n, coords)
+    columns = [[0] * len(grouped) for _ in coords]
+    for row, (_pos, terms) in enumerate(grouped):
+        for coeff, uses in terms:
+            columns[uses[0]][row] += coeff
+    vectors = [[x % q for x in column] for column in columns if any(column)]
+    return len(grouped), oracle._row_reduce(vectors, q)
+
+
+def first_slice_cases():
+    """Nonzero polynomials for the certificate: the universe of
+    ``test_universe.py``, seeded random supports at m = 4..6 (all of S_m
+    among them, whose x_1-position sums vanish over GF(2)) and the degree-4
+    cancelling family, each at every n up to its bound."""
+    cases = [(f, n) for m, q in UNIVERSE for f in polynomials(m, q) for n in DIMENSIONS]
+    for m, q in itertools.product((4, 5, 6), (2, 3, 5)):
+        rng = random.Random(f"first-slice:{m}:{q}")
+        spec = FieldSpec.gf(q)
+        perms = list(itertools.permutations(range(1, m + 1)))
+        supports = [rng.sample(perms, size) for size in (1, 3, 12)] + [perms]
+        for support in supports:
+            f = MultilinearPoly(m, spec, {key: rng.randrange(1, q) for key in support})
+            cases += [(f, n) for n in range(2, 9)]
+    for q in (2, 3, 5):
+        f = parse_poly("x1*x2*x3*x4 - x1*x3*x2*x4", FieldSpec.gf(q))
+        cases += [(f, n) for n in range(2, 9)]
+    return cases
+
+
+class TestFirstTailCertificate:
+    """The first slice decided from the x_1-position sums, against the
+    slice the compiled terms give."""
+
+    def test_agrees_with_the_compiled_slice(self, monkeypatch):
+        certified = refused = 0
+        for f, n in first_slice_cases():
+            q = f.spec.p
+            all_coords = strict_coords(n)
+            rows = [(p, c) for p, c in all_coords if c - p >= f.m]
+            for reduce_bands in (False, True):
+                coords = [
+                    (p, c) for p, c in all_coords if not reduce_bands or c - p <= n - f.m
+                ]
+                if not coords:
+                    continue
+                where = f"{f.to_text()} at n={n} over GF({q}), reduce={reduce_bands}"
+                count, basis = reference_first_slice(f, n, coords, q)
+                assert count == len(rows), where
+                full = len(basis) == len(rows)
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_is_triangular", lambda minor: False)
+                    assert oracle._first_tail_basis(f, n, coords, rows, q) == basis, where
+                got = oracle._first_tail_basis(f, n, coords, rows, q)
+                if got is None:
+                    assert full, where
+                    certified += 1
+                else:
+                    # a slice of full rank on some row is always certified
+                    assert got == basis and not (full and rows), where
+                    refused += bool(rows)
+        assert certified > 900 and refused > 10
+
+    @pytest.mark.parametrize(
+        "minor,certified",
+        [
+            ([], True),
+            ([[2]], True),
+            ([[1], [0, 2], [0, 0, 1]], True),
+            ([[1, 5, 7], [0, 2, 9], [0, 0, 1]], True),  # below the diagonal
+            ([[0]], False),
+            ([[1], [1, 2], [0, 0, 1]], False),  # above the diagonal
+            ([[1], [0, 2], [0, 3, 1]], False),
+            ([[1], [0, 0], [0, 0, 1]], False),  # zero on the diagonal
+        ],
+    )
+    def test_synthetic_minors(self, minor, certified):
+        assert oracle._is_triangular(minor) is certified
+
+    def test_a_refused_minor_falls_back_to_the_row_reduction(
+        self, gf3, monkeypatch, row_reduce_calls
+    ):
+        monkeypatch.setattr(oracle, "_is_triangular", lambda minor: False)
+        f = parse_poly("x1*x2*x3 + x2*x1*x3", gf3)
+        report = check_theorem(f, 6, 3, cap=3**24, reduce_bands=True)
+        assert report.matches and report.image_size == 3**6
+        assert len(row_reduce_calls) == 1
+
+    def test_at_scale_compiles_nothing(self, gf3, monkeypatch):
+        # m = 6, n = 20, 12 keys: the compile alone held 930,240 terms
+        # (135 MiB); the certificate reads one 20 x 20 table.
+        def refuse(*args):
+            raise AssertionError("compiled terms for a first-tail check")
+
+        monkeypatch.setattr(oracle, "_compile_terms", refuse)
+        rng = random.Random(1)
+        perms = rng.sample(list(itertools.permutations(range(1, 7))), 12)
+        f = MultilinearPoly(6, gf3, {key: rng.randrange(1, 3) for key in perms})
+        tracemalloc.start()
+        try:
+            report = check_theorem(f, 20, 3, cap=10**1000, reduce_bands=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.matches and report.image_size == report.expected_size == 3**105
+        assert peak < 10 * 2**20
 
 
 class TestRowReduce:
